@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -73,8 +72,7 @@ func main() {
 				fatalf("creating %s: %v", *out, err)
 			}
 			path := filepath.Join(*out, strings.ToLower(rep.ID)+".txt")
-			content := fmt.Sprintf("%s — %s\n\n%s", rep.ID, rep.Title, rep.Text)
-			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(rep.FileText()), 0o644); err != nil {
 				fatalf("writing %s: %v", path, err)
 			}
 		}
@@ -92,37 +90,12 @@ func writeSeries(dir string, rep *experiments.Report) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	names := make([]string, 0, len(rep.Series))
-	for n := range rep.Series {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		var b strings.Builder
-		b.WriteString("# " + rep.ID + " " + name + "\n")
-		for _, pt := range rep.Series[name] {
-			fmt.Fprintf(&b, "%g\t%g\n", pt.X, pt.Y)
-		}
-		file := strings.ToLower(rep.ID) + "_" + sanitize(name) + ".tsv"
-		if err := os.WriteFile(filepath.Join(dir, file), []byte(b.String()), 0o644); err != nil {
+	for file, content := range rep.SeriesFiles() {
+		if err := os.WriteFile(filepath.Join(dir, file), []byte(content), 0o644); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// sanitize maps a series name to a safe file-name fragment.
-func sanitize(name string) string {
-	out := make([]rune, 0, len(name))
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			out = append(out, r)
-		default:
-			out = append(out, '-')
-		}
-	}
-	return string(out)
 }
 
 func fatalf(format string, args ...any) {

@@ -1,6 +1,7 @@
 package atlas
 
 import (
+	"maps"
 	"net/netip"
 	"strings"
 	"testing"
@@ -172,6 +173,26 @@ func TestPopulationAreaCounts(t *testing.T) {
 	// Discarded probes exist.
 	if len(f.platform.Probes) <= len(f.platform.Retained()) {
 		t.Error("no probes were generated for the filtering step")
+	}
+}
+
+// TestTransitAddressedStubsDeterministic rebuilds the platform from the same
+// seed: which stubs are marked must not depend on map iteration order, which
+// Go randomises on every range.
+func TestTransitAddressedStubsDeterministic(t *testing.T) {
+	f := newFixture(t)
+	want := f.platform.TransitAddressedStubs
+	if len(want) == 0 {
+		t.Fatal("no transit-addressed stubs; the test needs some")
+	}
+	for i := 0; i < 8; i++ {
+		pl, err := NewPlatform(f.topo, f.addr, PopulationConfig{Seed: 31, Scale: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(pl.TransitAddressedStubs, want) {
+			t.Fatalf("build %d marked %v, first build %v", i, pl.TransitAddressedStubs, want)
+		}
 	}
 }
 

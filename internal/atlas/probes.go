@@ -146,9 +146,10 @@ func NewPlatform(tp *topo.Topology, ad *Addressing, cfg PopulationConfig) (*Plat
 	}
 
 	// Mark transit-addressed stubs: those whose provider is an
-	// international tier-2.
-	for _, asns := range stubsByArea {
-		for _, asn := range asns {
+	// international tier-2. Areas go in their fixed order, not the map's,
+	// so the same seed marks the same stubs in every process.
+	for _, area := range geo.Areas {
+		for _, asn := range stubsByArea[area] {
 			if rng.Float64() >= cfg.TransitAddressedFraction {
 				continue
 			}

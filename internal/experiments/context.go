@@ -8,6 +8,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"anysim/internal/atlas"
 	"anysim/internal/cdn"
@@ -188,6 +189,41 @@ type Report struct {
 	// keyed by series name; cmd/repro can export them as TSV for external
 	// plotting.
 	Series map[string][]stats.Point
+}
+
+// FileText renders the report as it is published in results/<id>.txt.
+func (r *Report) FileText() string {
+	return fmt.Sprintf("%s — %s\n\n%s", r.ID, r.Title, r.Text)
+}
+
+// SeriesFiles renders each of the report's curves as a two-column TSV
+// (x, cumulative y), keyed by the file name it is published under in
+// results/series.
+func (r *Report) SeriesFiles() map[string]string {
+	out := make(map[string]string, len(r.Series))
+	for name, pts := range r.Series {
+		var b strings.Builder
+		b.WriteString("# " + r.ID + " " + name + "\n")
+		for _, pt := range pts {
+			fmt.Fprintf(&b, "%g\t%g\n", pt.X, pt.Y)
+		}
+		out[strings.ToLower(r.ID)+"_"+sanitize(name)+".tsv"] = b.String()
+	}
+	return out
+}
+
+// sanitize maps a series name to a safe file-name fragment.
+func sanitize(name string) string {
+	out := make([]rune, 0, len(name))
+	for _, r := range name {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
+			out = append(out, r)
+		default:
+			out = append(out, '-')
+		}
+	}
+	return string(out)
 }
 
 // Experiment is one reproducible table or figure.

@@ -1,6 +1,11 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -25,6 +30,16 @@ func testCtx(t *testing.T) *Context {
 	return sharedCtx
 }
 
+var update = flag.Bool("update", false, "rewrite results/ and results/series from this run")
+
+// resultsDir is the published reports, relative to this package.
+const resultsDir = "../../results"
+
+// TestRunAll is the golden-results test: one RunAll over the canonical
+// world, each report compared byte for byte with its published
+// results/<id>.txt and each curve with results/series. Run with -update to
+// regenerate them (the same files `go run ./cmd/repro -out results -data
+// results/series` writes).
 func TestRunAll(t *testing.T) {
 	ctx := testCtx(t)
 	reports, err := RunAll(ctx)
@@ -34,19 +49,78 @@ func TestRunAll(t *testing.T) {
 	if len(reports) != len(All()) {
 		t.Fatalf("got %d reports, want %d", len(reports), len(All()))
 	}
-	seen := map[string]bool{}
+	want := map[string]string{} // path -> content
 	for _, r := range reports {
 		if r.ID == "" || r.Title == "" || strings.TrimSpace(r.Text) == "" {
 			t.Errorf("report %q incomplete", r.ID)
 		}
-		if seen[r.ID] {
-			t.Errorf("duplicate report ID %s", r.ID)
-		}
-		seen[r.ID] = true
 		if r.Data == nil {
 			t.Errorf("report %s has no data", r.ID)
 		}
+		path := filepath.Join(resultsDir, strings.ToLower(r.ID)+".txt")
+		if _, dup := want[path]; dup {
+			t.Errorf("duplicate report ID %s", r.ID)
+		}
+		want[path] = r.FileText()
+		for file, content := range r.SeriesFiles() {
+			want[filepath.Join(resultsDir, "series", file)] = content
+		}
 	}
+	paths := make([]string, 0, len(want))
+	for path := range want {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	if *update {
+		for _, path := range paths {
+			if err := os.WriteFile(path, []byte(want[path]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, path := range paths {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Errorf("%v (regenerate with -update)", err)
+			continue
+		}
+		if string(got) != want[path] {
+			t.Errorf("%s differs from this run (regenerate with -update):\n%s", path, firstDiff(string(got), want[path]))
+		}
+	}
+	// Every published file must come from a report: nothing stale.
+	published, err := filepath.Glob(filepath.Join(resultsDir, "*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, err := filepath.Glob(filepath.Join(resultsDir, "series", "*.tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(published, series...) {
+		if _, ok := want[path]; !ok {
+			t.Errorf("%s is published but no report produces it", path)
+		}
+	}
+}
+
+// firstDiff describes the first line where the published text and this
+// run's differ.
+func firstDiff(published, run string) string {
+	a, b := strings.Split(published, "\n"), strings.Split(run, "\n")
+	for i := 0; i < len(a) || i < len(b); i++ {
+		var la, lb string
+		if i < len(a) {
+			la = a[i]
+		}
+		if i < len(b) {
+			lb = b[i]
+		}
+		if la != lb {
+			return fmt.Sprintf("line %d:\n  published: %q\n  this run:  %q", i+1, la, lb)
+		}
+	}
+	return "(no line differs)"
 }
 
 func TestTable1MatchesPaperCounts(t *testing.T) {
