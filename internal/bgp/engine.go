@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -177,6 +178,29 @@ func (e *Engine) Prefixes() []netip.Prefix {
 	}
 	slices.SortFunc(out, func(a, b netip.Prefix) int { return strings.Compare(a.String(), b.String()) })
 	return out
+}
+
+// PrefixOf returns the announced prefix containing addr. When announced
+// prefixes nest, it returns the one Prefixes lists first. It allocates
+// nothing, so measurement paths can call it per probe.
+func (e *Engine) PrefixOf(addr netip.Addr) (netip.Prefix, bool) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	var best netip.Prefix
+	found := false
+	for p := range e.anns {
+		if p.Contains(addr) && (!found || prefixTextLess(p, best)) {
+			best, found = p, true
+		}
+	}
+	return best, found
+}
+
+// prefixTextLess orders prefixes as Prefixes does, by their String form,
+// formatting into stack buffers.
+func prefixTextLess(a, b netip.Prefix) bool {
+	var ab, bb [64]byte
+	return bytes.Compare(a.AppendTo(ab[:0]), b.AppendTo(bb[:0])) < 0
 }
 
 // Withdraw removes all routing state for a prefix.

@@ -276,6 +276,40 @@ func TestWithdraw(t *testing.T) {
 	}
 }
 
+// TestPrefixOfMatchesPrefixesScan holds PrefixOf to the first containing
+// prefix in Prefixes order, over nested announcements where text order
+// picks the outer prefix in one pair and the inner one in the other, and
+// pins it allocation-free.
+func TestPrefixOfMatchesPrefixesScan(t *testing.T) {
+	_, e := figure1World(t)
+	const imperva topo.ASN = 19551
+	for _, p := range []string{"198.18.0.0/23", "198.18.1.0/24", "198.18.8.0/21", "198.18.10.0/23", "198.18.2.0/24"} {
+		if err := e.Announce(netip.MustParsePrefix(p), []SiteAnnouncement{{Origin: imperva, Site: "ash", City: "IAD"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func(a netip.Addr) (netip.Prefix, bool) {
+		for _, p := range e.Prefixes() {
+			if p.Contains(a) {
+				return p, true
+			}
+		}
+		return netip.Prefix{}, false
+	}
+	for _, s := range []string{"198.18.0.1", "198.18.1.7", "198.18.2.1", "198.18.3.255", "198.18.9.1", "198.18.10.1", "198.18.11.1", "198.18.200.1", "10.0.0.1"} {
+		a := netip.MustParseAddr(s)
+		gotP, gotOK := e.PrefixOf(a)
+		wantP, wantOK := scan(a)
+		if gotP != wantP || gotOK != wantOK {
+			t.Errorf("PrefixOf(%s) = %v %v, Prefixes scan %v %v", s, gotP, gotOK, wantP, wantOK)
+		}
+	}
+	a := netip.MustParseAddr("198.18.1.7")
+	if n := testing.AllocsPerRun(100, func() { e.PrefixOf(a) }); n != 0 {
+		t.Errorf("PrefixOf allocates %.0f times, want 0", n)
+	}
+}
+
 func TestReAnnounceReplaces(t *testing.T) {
 	_, e := figure1World(t)
 	const imperva, probeAS topo.ASN = 19551, 10745

@@ -8,13 +8,13 @@ package geodb
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"net/netip"
 	"sort"
+	"strconv"
 	"sync"
 
 	"anysim/internal/geo"
+	"anysim/internal/keyrand"
 )
 
 // Location is a database answer: a country and, when available, a city.
@@ -205,24 +205,29 @@ func (d *DB) Lookup(addr netip.Addr) (Location, bool) {
 	r := rng.Float64()
 	switch {
 	case r < d.model.PCountryWrong:
-		return d.wrongCountry(e.Loc, rng), true
+		return d.wrongCountry(e.Loc, &rng), true
 	case r < d.model.PCountryWrong+d.model.PCityWrong:
-		return wrongCityInCountry(e.Loc, rng), true
+		return wrongCityInCountry(e.Loc, &rng), true
 	default:
 		return e.Loc, true
 	}
 }
 
-func (d *DB) rngFor(p netip.Prefix) *rand.Rand {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%s", d.Name, d.seed, p)
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+// rngFor is the block's error draws, keyed by "<name>|<seed>|<prefix>".
+func (d *DB) rngFor(p netip.Prefix) keyrand.Stream {
+	var buf [96]byte
+	key := append(buf[:0], d.Name...)
+	key = append(key, '|')
+	key = strconv.AppendInt(key, d.seed, 10)
+	key = append(key, '|')
+	key = keyrand.AppendPrefix(key, p)
+	return keyrand.ForKey(key)
 }
 
 // wrongCountry picks a deterministic wrong country near the true one:
 // real databases confuse neighbours (Belgium for the Netherlands), not
 // antipodes. The answer is drawn from the dozen nearest foreign countries.
-func (d *DB) wrongCountry(loc Location, rng *rand.Rand) Location {
+func (d *DB) wrongCountry(loc Location, rng *keyrand.Stream) Location {
 	neighbors := neighborCountries(loc.Country)
 	if len(neighbors) == 0 {
 		return loc
@@ -284,7 +289,7 @@ func neighborCountries(cc string) []string {
 
 // wrongCityInCountry returns another city of the same country when one
 // exists; otherwise the true location.
-func wrongCityInCountry(loc Location, rng *rand.Rand) Location {
+func wrongCityInCountry(loc Location, rng *keyrand.Stream) Location {
 	cities := geo.CitiesIn(loc.Country)
 	if len(cities) < 2 {
 		return loc

@@ -10,10 +10,11 @@ package rdns
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
+	"strconv"
 	"strings"
 
 	"anysim/internal/geo"
+	"anysim/internal/keyrand"
 )
 
 // Style describes how (and whether) a router's rDNS name encodes location.
@@ -65,11 +66,16 @@ func NewNamer(domain string, seed int64) *Namer {
 	return &Namer{Domain: domain, PIATA: 0.58, POperator: 0.14, POpaque: 0.13, seed: seed}
 }
 
-// styleFor deterministically picks the style for an interface key.
+// styleFor deterministically picks the style for an interface key, drawn
+// from the key "<domain>|<seed>|<key>".
 func (n *Namer) styleFor(key string) Style {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%s", n.Domain, n.seed, key)
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	var buf [128]byte
+	k := append(buf[:0], n.Domain...)
+	k = append(k, '|')
+	k = strconv.AppendInt(k, n.seed, 10)
+	k = append(k, '|')
+	k = append(k, key...)
+	rng := keyrand.ForKey(k)
 	r := rng.Float64()
 	switch {
 	case r < n.PIATA:
