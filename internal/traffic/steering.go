@@ -564,9 +564,17 @@ func actionKey(a *Action) string {
 
 // shedCost compares two load reports: total demand that changed serving
 // site and the demand-weighted mean propagation-RTT delta of those groups.
+// The sums run in group-key order: float addition is not associative, so
+// map order would change their last bits from one resolve to the next.
 func shedCost(before, after *LoadReport) (moved, costMs float64) {
+	keys := make([]string, 0, len(before.Assignments))
+	for key := range before.Assignments {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
 	var wsum, dsum float64
-	for key, b := range before.Assignments {
+	for _, key := range keys {
+		b := before.Assignments[key]
 		a, ok := after.Assignments[key]
 		if !ok || a.Site == b.Site {
 			continue

@@ -39,6 +39,12 @@ go test -run '^$' -benchmem -benchtime 1x -count 5 \
     -bench 'BenchmarkTrafficSteering$|BenchmarkSteeringRound$|BenchmarkDemandMatrix$' \
     . | tee -a "$raw"
 
+# The paper's measurement campaign on the small world: keyed-draw and
+# prefix-lookup cost per probe, with deterministic allocs/bytes.
+go test -run '^$' -benchmem -count 5 \
+    -bench 'BenchmarkRunCampaign$' \
+    ./internal/core/ | tee -a "$raw"
+
 # The resident server: full ingest path (reconverge + re-evaluate + publish)
 # with the query-ns/op column reporting snapshot-read latency, and the
 # decoder-fronted stream path POST /events takes.

@@ -5,7 +5,8 @@
 #
 # Compares the two most recent BENCH_<n>.json archives at the repo root
 # (highest two <n>) on the headline benchmarks — BenchmarkAnnounce (the
-# routing core) and BenchmarkTrafficSteering (the whole-pipeline number).
+# routing core), BenchmarkTrafficSteering (the whole-pipeline number) and
+# BenchmarkRunCampaign (the paper's measurement campaign).
 #
 # Two gates with different teeth, because the columns have different
 # noise floors:
@@ -70,7 +71,7 @@ gate() {
         }' || fail=1
 }
 
-for bench in BenchmarkAnnounce BenchmarkTrafficSteering; do
+for bench in BenchmarkAnnounce BenchmarkTrafficSteering BenchmarkRunCampaign; do
     if [ -z "$(col_of "$old" "$bench" ns_per_op)" ] && [ -z "$(col_of "$new" "$bench" ns_per_op)" ]; then
         echo "  $bench: missing from both archives; skipping"
         continue
