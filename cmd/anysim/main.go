@@ -699,7 +699,7 @@ func parseServe(args []string, stderr io.Writer) (*serveArgs, int) {
 	sfs.SetOutput(stderr)
 	var sa serveArgs
 	sfs.StringVar(&sa.listen, "listen", "127.0.0.1:0", "HTTP listen address for the query API")
-	sfs.StringVar(&sa.checkpoint, "checkpoint", "", "default checkpoint path: POST /checkpoint without ?path= writes here, and so does graceful shutdown")
+	sfs.StringVar(&sa.checkpoint, "checkpoint", "", "default checkpoint path: POST /checkpoint and graceful shutdown write here; POST /checkpoint?path=NAME writes the bare file NAME in the same directory")
 	sfs.StringVar(&sa.restore, "restore", "", "checkpoint file to restore before serving (refused unless seed, world hash, and deployment match)")
 	if err := sfs.Parse(args); err != nil {
 		return nil, exitUsage

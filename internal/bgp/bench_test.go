@@ -81,6 +81,28 @@ func BenchmarkIncrementalReconvergence(b *testing.B) {
 			b.Error("incremental path fell back to full recompute")
 		}
 	})
+	// The same flap with provenance recording on: the write path the twin
+	// runs, where recording must cost in proportion to the dirty set.
+	b.Run("provenance", func(b *testing.B) {
+		_, pe, anns, prefix := benchWorld(b)
+		pe.SetProvenance(true)
+		if err := pe.Announce(prefix, anns); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := pe.WithdrawSite(prefix, "fra"); err != nil {
+				b.Fatal(err)
+			}
+			if err := pe.AnnounceSite(prefix, anns[1]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if pe.LastReconvergeStats().Full {
+			b.Error("incremental path fell back to full recompute")
+		}
+	})
 	b.Run("full", func(b *testing.B) {
 		b.ReportAllocs()
 		minus := append([]SiteAnnouncement(nil), anns[:1]...)

@@ -59,12 +59,9 @@ type Engine struct {
 	// (prefix, site), the ASes the last withdraw/restore of that site
 	// touched, used to pre-seed the next operation on the same site.
 	hints map[netip.Prefix]map[string]*asBits
-	// provOn enables decision-provenance recording (see prov.go); prov
-	// holds one dense per-rank Provenance table per prefix, parallel to
-	// ribs, immutable once installed. nil when provenance is off so the
-	// off path never pays for the feature.
+	// provOn enables decision-provenance recording (see prov.go). The
+	// records themselves live on the ribs.
 	provOn bool
-	prov   map[netip.Prefix]provTable
 	// policy is the optional community/filter layer (see policy.go). nil —
 	// the default — means the engine behaves exactly as it did before the
 	// layer existed: no seed-time evaluation, no community pointers set.
@@ -78,9 +75,13 @@ type Engine struct {
 // over by pointer — which is what makes Fork a shallow-copy operation.
 type ribTable []*rib
 
-// rib holds one AS's routes for one prefix, bucketed by preference class.
+// rib holds one AS's routes for one prefix, bucketed by preference class,
+// and, when the converge that built it recorded provenance, the decision
+// record behind the selection (nil otherwise). The pointer keeps the struct
+// at 128 B, the allocation size class it had without the field.
 type rib struct {
 	classes [FromProvider + 1][]Route
+	prov    *Provenance
 }
 
 // best returns the most-preferred non-empty class and its routes.
@@ -209,7 +210,6 @@ func (e *Engine) Withdraw(p netip.Prefix) {
 	delete(e.ribs, p)
 	delete(e.anns, p)
 	delete(e.hints, p)
-	delete(e.prov, p)
 	e.mu.Unlock()
 	e.eobs.withdraws.Inc()
 	e.traceOp("withdraw", p, ReconvergeStats{})
@@ -248,12 +248,12 @@ func (e *Engine) Announce(prefix netip.Prefix, anns []SiteAnnouncement) error {
 		siteIDs[a.Site] = true
 	}
 
-	ribs, prov, err := e.converge(prefix, anns, nil)
+	ribs, err := e.converge(prefix, anns, nil)
 	if err != nil {
 		return err
 	}
 	st := ReconvergeStats{Dirty: ribs.populated(), Passes: 1, Full: true}
-	e.install(prefix, anns, ribs, prov, st)
+	e.install(prefix, anns, ribs, st)
 	e.eobs.announces.Inc()
 	e.eobs.dirty.Observe(int64(st.Dirty))
 	e.traceOp("announce", prefix, st)
@@ -292,19 +292,11 @@ func (e *Engine) validateAnn(prefix netip.Prefix, a SiteAnnouncement) error {
 	return nil
 }
 
-// install publishes a converged routing table for a prefix, with its
-// provenance table when provenance is on (a nil prov installs an empty
-// table, the state of a dark prefix).
-func (e *Engine) install(prefix netip.Prefix, anns []SiteAnnouncement, ribs ribTable, prov provTable, st ReconvergeStats) {
+// install publishes a converged routing table for a prefix.
+func (e *Engine) install(prefix netip.Prefix, anns []SiteAnnouncement, ribs ribTable, st ReconvergeStats) {
 	e.mu.Lock()
 	e.ribs[prefix] = ribs
 	e.anns[prefix] = append([]SiteAnnouncement(nil), anns...)
-	if e.provOn {
-		if prov == nil {
-			prov = make(provTable, e.n)
-		}
-		e.prov[prefix] = prov
-	}
 	e.lastStats = st
 	e.mu.Unlock()
 }
@@ -313,12 +305,10 @@ func (e *Engine) install(prefix netip.Prefix, anns []SiteAnnouncement, ribs ribT
 // reconvergence. dirty lists the ASes whose RIBs must be recomputed; old
 // holds the previous table, carried over untouched for clean ASes and used
 // as the source of boundary exports into the dirty region. A nil scope
-// recomputes every AS. oldProv is the previous provenance table (nil when
-// provenance is off), carried over for clean ASes the same way.
+// recomputes every AS.
 type convergeScope struct {
-	dirty   *asBits
-	old     ribTable
-	oldProv provTable
+	dirty *asBits
+	old   ribTable
 }
 
 // isDirty reports whether AS index i must be recomputed; with no scope every
@@ -335,14 +325,18 @@ func (sc *convergeScope) isDirty(i int) bool {
 // Links disabled via Topology.SetLinkEnabled carry no offers in any phase.
 //
 // With provenance on, a recorder captures the best rejected offer per
-// (AS, class) at every point an offer is suppressed or capped out; the
-// returned provTable pairs each recomputed AS's selection with its
+// (AS, class) at every point an offer is suppressed or capped out, and each
+// recomputed AS's rib gets a record pairing its selection with its
 // runner-up. With provenance off, pr stays nil, every capture site is a
-// single branch, and the returned provTable is nil.
-func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *convergeScope) (ribTable, provTable, error) {
+// single branch, and the ribs carry no record.
+func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *convergeScope) (ribTable, error) {
 	var pr *provRecorder
 	if e.provOn {
-		pr = newProvRecorder(e.n)
+		dirty := e.n
+		if sc != nil {
+			dirty = sc.dirty.len()
+		}
+		pr = newProvRecorder(e.n, dirty)
 	}
 	links := e.topo.Links()
 	ribs := make(ribTable, e.n)
@@ -504,7 +498,7 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 	round := 1
 	for ; len(pending) > 0 || round <= maxRound; round++ {
 		if round > e.n+1 {
-			return nil, nil, &NonTerminationError{Prefix: prefix, Phase: 1, Iterations: round}
+			return nil, &NonTerminationError{Prefix: prefix, Phase: 1, Iterations: round}
 		}
 		for i, offers := range sched1[round] {
 			pending[i] = append(pending[i], offers...)
@@ -686,7 +680,7 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 	ln := 0
 	for ; ln <= maxLen || len(provPending) > 0; ln++ {
 		if ln > e.n {
-			return nil, nil, &NonTerminationError{Prefix: prefix, Phase: 3, Iterations: ln}
+			return nil, &NonTerminationError{Prefix: prefix, Phase: 3, Iterations: ln}
 		}
 		// Finalize ASes whose cheapest provider offers have length ln.
 		var newly []int
@@ -761,11 +755,10 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 		delete(sched3, ln)
 	}
 	e.eobs.p3levels.Observe(int64(ln))
-	var prov provTable
 	if pr != nil {
-		prov = e.buildProvTable(ribs, sc, pr)
+		e.record(ribs, sc, pr)
 	}
-	return ribs, prov, nil
+	return ribs, nil
 }
 
 // ArbitraryTieBreakFraction is the share of non-tier-1 ASes whose

@@ -18,7 +18,8 @@ import (
 //   - The frozen topology, the city-distance matrix, and the dense AS index
 //     (n, asIdx, byIdx, linkA, linkB) never change after NewEngine — shared
 //     by reference.
-//   - A ribTable and the ribs it points to are never mutated once installed.
+//   - A ribTable and the ribs it points to (provenance records included)
+//     are never mutated once installed.
 //     converge always builds a fresh table (copying clean ASes' rib
 //     *pointers* over) and fresh rib structs for every recomputed AS, and
 //     install replaces the per-prefix table wholesale. So the fork shares
@@ -64,14 +65,9 @@ func (e *Engine) Fork() *Engine {
 		f.hints[p] = maps.Clone(m)
 		cow += len(m)
 	}
-	// Provenance tables are immutable once installed, so the fork shares
-	// them like ribs. The map stays nil with provenance off, keeping the
-	// fork's allocation count unchanged for engines that never enabled it.
+	// Provenance records live on the shared ribs, so the fork shares them
+	// for free.
 	f.provOn = e.provOn
-	if e.prov != nil {
-		f.prov = maps.Clone(e.prov)
-		cow += len(e.prov)
-	}
 	// The policy layer is immutable after parse and its interner is
 	// concurrency-safe, so the fork shares the pointer: full and
 	// incremental reconvergence across forks intern into the same table.

@@ -92,7 +92,7 @@ func (e *Engine) WithdrawSite(prefix netip.Prefix, siteID string) error {
 		// The prefix goes dark: keep the (empty) announcement entry so a
 		// later AnnounceSite can restore it, but drop all routing state.
 		st := ReconvergeStats{Dirty: old.populated(), Passes: 1}
-		e.install(prefix, newAnns, make(ribTable, e.n), nil, st)
+		e.install(prefix, newAnns, make(ribTable, e.n), st)
 		e.eobs.dirty.Observe(int64(st.Dirty))
 		e.traceOp("withdraw-site", prefix, st)
 		return nil
@@ -261,20 +261,19 @@ func (e *Engine) reconverge(prefix netip.Prefix, anns []SiteAnnouncement, old ri
 	}
 	limit := e.n * 3 / 4
 	cur := old
-	curProv := e.provFor(prefix)
 	delta := seed
 	touched := seed.clone()
 	passes := 0
 	for delta.len() > 0 {
 		passes++
 		if touched.len() > limit || passes > e.n {
-			ribs, prov, err := e.converge(prefix, anns, nil)
+			ribs, err := e.converge(prefix, anns, nil)
 			if err != nil {
 				rsp.End()
 				return nil, err
 			}
 			st := ReconvergeStats{Dirty: e.n, Passes: passes, Full: true}
-			e.install(prefix, anns, ribs, prov, st)
+			e.install(prefix, anns, ribs, st)
 			e.eobs.fulls.Inc()
 			e.eobs.dirty.Observe(int64(st.Dirty))
 			e.eobs.passes.Observe(int64(st.Passes))
@@ -291,21 +290,21 @@ func (e *Engine) reconverge(prefix netip.Prefix, anns []SiteAnnouncement, old ri
 			psp = obs.StartSpan(e.eobs.tracer, e.eobs.reg, e.eobs.passTm, "bgp", "pass",
 				obs.Coord{Key: "op", V: e.eobs.seq.Load() + 1}, obs.Coord{Key: "pass", V: int64(passes)})
 		}
-		ribs, prov, err := e.converge(prefix, anns, &convergeScope{dirty: delta, old: cur, oldProv: curProv})
+		ribs, err := e.converge(prefix, anns, &convergeScope{dirty: delta, old: cur})
 		if err != nil {
 			psp.End()
 			rsp.End()
 			return nil, err
 		}
 		delta = e.spill(ribs, cur, delta)
-		cur, curProv = ribs, prov
+		cur = ribs
 		touched.or(delta)
 		if psp.Active() {
 			psp.End(obs.Int("frontier", frontier), obs.Int("spill", int64(delta.len())))
 		}
 	}
 	st := ReconvergeStats{Dirty: touched.len(), Passes: passes}
-	e.install(prefix, anns, cur, curProv, st)
+	e.install(prefix, anns, cur, st)
 	e.eobs.dirty.Observe(int64(st.Dirty))
 	e.eobs.passes.Observe(int64(st.Passes))
 	if rsp.Active() {

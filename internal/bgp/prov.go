@@ -9,26 +9,34 @@ package bgp
 // lost. internal/glass layers the looking-glass and catchment-diff analyses
 // on top of this record.
 //
-// Storage mirrors the rib layout: one dense per-rank provTable per prefix,
-// parallel to the ribTable, immutable once installed. Fork shallow-copies
-// the per-prefix map exactly like ribs, so provenance survives COW forks.
+// Storage. Each AS's record hangs off its own immutable rib (rib.prov), so
+// the record lives and dies with the route state it explains. At the end of
+// a converge every recomputed AS's fresh rib points into one []Provenance
+// block sized to the recomputed ASes; clean ASes carry their record over
+// with their rib pointer, and Fork and the server's state history share
+// records exactly the way they already share ribs. The recorder is sized
+// the same way: an n-entry int32 index (pointer-free, so the GC never scans
+// it) into a slot block preallocated to the dirty count. An incremental
+// pass therefore pays for provenance in proportion to the ASes it
+// recomputes, not to the topology.
 //
-// The provenance-off path stays allocation-identical to an engine without
-// the feature: every recording site is gated on a nil *provRecorder (or
-// e.provOn) before any event is materialised, and the off path never touches
-// the prov map. BenchmarkAnnounceProvenance pins this.
+// The provenance-off path stays byte- and allocation-identical to an engine
+// without the feature: every recording site is gated on a nil *provRecorder
+// before any event is materialised, and the prov pointer keeps a rib at
+// 128 B, the same allocation size class it had without the field.
+// BenchmarkAnnounceProvenance pins this.
 //
-// Determinism. A provTable is a pure function of (topology, announcement
-// set): winners come from the deterministic converge result, and the
-// runner-up per class is the *minimum* dropped route under (path length,
-// routeCmp) — a min over a set, independent of offer arrival and iteration
-// order. Incremental reconvergence carries clean ASes' provenance entries
-// over by value, which is sound for the same reason carrying their ribs is:
-// at the worklist fixed point no changed export crosses into a clean AS, so
-// a clean AS's full incoming offer stream — including the offers it
-// dropped — is identical to the one a full recompute would deliver.
-// prov_test.go property-tests both equivalences (incremental vs full,
-// fork+apply vs serial apply) bit for bit.
+// Determinism. A record is a pure function of (topology, announcement set):
+// winners come from the deterministic converge result, and the runner-up
+// per class is the *minimum* dropped route under (path length, routeCmp) —
+// a min over a set, independent of offer arrival and iteration order.
+// Incremental reconvergence carries clean ASes' records over with their
+// ribs, which is sound for the same reason carrying the ribs is: at the
+// worklist fixed point no changed export crosses into a clean AS, so a
+// clean AS's full incoming offer stream — including the offers it dropped —
+// is identical to the one a full recompute would deliver. prov_test.go
+// property-tests both equivalences (incremental vs full, fork+apply vs
+// serial apply) bit for bit, and that forks share untouched records.
 
 import (
 	"fmt"
@@ -104,21 +112,24 @@ type Provenance struct {
 	Arbitrary bool
 }
 
-// provTable is one prefix's per-AS provenance, indexed by dense AS rank,
-// parallel to the ribTable. Immutable once installed.
-type provTable []Provenance
-
 // provRecorder accumulates the best dropped route per (AS, class) during one
 // converge call. It exists only when provenance is enabled; every method is
 // nil-safe so call sites stay branch-only on the off path.
 type provRecorder struct {
-	// drops is dense: index i*(FromProvider+1)+class.
-	drops []dropSlot
-	// polDrops records seeds the policy layer rejected, same dense layout.
-	// Allocated lazily on the first policy drop: a provenance-on converge
-	// with no policy (or a policy that rejects nothing) allocates exactly
-	// what it did before the policy layer existed.
-	polDrops []dropSlot
+	// drops records the offers the decision process rejected.
+	drops dropTable
+	// pol records seeds the policy layer rejected. Its index is allocated
+	// lazily on the first policy drop: a provenance-on converge with no
+	// policy (or a policy that rejects nothing) allocates exactly what it
+	// did before the policy layer existed.
+	pol dropTable
+}
+
+// dropTable holds the best dropped route per (AS, class) sparsely: idx maps
+// a dense AS index to 1 + its slot in slots, 0 meaning nothing recorded.
+type dropTable struct {
+	idx   []int32
+	slots [][FromProvider + 1]dropSlot
 }
 
 type dropSlot struct {
@@ -126,8 +137,32 @@ type dropSlot struct {
 	ok bool
 }
 
-func newProvRecorder(n int) *provRecorder {
-	return &provRecorder{drops: make([]dropSlot, n*int(FromProvider+1))}
+// newProvRecorder sizes a recorder for n ASes of which at most dirty are
+// recomputed (and so can drop offers).
+func newProvRecorder(n, dirty int) *provRecorder {
+	return &provRecorder{drops: dropTable{idx: make([]int32, n), slots: make([][FromProvider + 1]dropSlot, 0, dirty)}}
+}
+
+// keep records r as AS i's best drop of its class if it beats the current one.
+func (t *dropTable) keep(i int, r Route) {
+	k := t.idx[i]
+	if k == 0 {
+		t.slots = append(t.slots, [FromProvider + 1]dropSlot{})
+		k = int32(len(t.slots))
+		t.idx[i] = k
+	}
+	s := &t.slots[k-1][r.Rel]
+	if !s.ok || dropBetter(r, s.r) {
+		s.r, s.ok = r, true
+	}
+}
+
+// get returns AS i's best drop of class c (the zero slot when none).
+func (t *dropTable) get(i int, c RelClass) dropSlot {
+	if t.idx == nil || t.idx[i] == 0 {
+		return dropSlot{}
+	}
+	return t.slots[t.idx[i]-1][c]
 }
 
 // dropBetter orders dropped routes: shorter AS path first, then routeCmp.
@@ -140,12 +175,7 @@ func dropBetter(a, b Route) bool {
 }
 
 // drop records one rejected route offer for AS index i.
-func (p *provRecorder) drop(i int, r Route) {
-	s := &p.drops[i*int(FromProvider+1)+int(r.Rel)]
-	if !s.ok || dropBetter(r, s.r) {
-		s.r, s.ok = r, true
-	}
-}
+func (p *provRecorder) drop(i int, r Route) { p.drops.keep(i, r) }
 
 // dropRoutes records a batch of rejected offers.
 func (p *provRecorder) dropRoutes(i int, routes []Route) {
@@ -181,13 +211,10 @@ func (p *provRecorder) dropMissing(i int, offered, kept []Route) {
 // dropPolicy records a seed the policy layer rejected for AS index i. The
 // route carries its pre-policy import class.
 func (p *provRecorder) dropPolicy(i int, r Route) {
-	if p.polDrops == nil {
-		p.polDrops = make([]dropSlot, len(p.drops))
+	if p.pol.idx == nil {
+		p.pol.idx = make([]int32, len(p.drops.idx))
 	}
-	s := &p.polDrops[i*int(FromProvider+1)+int(r.Rel)]
-	if !s.ok || dropBetter(r, s.r) {
-		s.r, s.ok = r, true
-	}
+	p.pol.keep(i, r)
 }
 
 // dropOf returns the best dropped route of a class for AS index i, taking
@@ -195,12 +222,10 @@ func (p *provRecorder) dropPolicy(i int, r Route) {
 // drops. pol reports that the returned route was a policy rejection —
 // selection never saw it — which buildProv surfaces as StepCommunity.
 func (p *provRecorder) dropOf(i int, c RelClass) (r Route, pol, ok bool) {
-	s := p.drops[i*int(FromProvider+1)+int(c)]
+	s := p.drops.get(i, c)
 	r, ok = s.r, s.ok
-	if p.polDrops != nil {
-		if ps := p.polDrops[i*int(FromProvider+1)+int(c)]; ps.ok && (!ok || dropBetter(ps.r, r)) {
-			r, pol, ok = ps.r, true, true
-		}
+	if ps := p.pol.get(i, c); ps.ok && (!ok || dropBetter(ps.r, r)) {
+		r, pol, ok = ps.r, true, true
 	}
 	return r, pol, ok
 }
@@ -275,7 +300,7 @@ func stepOr(s DecisionStep, pol bool) DecisionStep {
 // NewEngine.
 type EngineConfig struct {
 	// Provenance enables decision-provenance recording: every converge
-	// stores a per-AS Provenance table alongside the rib table. Off by
+	// hangs a Provenance record on each recomputed AS's rib. Off by
 	// default; the off path is allocation-identical to an engine without
 	// the feature.
 	Provenance bool
@@ -298,19 +323,26 @@ func NewEngineWithConfig(t *topo.Topology, cfg EngineConfig) *Engine {
 	return e
 }
 
-// SetProvenance toggles provenance recording. Turning it on (or off) clears
-// any stored provenance; prefixes announced before enabling have no
-// provenance until re-announced (Deployment.Announce is idempotent for
-// routing state, so re-announcing is safe). Not synchronized with concurrent
-// engine use — call while the engine is quiescent.
+// SetProvenance toggles provenance recording. Records live on the ribs, so
+// toggling touches no stored state:
+//
+//   - Off: Provenance answers false at once, and ribs converged while
+//     recording is off carry no record.
+//   - On: ASes recomputed from then on get records. Prefixes announced
+//     before recording was enabled have none until re-announced
+//     (Deployment.Announce is idempotent for routing state, so
+//     re-announcing is safe).
+//   - On, off, on again: Provenance answers from whatever records the
+//     current ribs carry. ASes recomputed while recording was off have
+//     none; ribs carried over unchanged since the earlier on period keep
+//     theirs, which are still exact (a carried-over rib heard the same
+//     offer stream). Re-announce for complete records.
+//
+// Not synchronized with concurrent engine use — call while the engine is
+// quiescent.
 func (e *Engine) SetProvenance(on bool) {
 	e.mu.Lock()
 	e.provOn = on
-	if on {
-		e.prov = make(map[netip.Prefix]provTable)
-	} else {
-		e.prov = nil
-	}
 	e.mu.Unlock()
 }
 
@@ -322,45 +354,42 @@ func (e *Engine) ProvenanceEnabled() bool {
 }
 
 // Provenance returns the decision record for (prefix, asn). ok is false when
-// provenance is disabled, the prefix has no provenance (announced before
-// enabling), or the AS holds no routing state for it.
+// provenance is disabled, the AS's routing state was computed without
+// recording (see SetProvenance), or the AS holds no routing state for it.
 func (e *Engine) Provenance(prefix netip.Prefix, asn topo.ASN) (Provenance, bool) {
 	i, known := e.asIdx[asn]
 	if !known {
 		return Provenance{}, false
 	}
 	e.mu.RLock()
-	tbl, ok := e.prov[prefix]
+	on, ribs := e.provOn, e.ribs[prefix]
 	e.mu.RUnlock()
-	if !ok || i >= len(tbl) || !tbl[i].Valid {
+	if !on || ribs == nil || ribs[i] == nil || ribs[i].prov == nil {
 		return Provenance{}, false
 	}
-	return tbl[i], true
+	return *ribs[i].prov, true
 }
 
-// provFor returns the stored provenance table for a prefix (nil when
-// provenance is off or the prefix has none).
-func (e *Engine) provFor(prefix netip.Prefix) provTable {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.prov[prefix]
-}
-
-// buildProvTable assembles the provenance table after a converge: recomputed
-// ASes get fresh records, clean ASes (scoped mode) carry their old entries.
-func (e *Engine) buildProvTable(ribs ribTable, sc *convergeScope, pr *provRecorder) provTable {
-	prov := make(provTable, e.n)
-	if sc != nil {
-		copy(prov, sc.oldProv)
-		sc.dirty.forEach(func(i int) { prov[i] = Provenance{} })
+// record hangs a decision record on every recomputed AS's fresh rib after a
+// converge. The records share one block sized to the recomputed ASes that
+// hold routes; clean ASes keep their ribs, and with them their records.
+func (e *Engine) record(ribs ribTable, sc *convergeScope, pr *provRecorder) {
+	held := 0
+	for i, rb := range ribs {
+		if rb != nil && sc.isDirty(i) {
+			held++
+		}
 	}
+	block := make([]Provenance, 0, held)
 	for i, rb := range ribs {
 		if rb == nil || !sc.isDirty(i) {
 			continue
 		}
-		prov[i] = e.buildProv(i, rb, pr)
+		if p := e.buildProv(i, rb, pr); p.Valid {
+			block = append(block, p)
+			rb.prov = &block[len(block)-1]
+		}
 	}
-	return prov
 }
 
 // provString renders a provenance record for debugging.

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"net/netip"
 	"testing"
 
 	"anysim/internal/topo"
@@ -20,6 +21,27 @@ func provEqual(a, b Provenance) bool {
 		return false
 	}
 	return !a.HasRunnerUp || routeEqual(a.RunnerUp, b.RunnerUp)
+}
+
+// provTable is one prefix's per-AS provenance, indexed by dense AS rank: the
+// records a rib table carries, laid out for comparison.
+type provTable []Provenance
+
+// tableOf reads the records off a rib table; an AS without a record gets the
+// zero (invalid) entry.
+func tableOf(e *Engine, ribs ribTable) provTable {
+	out := make(provTable, e.n)
+	for i, rb := range ribs {
+		if rb != nil && rb.prov != nil {
+			out[i] = *rb.prov
+		}
+	}
+	return out
+}
+
+// provFor returns the installed records for a prefix as a table.
+func (e *Engine) provFor(prefix netip.Prefix) provTable {
+	return tableOf(e, snapshotRibs(e, prefix))
 }
 
 // provTablesEqual compares two provenance tables over e's dense index.
@@ -43,11 +65,11 @@ func provTablesEqual(e *Engine, a, b provTable) (topo.ASN, bool) {
 // to the one a from-scratch converge produces.
 func requireProvMatch(t *testing.T, e *Engine, event string) {
 	t.Helper()
-	_, wantProv, err := e.converge(pfxGlobal, e.Announcements(pfxGlobal), nil)
+	want, err := e.converge(pfxGlobal, e.Announcements(pfxGlobal), nil)
 	if err != nil {
 		t.Fatalf("%s: full reference converge: %v", event, err)
 	}
-	if asn, ok := provTablesEqual(e, wantProv, e.provFor(pfxGlobal)); !ok {
+	if asn, ok := provTablesEqual(e, tableOf(e, want), e.provFor(pfxGlobal)); !ok {
 		t.Fatalf("%s: incremental provenance for %s differs from full recompute", event, asn)
 	}
 }
@@ -202,8 +224,8 @@ func TestProvenanceForkEquivalence(t *testing.T) {
 	}
 }
 
-// TestProvenanceOffIsInvisible: with provenance off the engine stores no
-// tables, queries answer false, and forks carry no provenance map.
+// TestProvenanceOffIsInvisible: with provenance off the ribs carry no
+// records, queries answer false, and forks do not record either.
 func TestProvenanceOffIsInvisible(t *testing.T) {
 	_, e, _ := generatedCDNWorld(t, 3)
 	if e.ProvenanceEnabled() {
@@ -212,8 +234,128 @@ func TestProvenanceOffIsInvisible(t *testing.T) {
 	if _, ok := e.Provenance(pfxGlobal, topo.CDNBase); ok {
 		t.Fatal("provenance answered with recording off")
 	}
-	if f := e.Fork(); f.prov != nil || f.provOn {
-		t.Fatal("fork materialised provenance state with recording off")
+	requireNoRecords(t, e, "announce with recording off")
+	if f := e.Fork(); f.provOn {
+		t.Fatal("fork records provenance with recording off")
+	}
+}
+
+// requireNoRecords asserts no installed rib of pfxGlobal carries a record.
+func requireNoRecords(t *testing.T, e *Engine, event string) {
+	t.Helper()
+	for i, rb := range snapshotRibs(e, pfxGlobal) {
+		if rb != nil && rb.prov != nil {
+			t.Fatalf("%s: %s carries a provenance record", event, e.byIdx[i])
+		}
+	}
+}
+
+// TestProvenanceForkSharesRecords pins the sharing contract: after a fork
+// withdraws a site, every AS outside the touched set still shares its
+// *Provenance with the parent, and no touched AS kept the parent's record.
+func TestProvenanceForkSharesRecords(t *testing.T) {
+	_, parent, _ := provWorld(t, 31)
+	f := parent.Fork()
+	if err := f.WithdrawSite(pfxGlobal, "iad"); err != nil {
+		t.Fatal(err)
+	}
+	if f.LastReconvergeStats().Full {
+		t.Fatal("withdraw fell back to a full recompute; no touched set to check")
+	}
+	touched := f.hints[pfxGlobal]["iad"]
+	before, after := snapshotRibs(parent, pfxGlobal), snapshotRibs(f, pfxGlobal)
+	shared := 0
+	for i := 0; i < parent.n; i++ {
+		pb, pa := before[i], after[i]
+		if touched.has(i) {
+			if pa != nil && pa.prov != nil && pb != nil && pa.prov == pb.prov {
+				t.Fatalf("touched %s kept the parent's record", parent.byIdx[i])
+			}
+			continue
+		}
+		if (pb == nil) != (pa == nil) {
+			t.Fatalf("untouched %s gained or lost its rib in the fork", parent.byIdx[i])
+		}
+		if pb == nil || pb.prov == nil {
+			continue
+		}
+		if pa.prov != pb.prov {
+			t.Fatalf("untouched %s does not share its *Provenance with the parent", parent.byIdx[i])
+		}
+		shared++
+	}
+	if shared == 0 {
+		t.Fatal("no untouched AS carries a record; the check is vacuous")
+	}
+}
+
+// TestProvenanceDarkPrefix: withdrawing the last site leaves no routing
+// state, so no AS answers with a record.
+func TestProvenanceDarkPrefix(t *testing.T) {
+	tp, e, anns := provWorld(t, 7)
+	if _, ok := e.Provenance(pfxGlobal, topo.CDNBase); !ok {
+		t.Fatal("origin has no record before the withdrawals")
+	}
+	for _, a := range anns {
+		if err := e.WithdrawSite(pfxGlobal, a.Site); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, asn := range tp.ASNs() {
+		if p, ok := e.Provenance(pfxGlobal, asn); ok {
+			t.Fatalf("dark prefix answered for %s: %v", asn, p)
+		}
+	}
+}
+
+// TestProvenanceToggle: turning recording off silences Provenance at once,
+// and ribs converged while it is off carry no record. Turning it back on
+// answers from the records the current ribs carry: none for ASes recomputed
+// while off, the earlier ones for ribs carried over since (see
+// SetProvenance).
+func TestProvenanceToggle(t *testing.T) {
+	tp, e, anns := provWorld(t, 7)
+	e.SetProvenance(false)
+	for _, asn := range tp.ASNs() {
+		if _, ok := e.Provenance(pfxGlobal, asn); ok {
+			t.Fatalf("%s answered with recording off", asn)
+		}
+	}
+	before := snapshotRibs(e, pfxGlobal)
+	if err := e.WithdrawSite(pfxGlobal, "fra"); err != nil {
+		t.Fatal(err)
+	}
+	after := snapshotRibs(e, pfxGlobal)
+	recomputed, carried := 0, 0
+	for i, rb := range after {
+		switch {
+		case rb == nil:
+		case rb != before[i]:
+			recomputed++
+			if rb.prov != nil {
+				t.Fatalf("%s was recomputed with recording off but carries a record", e.byIdx[i])
+			}
+		case rb.prov != nil:
+			carried++
+		}
+	}
+	if recomputed == 0 || carried == 0 {
+		t.Fatalf("withdraw recomputed %d and carried %d recorded ribs; want both", recomputed, carried)
+	}
+
+	e.SetProvenance(true)
+	for i, rb := range after {
+		_, ok := e.Provenance(pfxGlobal, e.byIdx[i])
+		if want := rb != nil && rb.prov != nil; ok != want {
+			t.Fatalf("%s: Provenance ok=%v after re-enabling, want %v", e.byIdx[i], ok, want)
+		}
+	}
+	if err := e.Announce(pfxGlobal, append(anns[:1:1], anns[2:]...)); err != nil {
+		t.Fatal(err)
+	}
+	requireProvMatch(t, e, "re-announce")
+	if _, ok := e.Provenance(pfxGlobal, topo.CDNBase); !ok {
+		t.Fatal("re-announce left the origin without a record")
 	}
 }
 

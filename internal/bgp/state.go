@@ -79,7 +79,7 @@ func (e *Engine) RestoreState(states []PrefixState) error {
 		if len(ps.Anns) == 0 {
 			// A dark prefix: routing state is empty but the prefix stays
 			// known, exactly the state WithdrawSite leaves behind.
-			e.install(ps.Prefix, nil, make(ribTable, e.n), nil, ReconvergeStats{Passes: 1})
+			e.install(ps.Prefix, nil, make(ribTable, e.n), ReconvergeStats{Passes: 1})
 		} else if err := e.Announce(ps.Prefix, ps.Anns); err != nil {
 			return fmt.Errorf("bgp: restore %s: %w", ps.Prefix, err)
 		}

@@ -3,6 +3,8 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"net/url"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -167,5 +169,51 @@ func TestRestoreRefusesMismatch(t *testing.T) {
 	// The pristine checkpoint still restores onto the pristine world.
 	if _, err := New(Config{World: wb, Dep: wb.Imperva.IM6, Restore: cp}); err != nil {
 		t.Errorf("valid restore refused: %v", err)
+	}
+}
+
+// TestCheckpointPathConfined pins where POST /checkpoint may write: ?path=
+// is a bare file name resolved inside the -checkpoint directory, and every
+// other form — absolute, with a separator, "..", or any ?path= on a server
+// without -checkpoint — is refused with 400 and writes nothing.
+func TestCheckpointPathConfined(t *testing.T) {
+	dir := t.TempDir()
+	w := testWorld(t, 7)
+	s, err := New(Config{World: w, Dep: w.Imperva.IM6, CheckpointPath: filepath.Join(dir, "cp.json")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	outside := filepath.Join(t.TempDir(), "escape.json")
+	for _, name := range []string{outside, "sub/cp.json", "../escape.json", `..\escape.json`, "..", "."} {
+		if rec := do(t, h, "POST", "/checkpoint?path="+url.QueryEscape(name), ""); rec.Code != http.StatusBadRequest {
+			t.Errorf("?path=%s = %d, want 400: %s", name, rec.Code, rec.Body)
+		}
+	}
+	if _, err := os.Stat(outside); err == nil {
+		t.Errorf("refused absolute ?path= still wrote %s", outside)
+	}
+
+	rec := do(t, h, "POST", "/checkpoint?path=named.json", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("?path=named.json = %d: %s", rec.Code, rec.Body)
+	}
+	var cv checkpointView
+	decode(t, rec, &cv)
+	want := filepath.Join(dir, "named.json")
+	if cv.Path != want {
+		t.Errorf("checkpoint written to %s, want %s", cv.Path, want)
+	}
+	if _, err := ReadCheckpoint(want); err != nil {
+		t.Errorf("named checkpoint unreadable: %v", err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Errorf("checkpoint dir holds %d entries, want just named.json", len(ents))
+	}
+
+	// Without -checkpoint there is no directory to resolve a name in.
+	bare := testServer(t, 7).Handler()
+	if rec := do(t, bare, "POST", "/checkpoint?path=named.json", ""); rec.Code != http.StatusBadRequest {
+		t.Errorf("?path= without -checkpoint = %d, want 400", rec.Code)
 	}
 }

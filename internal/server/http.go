@@ -12,7 +12,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"time"
 
 	"anysim/internal/dynamics"
@@ -36,7 +38,8 @@ import (
 //	GET  /watch              SSE stream of ingest/advance deltas and alert frames
 //	POST /events             ingest a dynamics-DSL / JSONL event stream
 //	POST /advance?to=T       advance the virtual clock
-//	POST /checkpoint[?path=] write a checkpoint file
+//	POST /checkpoint[?path=] write a checkpoint file (?path= is a bare file
+//	                         name inside the -checkpoint directory)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	handle := func(pattern, name string, h http.HandlerFunc) {
@@ -403,13 +406,22 @@ type eventsView struct {
 	Applied []ApplyResult `json:"applied"`
 }
 
+// maxEventsBody bounds a POST /events body. Events apply as they decode, so
+// an oversized body is answered 413 after the events before the limit took
+// effect (the response lists them).
+const maxEventsBody = 8 << 20
+
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	applied, err := s.Ingest(r.Body)
+	applied, err := s.Ingest(http.MaxBytesReader(w, r.Body, maxEventsBody))
 	if err != nil {
 		code := http.StatusUnprocessableEntity
 		var derr *dynamics.DecodeError
+		var tooBig *http.MaxBytesError
 		line := 0
-		if errors.As(err, &derr) {
+		switch {
+		case errors.As(err, &tooBig):
+			code = http.StatusRequestEntityTooLarge
+		case errors.As(err, &derr):
 			code = http.StatusBadRequest
 			line = derr.Line
 		}
@@ -471,14 +483,27 @@ type checkpointView struct {
 	Events int64  `json:"events"`
 }
 
+// handleCheckpoint is POST /checkpoint: it writes to the -checkpoint path,
+// or, with ?path=NAME, to the bare file NAME in that path's directory. A
+// request never names a location of its own, so the HTTP API can only
+// write where the operator already pointed the server.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	path := r.URL.Query().Get("path")
-	if path == "" {
-		path = s.cfg.CheckpointPath
+	path := s.cfg.CheckpointPath
+	if name := r.URL.Query().Get("path"); name != "" {
+		if path == "" {
+			writeError(w, http.StatusBadRequest,
+				fmt.Errorf("?path= names a file in the -checkpoint directory, and the server has no -checkpoint"))
+			return
+		}
+		if err := checkpointName(name); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		path = filepath.Join(filepath.Dir(path), name)
 	}
 	if path == "" {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("no ?path= given and the server has no default checkpoint path (-checkpoint)"))
+			fmt.Errorf("the server has no checkpoint path (-checkpoint)"))
 		return
 	}
 	n, err := s.WriteCheckpoint(path)
@@ -487,4 +512,18 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, checkpointView{Path: path, Bytes: n, Tick: s.Current().Tick, Events: s.EventsApplied()})
+}
+
+// checkpointName accepts only a bare file name for ?path=: no absolute
+// path, no path separator, and not "." or "..".
+func checkpointName(name string) error {
+	switch {
+	case filepath.IsAbs(name) || filepath.VolumeName(name) != "":
+		return fmt.Errorf("?path=%q is absolute; give a bare file name", name)
+	case strings.ContainsAny(name, `/\`):
+		return fmt.Errorf("?path=%q contains a path separator; give a bare file name", name)
+	case name == "." || name == "..":
+		return fmt.Errorf("?path=%q is not a file name", name)
+	}
+	return nil
 }

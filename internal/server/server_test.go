@@ -226,6 +226,11 @@ func TestServeErrorPaths(t *testing.T) {
 	if rec = do(t, h, "POST", "/checkpoint", ""); rec.Code != http.StatusBadRequest {
 		t.Errorf("checkpoint without path = %d, want 400", rec.Code)
 	}
+	// An oversized body is refused with 413 (blank lines decode to no
+	// events, so nothing applies before the limit).
+	if rec = do(t, h, "POST", "/events", strings.Repeat("\n", maxEventsBody+1)); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized events body = %d, want 413", rec.Code)
+	}
 	if rec = do(t, h, "GET", "/nope", ""); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown path = %d, want 404", rec.Code)
 	}

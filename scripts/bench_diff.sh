@@ -6,7 +6,10 @@
 # Compares the two most recent BENCH_<n>.json archives at the repo root
 # (highest two <n>) on the headline benchmarks — BenchmarkAnnounce (the
 # routing core), BenchmarkTrafficSteering (the whole-pipeline number) and
-# BenchmarkRunCampaign (the paper's measurement campaign).
+# BenchmarkRunCampaign (the paper's measurement campaign) — and, on the
+# memory columns only, the provenance-on write path:
+# BenchmarkIncrementalReconvergence/provenance (a site flap with recording
+# on) and BenchmarkServeIngestEvent (the resident server's ingest).
 #
 # Two gates with different teeth, because the columns have different
 # noise floors:
@@ -46,9 +49,11 @@ echo "bench_diff: $old -> $new (time ${time_threshold}%, memory ${mem_threshold}
 
 # One numeric column of one benchmark in one archive (bench.sh writes one
 # entry per line, so a line-oriented extraction is reliable). Empty when
-# the archive predates the column or recorded null.
+# the archive predates the column or recorded null. The name is escaped
+# for the sed pattern, so sub-benchmark names (which contain '/') work.
 col_of() {
-    sed -n 's/.*"name": "'"$2"'".*"'"$3"'": \([0-9][0-9.e+-]*\)[,}].*/\1/p' "$1" | head -1
+    name=$(printf '%s' "$2" | sed 's/[][\/.*^$]/\\&/g')
+    sed -n 's/.*"name": "'"$name"'".*"'"$3"'": \([0-9][0-9.e+-]*\)[,}].*/\1/p' "$1" | head -1
 }
 
 fail=0
@@ -71,12 +76,24 @@ gate() {
         }' || fail=1
 }
 
-for bench in BenchmarkAnnounce BenchmarkTrafficSteering BenchmarkRunCampaign; do
-    if [ -z "$(col_of "$old" "$bench" ns_per_op)" ] && [ -z "$(col_of "$new" "$bench" ns_per_op)" ]; then
-        echo "  $bench: missing from both archives; skipping"
-        continue
+# missing <bench>: true (and says so) when neither archive has the benchmark.
+missing() {
+    if [ -z "$(col_of "$old" "$1" ns_per_op)" ] && [ -z "$(col_of "$new" "$1" ns_per_op)" ]; then
+        echo "  $1: missing from both archives; skipping"
+        return 0
     fi
+    return 1
+}
+
+for bench in BenchmarkAnnounce BenchmarkTrafficSteering BenchmarkRunCampaign; do
+    missing "$bench" && continue
     gate "$bench" ns_per_op     "ns/op"     "$time_threshold"
+    gate "$bench" bytes_per_op  "B/op"      "$mem_threshold"
+    gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
+done
+
+for bench in BenchmarkIncrementalReconvergence/provenance BenchmarkServeIngestEvent; do
+    missing "$bench" && continue
     gate "$bench" bytes_per_op  "B/op"      "$mem_threshold"
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
 done
