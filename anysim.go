@@ -356,7 +356,7 @@ type (
 )
 
 // NewTimeSeriesDB builds a flight recorder. Attach it to a ScenarioRunner
-// (Series/Eval/Model fields) or pass rules via ServerConfig.Series.
+// (Series and Eval fields) or pass rules via ServerConfig.Series.
 func NewTimeSeriesDB(cfg TimeSeriesConfig) *TimeSeriesDB { return ts.New(cfg) }
 
 // ParseSLORule parses one rule line, e.g.

@@ -296,20 +296,7 @@ func benchFlashSetup(b *testing.B) (*traffic.Evaluator, traffic.Matrix) {
 	w := ctx.World
 	model := traffic.NewModel(w.Platform, traffic.DemandConfig{Seed: w.Config.Seed})
 	ev := traffic.NewEvaluator(w.Engine, w.Imperva.IM6, model, traffic.CapacityConfig{})
-	peak, peakRate := 0, -1.0
-	for bu := 0; bu < model.Buckets(); bu++ {
-		mat := model.Matrix(bu)
-		rate := 0.0
-		for _, g := range model.Groups {
-			if g.Area == geo.LatAm {
-				rate += mat.Rates[g.Key]
-			}
-		}
-		if rate > peakRate {
-			peak, peakRate = bu, rate
-		}
-	}
-	return ev, model.FlashCrowd(model.Matrix(peak), geo.LatAm, 2.8)
+	return ev, model.FlashCrowd(model.Matrix(model.PeakBucket(geo.LatAm)), geo.LatAm, 2.8)
 }
 
 // BenchmarkSteeringRound isolates one round of the steering loop — generate

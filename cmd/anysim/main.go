@@ -858,7 +858,6 @@ func scenario(out io.Writer, w *worldgen.World, depName, file string, reg *obs.R
 		model := traffic.NewModel(w.Platform, traffic.DemandConfig{Seed: w.Config.Seed})
 		r.Series = db
 		r.Eval = traffic.NewEvaluator(w.Engine, d, model, traffic.CapacityConfig{})
-		r.Model = model
 	}
 
 	fmt.Fprintf(out, "scenario %s on %s (AS%d, %d prefixes)\n", sc.Name, d.Name, d.ASN, len(r.Prefixes()))

@@ -41,7 +41,7 @@ func main() {
 	// The crowd hits Latin America at its local evening peak: big enough
 	// to overload the area's sites, regional enough that spare capacity
 	// exists elsewhere — the situation steering is for.
-	bucket := peakBucket(model, anysim.LatAm)
+	bucket := model.PeakBucket(anysim.LatAm)
 	flash := model.FlashCrowd(model.Matrix(bucket), anysim.LatAm, 2.5)
 	fmt.Printf("flash crowd: LatAm demand x2.5 at bucket %d\n\n", bucket)
 
@@ -85,8 +85,11 @@ func main() {
 		soft := tc.ev.Config().SoftUtil
 		var p50, p90 float64
 		var inflations []float64
-		for key := range baseline.Assignments {
-			d := res.Final.EffectiveRTTMs(key, soft) - baseline.EffectiveRTTMs(key, soft)
+		for i, a := range baseline.Assignments {
+			if a.Site == "" {
+				continue
+			}
+			d := res.Final.EffectiveRTTMs(i, soft) - baseline.EffectiveRTTMs(i, soft)
 			inflations = append(inflations, d)
 		}
 		p50, p90 = percentiles(inflations)
@@ -101,24 +104,6 @@ func main() {
 		restored := tc.ev.Evaluate(model.Matrix(bucket))
 		fmt.Printf("  after reset: max utilization back to %.2f\n\n", restored.MaxUtilization())
 	}
-}
-
-// peakBucket returns the bucket where an area's aggregate demand peaks.
-func peakBucket(m *anysim.DemandModel, area anysim.Area) int {
-	best, bestRate := 0, -1.0
-	for b := 0; b < m.Buckets(); b++ {
-		mat := m.Matrix(b)
-		rate := 0.0
-		for _, g := range m.Groups {
-			if g.Area == area {
-				rate += mat.Rates[g.Key]
-			}
-		}
-		if rate > bestRate {
-			best, bestRate = b, rate
-		}
-	}
-	return best
 }
 
 // percentiles returns the p50 and p90 of a sample (sorted in place).

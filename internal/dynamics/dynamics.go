@@ -144,17 +144,14 @@ type Runner struct {
 	ExplainMoves bool
 
 	// Series, when set, turns a scenario run into a flight recording: every
-	// Run step samples reconvergence cost and catchment churn into the
-	// tick-keyed ring buffers and evaluates the recorder's SLO rules, so
-	// experiments get trajectory verdicts from the same plane the live
-	// server exposes. With Eval and Model also set, each step additionally
-	// records the full load plane (per-site utilization/share/overload,
-	// per-region latency percentiles) for the step's time bucket, with the
-	// runner's active flash crowds folded in. Run is serial, so the
+	// Run step samples reconvergence cost, catchment churn, and the full
+	// load plane (see Load) into the tick-keyed ring buffers and evaluates
+	// the recorder's SLO rules, so experiments get trajectory verdicts from
+	// the same plane the live server exposes. Run with Series requires
+	// Eval, whose Model supplies the demand. Run is serial, so the
 	// recording is deterministic.
 	Series *ts.DB
 	Eval   *traffic.Evaluator
-	Model  *traffic.Model
 
 	prefixes []netip.Prefix                                   // sorted deployment prefixes
 	siteAnns map[string]map[netip.Prefix]bgp.SiteAnnouncement // site ID -> prefix -> announcement
@@ -356,6 +353,9 @@ type Step struct {
 // Run applies a scenario in time order, diffing catchments around every
 // event. The returned steps are in application order.
 func (r *Runner) Run(sc *Scenario) ([]Step, error) {
+	if r.Series != nil && r.Eval == nil {
+		return nil, fmt.Errorf("dynamics: Series requires Eval")
+	}
 	explain := r.ExplainMoves
 	if explain {
 		if r.Measurer == nil || len(r.Probes) == 0 {
@@ -419,11 +419,21 @@ func (r *Runner) Run(sc *Scenario) ([]Step, error) {
 	return steps, nil
 }
 
-// recordSeries samples one applied step into the flight recorder and
-// advances the SLO lifecycles (see Runner.Series). Flash-crowd factors are
-// folded into the demand matrix in sorted area order, matching the server's
-// publish path, so a scenario run and a served replay of the same events
+// Load is the tick pipeline: it evaluates the tick's demand, with the
+// active flash crowds folded in, on eng (the runner's engine or a fork of
+// it), samples the report into Series, and advances the SLO rules,
+// returning the report and the alert transitions. Requires Eval; a nil
+// Series records nothing. The server's publish path and a scenario run
+// both call it, so a served replay and a scenario run of the same events
 // record identical load series.
+func (r *Runner) Load(tick int64, eng *bgp.Engine) (*traffic.LoadReport, []ts.Transition) {
+	rep := r.Eval.EvaluateOn(eng, r.Eval.Model.Demand(tick, r.flash))
+	r.Series.SampleLoad(tick, r.Eval.Model, rep, r.Eval.Config().SoftUtil)
+	return rep, r.Series.Eval(tick)
+}
+
+// recordSeries samples one applied step into the flight recorder: its
+// reconvergence cost and churn, then the tick's load (see Runner.Series).
 func (r *Runner) recordSeries(st Step) {
 	if r.Series == nil {
 		return
@@ -431,20 +441,7 @@ func (r *Runner) recordSeries(st Step) {
 	tick := int64(st.Event.At)
 	r.Series.SampleReconverge(tick, st.Stats.Dirty, st.Stats.Passes)
 	r.Series.SampleChurn(tick, st.Churn.Moved, st.Churn.Lost)
-	if r.Eval != nil && r.Model != nil {
-		mat := r.Model.Matrix(int(tick % int64(r.Model.Buckets())))
-		areas := make([]geo.Area, 0, len(r.flash))
-		for a := range r.flash {
-			areas = append(areas, a)
-		}
-		sort.Slice(areas, func(i, j int) bool { return areas[i] < areas[j] })
-		for _, a := range areas {
-			mat = r.Model.FlashCrowd(mat, a, r.flash[a])
-		}
-		rep := r.Eval.EvaluateOn(r.Engine, mat)
-		r.Series.SampleLoad(tick, r.Model, rep, r.Eval.Config().SoftUtil)
-	}
-	r.Series.Eval(tick)
+	r.Load(tick, r.Engine)
 }
 
 // observeStep records one applied event's reconvergence cost and catchment

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"anysim/internal/bgp"
+	"anysim/internal/obs/ts"
 	"anysim/internal/topo"
 	"anysim/internal/worldgen"
 )
@@ -176,6 +177,11 @@ func TestRunnerErrors(t *testing.T) {
 		if err := r.Apply(ev); err == nil {
 			t.Errorf("Apply(%+v) succeeded", ev)
 		}
+	}
+	// A flight recording needs the evaluator behind its load plane.
+	r.Series = ts.New(ts.Config{})
+	if _, err := r.Run(&Scenario{Name: "x"}); err == nil {
+		t.Error("Run with Series and no Eval succeeded")
 	}
 }
 

@@ -31,7 +31,6 @@ func runRecordedScenario(t *testing.T) *ts.DB {
 	r := NewRunner(w.Engine, dep)
 	r.Series = db
 	r.Eval = ev
-	r.Model = m
 
 	site := dep.Sites[0].ID
 	sc := &Scenario{Name: "flash", Events: []Event{

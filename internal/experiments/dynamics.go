@@ -71,22 +71,16 @@ func Dynamics(ctx *Context) (*Report, error) {
 	// fault tick (fault applied, then repaired) through the same overload
 	// SLO rule the serve plane uses, so X2 reports not only how catchments
 	// end up but whether the surviving sites stayed inside capacity while
-	// each fault was in effect.
+	// each fault was in effect. Each runner samples its own deployment into
+	// its own recorder through the tick pipeline (Runner.Load).
 	overload, err := ts.ParseRule("slo overload: load.max_util > 1 for 1 ticks")
 	if err != nil {
 		return nil, fmt.Errorf("experiments: X2: %w", err)
 	}
 	model := traffic.NewModel(w.Platform, traffic.DemandConfig{Seed: w.Config.Seed})
-	evReg := traffic.NewEvaluator(w.Engine, w.Imperva.IM6, model, traffic.CapacityConfig{})
-	evGlob := traffic.NewEvaluator(w.Engine, w.Imperva.NS, model, traffic.CapacityConfig{})
-	regDB := ts.New(ts.Config{Rules: []ts.Rule{overload}})
-	globDB := ts.New(ts.Config{Rules: []ts.Rule{overload}})
-	sample := func(tick int64) {
-		mat := model.Matrix(int(tick % int64(model.Buckets())))
-		regDB.SampleLoad(tick, model, evReg.EvaluateOn(w.Engine, mat), evReg.Config().SoftUtil)
-		regDB.Eval(tick)
-		globDB.SampleLoad(tick, model, evGlob.EvaluateOn(w.Engine, mat), evGlob.Config().SoftUtil)
-		globDB.Eval(tick)
+	for _, r := range []*dynamics.Runner{reg, glob} {
+		r.Eval = traffic.NewEvaluator(w.Engine, r.Dep, model, traffic.CapacityConfig{})
+		r.Series = ts.New(ts.Config{Rules: []ts.Rule{overload}})
 	}
 
 	data := &DynamicsData{Scenario: sc.Name}
@@ -122,7 +116,8 @@ func Dynamics(ctx *Context) (*Report, error) {
 
 		// One load sample while the fault holds; the post-repair sample
 		// below resolves any alert it raised.
-		sample(int64(down.At))
+		reg.Load(int64(down.At), reg.Engine)
+		glob.Load(int64(down.At), glob.Engine)
 
 		if err := reg.Apply(up); err != nil {
 			return nil, fmt.Errorf("experiments: X2 %s: %w", up, err)
@@ -130,7 +125,8 @@ func Dynamics(ctx *Context) (*Report, error) {
 		if err := glob.Apply(up); err != nil {
 			return nil, fmt.Errorf("experiments: X2 %s: %w", up, err)
 		}
-		sample(int64(up.At))
+		reg.Load(int64(up.At), reg.Engine)
+		glob.Load(int64(up.At), glob.Engine)
 	}
 
 	var regPens, globPens []float64
@@ -174,10 +170,10 @@ func Dynamics(ctx *Context) (*Report, error) {
 		}
 		return peak
 	}
-	data.OverloadAlertsRegional = countFirings(regDB)
-	data.OverloadAlertsGlobal = countFirings(globDB)
-	data.PeakUtilRegional = peakUtil(regDB)
-	data.PeakUtilGlobal = peakUtil(globDB)
+	data.OverloadAlertsRegional = countFirings(reg.Series)
+	data.OverloadAlertsGlobal = countFirings(glob.Series)
+	data.PeakUtilRegional = peakUtil(reg.Series)
+	data.PeakUtilGlobal = peakUtil(glob.Series)
 
 	text := tb.String()
 	text += fmt.Sprintf("\nmean blast radius: regional %.2f%% vs global %.2f%%\n",
@@ -192,8 +188,8 @@ func Dynamics(ctx *Context) (*Report, error) {
 	series := map[string][]stats.Point{
 		"penalty-cdf-regional": penaltyCDF(regPens),
 		"penalty-cdf-global":   penaltyCDF(globPens),
-		"max-util-regional":    utilTrajectory(regDB),
-		"max-util-global":      utilTrajectory(globDB),
+		"max-util-regional":    utilTrajectory(reg.Series),
+		"max-util-global":      utilTrajectory(glob.Series),
 	}
 	return &Report{Text: text, Data: data, Series: series}, nil
 }

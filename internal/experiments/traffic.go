@@ -67,7 +67,7 @@ func Traffic(ctx *Context) (*Report, error) {
 	model := traffic.NewModel(w.Platform, traffic.DemandConfig{Seed: w.Config.Seed})
 
 	// The flash hits at the bucket where the crowded area's demand peaks.
-	bucket := peakBucket(model, x3FlashArea)
+	bucket := model.PeakBucket(x3FlashArea)
 
 	// Capacity is provisioned against baseline routing, before any
 	// steering perturbs catchments.
@@ -97,7 +97,7 @@ func Traffic(ctx *Context) (*Report, error) {
 		{"IM-NS", evGlob, traffic.SteeringConfig{MaxActions: 64}, &data.Global},
 	} {
 		runner := dynamics.NewRunner(w.Engine, run.ev.Dep)
-		summary, heat, err := runFlashCrowd(runner, sc, model, run.ev, run.cfg, bucket)
+		summary, heat, err := runFlashCrowd(runner, sc, run.ev, run.cfg, int64(bucket))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: X3 %s: %w", run.name, err)
 		}
@@ -114,36 +114,13 @@ func Traffic(ctx *Context) (*Report, error) {
 	return &Report{Text: text, Data: data, Series: series}, nil
 }
 
-// peakBucket returns the time bucket where an area's aggregate demand is
-// highest.
-func peakBucket(m *traffic.Model, area geo.Area) int {
-	areaOf := map[string]geo.Area{}
-	for _, g := range m.Groups {
-		areaOf[g.Key] = g.Area
-	}
-	best, bestRate := 0, -1.0
-	for b := 0; b < m.Buckets(); b++ {
-		mat := m.Matrix(b)
-		rate := 0.0
-		for k, r := range mat.Rates {
-			if areaOf[k] == area {
-				rate += r
-			}
-		}
-		if rate > bestRate {
-			best, bestRate = b, rate
-		}
-	}
-	return best
-}
-
-// runFlashCrowd replays the flash schedule for one deployment: evaluate
-// the baseline, apply the flash events, steer, measure, restore. It
-// returns the run summary and the utilization heat maps.
-func runFlashCrowd(runner *dynamics.Runner, sc *dynamics.Scenario, model *traffic.Model, ev *traffic.Evaluator, cfg traffic.SteeringConfig, bucket int) (*TrafficRunSummary, string, error) {
+// runFlashCrowd replays the flash schedule for one deployment at a tick of
+// the peak bucket: evaluate the baseline, apply the flash events, steer,
+// measure, restore. It returns the run summary and the utilization heat
+// maps.
+func runFlashCrowd(runner *dynamics.Runner, sc *dynamics.Scenario, ev *traffic.Evaluator, cfg traffic.SteeringConfig, tick int64) (*TrafficRunSummary, string, error) {
 	soft := ev.Config().SoftUtil
-	baseMat := model.Matrix(bucket)
-	baseline := ev.Evaluate(baseMat)
+	baseline := ev.Evaluate(ev.Model.Demand(tick, nil))
 
 	// Apply the schedule's onset events; the runner tracks the active
 	// crowd factors that shape the demand matrix.
@@ -156,13 +133,8 @@ func runFlashCrowd(runner *dynamics.Runner, sc *dynamics.Scenario, model *traffi
 			flashEvents = append(flashEvents, evn)
 		}
 	}
-	mat := baseMat
-	for area, factor := range runner.ActiveFlash() {
-		mat = model.FlashCrowd(mat, area, factor)
-	}
-
 	st := traffic.NewSteerer(ev, cfg)
-	res, err := st.Resolve(mat)
+	res, err := st.Resolve(ev.Model.Demand(tick, runner.ActiveFlash()))
 	if err != nil {
 		return nil, "", err
 	}
@@ -174,9 +146,12 @@ func runFlashCrowd(runner *dynamics.Runner, sc *dynamics.Scenario, model *traffi
 		MaxUtilAfter:    res.Final.MaxUtilization(),
 		Actions:         res.Actions,
 	}
-	for key := range baseline.Assignments {
-		before := baseline.EffectiveRTTMs(key, soft)
-		after := res.Final.EffectiveRTTMs(key, soft)
+	for i, a := range baseline.Assignments {
+		if a.Site == "" {
+			continue
+		}
+		before := baseline.EffectiveRTTMs(i, soft)
+		after := res.Final.EffectiveRTTMs(i, soft)
 		if math.IsInf(after, 1) {
 			s.Stranded++
 			continue

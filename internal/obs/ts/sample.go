@@ -27,10 +27,11 @@ import (
 
 // SampleLoad records the load plane of one evaluated report at tick:
 // per-site series, the aggregate load series, and per-region effective-RTT
-// percentiles over served probe groups (group → region via the demand
-// model). softUtil is the capacity knee for the latency penalty (pass
-// Evaluator.Config().SoftUtil). Safe to call several times per tick; the
-// last report wins. Follow with Eval to advance the SLO lifecycles.
+// percentiles over served probe groups (group → region via m, the demand
+// model rep was evaluated with). softUtil is the capacity knee for the
+// latency penalty (pass Evaluator.Config().SoftUtil). Safe to call several
+// times per tick; the last report wins. Follow with Eval to advance the SLO
+// lifecycles.
 func (db *DB) SampleLoad(tick int64, m *traffic.Model, rep *traffic.LoadReport, softUtil float64) {
 	if db == nil || rep == nil {
 		return
@@ -61,15 +62,14 @@ func (db *DB) SampleLoad(tick int64, m *traffic.Model, rep *traffic.LoadReport, 
 	if m == nil {
 		return
 	}
-	// Percentiles are order-independent (stats.Percentile sorts a copy), so
-	// iterating the assignment map directly is deterministic.
+	// Assignments are indexed by group rank in m.Groups.
 	byArea := map[geo.Area][]float64{}
-	for key := range rep.Assignments {
-		g, ok := m.Group(key)
-		if !ok {
+	for i, a := range rep.Assignments {
+		if a.Site == "" {
 			continue
 		}
-		byArea[g.Area] = append(byArea[g.Area], rep.EffectiveRTTMs(key, softUtil))
+		area := m.Groups[i].Area
+		byArea[area] = append(byArea[area], rep.EffectiveRTTMs(i, softUtil))
 	}
 	for _, a := range geo.Areas {
 		vs := byArea[a]

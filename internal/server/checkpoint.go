@@ -179,9 +179,7 @@ func (s *Server) restore(cp *Checkpoint) error {
 		return fmt.Errorf("server: restore routing: %w", err)
 	}
 	s.eval = traffic.NewEvaluatorWithCaps(s.w.Engine, s.dep, s.model, s.cfg.Capacity, cp.Caps)
-	s.runner = dynamics.NewRunner(s.w.Engine, s.dep)
-	s.runner.Measurer = s.w.Measurer
-	s.runner.Probes = s.w.Platform.Retained()
+	s.newRunner()
 	areas := make([]string, 0, len(cp.Flash))
 	for a := range cp.Flash {
 		areas = append(areas, a)

@@ -18,7 +18,6 @@ package server
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -210,13 +209,22 @@ func New(cfg Config) (*Server, error) {
 	// evaluator must be built before any event perturbs the catchments.
 	s.eval = traffic.NewEvaluator(w.Engine, s.dep, s.model, cfg.Capacity)
 	s.eval.Instrument(reg)
-	s.runner = dynamics.NewRunner(w.Engine, s.dep)
-	s.runner.Measurer = w.Measurer
-	s.runner.Probes = w.Platform.Retained()
+	s.newRunner()
 	s.mu.Lock()
 	s.publishLocked()
 	s.mu.Unlock()
 	return s, nil
+}
+
+// newRunner wires the ingest runner over the world's engine. Its Load step
+// is the publish path's tick pipeline, sampling into the server's flight
+// recorder, so it needs s.eval and s.tsdb in place.
+func (s *Server) newRunner() {
+	s.runner = dynamics.NewRunner(s.w.Engine, s.dep)
+	s.runner.Measurer = s.w.Measurer
+	s.runner.Probes = s.w.Platform.Retained()
+	s.runner.Eval = s.eval
+	s.runner.Series = s.tsdb
 }
 
 // Model returns the demand model (read-only).
@@ -327,36 +335,31 @@ func (s *Server) AdvanceTo(tick int64) (*State, error) {
 	return st, nil
 }
 
-// publishLocked evaluates load for the current tick's bucket (with any
-// active flash crowds folded in), publishes a new immutable state, samples
-// it into the flight recorder, and evaluates the SLO rules, returning any
-// alert transitions this publish caused. Caller holds s.mu.
+// publishLocked publishes a new immutable state for the current tick: a
+// fork of the engine and the runner's tick pipeline run on it (load
+// evaluated, sampled into the flight recorder, SLO rules advanced). It
+// returns the state and any alert transitions this publish caused. Caller
+// holds s.mu.
 func (s *Server) publishLocked() (*State, []ts.Transition) {
-	bucket := int(s.tick % int64(s.model.Buckets()))
-	mat := s.model.Matrix(bucket)
-	flash := s.runner.ActiveFlash()
-	for _, a := range sortedAreas(flash) {
-		mat = s.model.FlashCrowd(mat, a, flash[a])
-	}
 	s.seq++
 	st := &State{
 		Seq:    s.seq,
 		Tick:   s.tick,
-		Bucket: bucket,
 		Engine: s.w.Engine.Fork(),
-		Flash:  flash,
+		Flash:  s.runner.ActiveFlash(),
 		srv:    s,
 	}
 	// Load is evaluated on the fork: the report is pinned to exactly the
 	// routing state the queries against this State will see.
-	st.Load = s.eval.EvaluateOn(st.Engine, mat)
+	var trs []ts.Transition
+	st.Load, trs = s.runner.Load(s.tick, st.Engine)
+	st.Bucket = st.Load.Bucket
 	s.cur.Store(st)
 	s.hist = append(s.hist, st)
 	if len(s.hist) > s.cfg.History {
 		s.hist = s.hist[len(s.hist)-s.cfg.History:]
 	}
-	s.tsdb.SampleLoad(s.tick, s.model, st.Load, s.eval.Config().SoftUtil)
-	return st, s.tsdb.Eval(s.tick)
+	return st, trs
 }
 
 // Series returns the time-series flight recorder. Never nil after New.
@@ -373,14 +376,4 @@ func (s *Server) emitTrace(name string, attrs ...obs.Attr) {
 		Clock: []obs.Coord{{Key: "event", V: s.events}, {Key: "tick", V: s.tick}},
 		Attrs: attrs,
 	})
-}
-
-// sortedAreas returns a flash map's areas in deterministic order.
-func sortedAreas(m map[geo.Area]float64) []geo.Area {
-	out := make([]geo.Area, 0, len(m))
-	for a := range m {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -110,8 +110,8 @@ func (s *Server) notifyWatchers(kind string, prev, st *State, res ApplyResult) {
 		ev.Overloads = append(ev.Overloads, sl.Site)
 	}
 	if prev != nil {
-		for key, b := range prev.Load.Assignments {
-			if a, ok := st.Load.Assignments[key]; ok && a.Site != b.Site {
+		for i, b := range prev.Load.Assignments {
+			if a := st.Load.Assignments[i]; b.Site != "" && a.Site != "" && a.Site != b.Site {
 				ev.MovedGroups++
 			}
 		}

@@ -108,8 +108,10 @@ type Assignment struct {
 type LoadReport struct {
 	Bucket int
 	Sites  []SiteLoad // sorted by site ID
-	// Assignments maps group key -> where its demand went.
-	Assignments map[string]Assignment
+	// Assignments holds where each probe group's demand went, indexed by
+	// the group's rank in Model.Groups. A zero Site marks a group with no
+	// demand or no route.
+	Assignments []Assignment
 	// Unserved is demand from groups with no route to their prefix.
 	Unserved float64
 
@@ -154,11 +156,12 @@ func (r *LoadReport) MaxUtilization() float64 {
 	return max
 }
 
-// EffectiveRTTMs returns a group's served latency: propagation plus the
-// load penalty of its serving site. Groups with no route get +Inf.
-func (r *LoadReport) EffectiveRTTMs(key string, softUtil float64) float64 {
-	a, ok := r.Assignments[key]
-	if !ok {
+// EffectiveRTTMs returns the served latency of the group at rank i in
+// Model.Groups: propagation plus the load penalty of its serving site.
+// Unserved groups get +Inf.
+func (r *LoadReport) EffectiveRTTMs(i int, softUtil float64) float64 {
+	a := r.Assignments[i]
+	if a.Site == "" {
 		return math.Inf(1)
 	}
 	s, ok := r.SiteLoadByID(a.Site)
@@ -275,13 +278,12 @@ func (ev *Evaluator) Evaluate(mat Matrix) *LoadReport {
 // processes all chunks or eight process four each.
 const evalChunks = 32
 
-// evalPartial is one chunk's contribution to a load report.
+// evalPartial is one chunk's contribution to a load report's sums; the
+// chunk writes its groups' assignments straight into the report.
 type evalPartial struct {
 	demand   []float64
 	groups   []int
 	unserved float64
-	keys     []string
-	asgs     []Assignment
 }
 
 // EvaluateOn computes the load report for one demand matrix against an
@@ -295,9 +297,10 @@ func (ev *Evaluator) EvaluateOn(eng *bgp.Engine, mat Matrix) *LoadReport {
 	if ev.tobs.totalNs != nil {
 		t0 = time.Now()
 	}
+	groups := ev.Model.Groups
 	rep := &LoadReport{
 		Bucket:      mat.Bucket,
-		Assignments: make(map[string]Assignment, len(ev.Model.Groups)),
+		Assignments: make([]Assignment, len(groups)),
 		siteIdx:     map[string]int{},
 	}
 	for _, s := range ev.Dep.Sites {
@@ -309,7 +312,6 @@ func (ev *Evaluator) EvaluateOn(eng *bgp.Engine, mat Matrix) *LoadReport {
 			Capacity: ev.Caps[s.ID],
 		})
 	}
-	groups := ev.Model.Groups
 	if len(groups) == 0 {
 		return rep
 	}
@@ -324,7 +326,7 @@ func (ev *Evaluator) EvaluateOn(eng *bgp.Engine, mat Matrix) *LoadReport {
 			c0 = time.Now()
 		}
 		lo, hi := ci*len(groups)/nc, (ci+1)*len(groups)/nc
-		parts[ci] = ev.evalChunk(eng, mat, groups[lo:hi], len(rep.Sites), rep.siteIdx)
+		parts[ci] = ev.evalChunk(eng, mat, groups[lo:hi], rep.Assignments[lo:hi], len(rep.Sites), rep.siteIdx)
 		if ev.tobs.chunkNs != nil {
 			ev.tobs.chunkNs.Observe(time.Since(c0).Nanoseconds())
 		}
@@ -365,9 +367,6 @@ func (ev *Evaluator) EvaluateOn(eng *bgp.Engine, mat Matrix) *LoadReport {
 			rep.Sites[i].Groups += p.groups[i]
 		}
 		rep.Unserved += p.unserved
-		for i, key := range p.keys {
-			rep.Assignments[key] = p.asgs[i]
-		}
 	}
 	if ev.tobs.totalNs != nil {
 		ev.tobs.totalNs.Observe(time.Since(t0).Nanoseconds())
@@ -375,13 +374,14 @@ func (ev *Evaluator) EvaluateOn(eng *bgp.Engine, mat Matrix) *LoadReport {
 	return rep
 }
 
-// evalChunk accumulates one contiguous slice of probe groups, left to right.
-func (ev *Evaluator) evalChunk(eng *bgp.Engine, mat Matrix, groups []GroupDemand, nSites int, siteIdx map[string]int) *evalPartial {
+// evalChunk accumulates one contiguous slice of probe groups, left to right,
+// writing each served group's assignment to the same index of asgs.
+func (ev *Evaluator) evalChunk(eng *bgp.Engine, mat Matrix, groups []GroupDemand, asgs []Assignment, nSites int, siteIdx map[string]int) *evalPartial {
 	p := &evalPartial{
 		demand: make([]float64, nSites),
 		groups: make([]int, nSites),
 	}
-	for _, g := range groups {
+	for gi, g := range groups {
 		rate := mat.Rates[g.Key]
 		if rate == 0 {
 			continue
@@ -405,13 +405,12 @@ func (ev *Evaluator) evalChunk(eng *bgp.Engine, mat Matrix, groups []GroupDemand
 		}
 		p.demand[i] += rate
 		p.groups[i]++
-		p.keys = append(p.keys, g.Key)
-		p.asgs = append(p.asgs, Assignment{
+		asgs[gi] = Assignment{
 			Site:   fwd.Site,
 			Prefix: region.Prefix,
 			Rate:   rate,
 			RTTMs:  geo.FiberRTTMs(fwd.DistKm * rttInflation),
-		})
+		}
 	}
 	return p
 }

@@ -101,7 +101,6 @@ type GroupDemand struct {
 type Model struct {
 	cfg    DemandConfig
 	Groups []GroupDemand // sorted by Key
-	byKey  map[string]*GroupDemand
 	total  float64
 }
 
@@ -125,7 +124,7 @@ func NewModel(pl *atlas.Platform, cfg DemandConfig) *Model {
 		rank[k] = r
 	}
 
-	m := &Model{cfg: cfg, byKey: make(map[string]*GroupDemand, len(keys))}
+	m := &Model{cfg: cfg}
 	weights := make([]float64, 0, len(keys))
 	areaSum := map[geo.Area]float64{}
 	for _, k := range keys {
@@ -200,7 +199,6 @@ func NewModel(pl *atlas.Platform, cfg DemandConfig) *Model {
 		g := &m.Groups[i]
 		share := cfg.AreaWeight[g.Area] / shareSum
 		g.Base = cfg.TotalRate * share * weights[i] / areaSum[g.Area]
-		m.byKey[g.Key] = g
 		m.total += g.Base
 	}
 	return m
@@ -211,15 +209,6 @@ func (m *Model) Buckets() int { return m.cfg.Buckets }
 
 // TotalBase returns the day-mean aggregate rate.
 func (m *Model) TotalBase() float64 { return m.total }
-
-// Group returns a group's demand parameters.
-func (m *Model) Group(key string) (GroupDemand, bool) {
-	g, ok := m.byKey[key]
-	if !ok {
-		return GroupDemand{}, false
-	}
-	return *g, true
-}
 
 // diurnal returns the demand multiplier for a group at a UTC hour: a cosine
 // day-cycle peaking at cfg.PeakHour local solar time, with the local clock
@@ -264,17 +253,59 @@ func (m *Model) Matrices() []Matrix {
 
 // FlashCrowd returns a copy of mat with every group in the given area
 // scaled by factor, modelling a regional flash crowd (factor > 1) or
-// brown-out (factor < 1).
+// brown-out (factor < 1). Total sums in group order, as Matrix does.
 func (m *Model) FlashCrowd(mat Matrix, area geo.Area, factor float64) Matrix {
 	out := Matrix{Bucket: mat.Bucket, Rates: make(map[string]float64, len(mat.Rates))}
-	for k, r := range mat.Rates {
-		if g, ok := m.byKey[k]; ok && g.Area == area {
+	for _, g := range m.Groups {
+		r := mat.Rates[g.Key]
+		if g.Area == area {
 			r *= factor
 		}
-		out.Rates[k] = r
+		out.Rates[g.Key] = r
 		out.Total += r
 	}
 	return out
+}
+
+// Demand is the demand of a simulated tick: the matrix of the tick's time
+// bucket (tick mod Buckets()) with the given flash-crowd factors folded in.
+// Every group lies in one area, so each rate is scaled at most once and the
+// result does not depend on the map's order; it equals folding FlashCrowd
+// over the areas one by one.
+func (m *Model) Demand(tick int64, flash map[geo.Area]float64) Matrix {
+	mat := m.Matrix(int(tick % int64(m.cfg.Buckets)))
+	if len(flash) == 0 {
+		return mat
+	}
+	mat.Total = 0
+	for _, g := range m.Groups {
+		r := mat.Rates[g.Key]
+		if f, ok := flash[g.Area]; ok {
+			r *= f
+			mat.Rates[g.Key] = r
+		}
+		mat.Total += r
+	}
+	return mat
+}
+
+// PeakBucket returns the time bucket where an area's aggregate demand is
+// highest, summing each bucket in group order.
+func (m *Model) PeakBucket(area geo.Area) int {
+	best, bestRate := 0, -1.0
+	for b := 0; b < m.cfg.Buckets; b++ {
+		mat := m.Matrix(b)
+		rate := 0.0
+		for _, g := range m.Groups {
+			if g.Area == area {
+				rate += mat.Rates[g.Key]
+			}
+		}
+		if rate > bestRate {
+			best, bestRate = b, rate
+		}
+	}
+	return best
 }
 
 // TopGroups returns the n highest-demand groups of a matrix, for reports.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"anysim/internal/geo"
+	"anysim/internal/obs"
 )
 
 // reportsIdentical compares two load reports bit-for-bit: per-site demand,
@@ -26,9 +27,9 @@ func reportsIdentical(t *testing.T, label string, a, b *LoadReport) {
 	if len(a.Assignments) != len(b.Assignments) {
 		t.Fatalf("%s: assignment counts differ: %d vs %d", label, len(a.Assignments), len(b.Assignments))
 	}
-	for k, av := range a.Assignments {
-		if bv, ok := b.Assignments[k]; !ok || av != bv {
-			t.Fatalf("%s: assignment %s differs: %+v vs %+v", label, k, av, bv)
+	for i, av := range a.Assignments {
+		if bv := b.Assignments[i]; av != bv {
+			t.Fatalf("%s: assignment %d differs: %+v vs %+v", label, i, av, bv)
 		}
 	}
 }
@@ -54,9 +55,9 @@ func TestEvaluateParallelBitIdentical(t *testing.T) {
 	ev.Workers = 0
 }
 
-// TestResolveParallelDeterminism is the tentpole acceptance check for the
-// concurrent trial loop: Resolve with a parallel worker pool must produce
-// the identical action sequence, final report, and trace output as the
+// TestResolveParallelDeterminism is the acceptance check for the concurrent
+// trial loop: Resolve with a parallel worker pool must produce the
+// identical action sequence, final report, and JSONL steering trace as the
 // serial walk at Workers=1.
 func TestResolveParallelDeterminism(t *testing.T) {
 	w := smallWorld(t)
@@ -74,7 +75,7 @@ func TestResolveParallelDeterminism(t *testing.T) {
 			AllowSelective:     true,
 			AllowCrossAnnounce: true,
 			Workers:            workers,
-			Trace:              &trace,
+			Tracer:             obs.NewTracer(&trace),
 		})
 		res, err := st.Resolve(mat)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"anysim/internal/bgp"
 	"anysim/internal/geo"
+	"anysim/internal/obs"
 	"anysim/internal/policy"
 )
 
@@ -64,9 +65,9 @@ func TestScopedAnnounceApply(t *testing.T) {
 }
 
 // TestScopedSteeringDeterminism mirrors the parallel-walk determinism test
-// with the scoped-announce knob enabled on a policy-bearing fork: the trace
-// and the chosen actions must be byte-identical at Workers 1, 2, and
-// GOMAXPROCS.
+// with the scoped-announce knob enabled on a policy-bearing fork: the JSONL
+// steering trace and the chosen actions must be byte-identical at Workers
+// 1, 2, and GOMAXPROCS.
 func TestScopedSteeringDeterminism(t *testing.T) {
 	w := smallWorld(t)
 	m := NewModel(w.Platform, DemandConfig{Seed: 1})
@@ -88,7 +89,7 @@ func TestScopedSteeringDeterminism(t *testing.T) {
 			AllowCrossAnnounce: true,
 			AllowScoped:        true,
 			Workers:            workers,
-			Trace:              &trace,
+			Tracer:             obs.NewTracer(&trace),
 		})
 		res, err := st.Resolve(mat)
 		if err != nil {

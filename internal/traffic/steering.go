@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"fmt"
-	"io"
 	"net/netip"
 	"runtime"
 	"slices"
@@ -123,20 +122,13 @@ type SteeringConfig struct {
 	// excess, ties broken by candidate order) and only the winner touches
 	// the real engine.
 	Workers int
-	// Trace, when set, receives a line per trialled candidate with its
-	// resulting objective — the steering loop's debugging channel. Lines
-	// are emitted in candidate order after each round completes, so traces
-	// are deterministic regardless of Workers. The text stream is a
-	// rendering of the structured trial events also available via Tracer.
-	Trace io.Writer
 	// Metrics, when set, receives the steering loop's counters and
 	// histograms (rounds, trials, commits, tabu hits, rewinds).
 	Metrics *obs.Registry
 	// Tracer, when set, receives structured steering events (trial, commit,
-	// rewind) clocked by (resolve, round, trial) — the same events the
-	// Trace writer renders as text. Events are emitted from the serial
-	// Resolve loop in candidate order, so streams are deterministic at any
-	// Workers setting.
+	// rewind) clocked by (resolve, round, trial) — the steering loop's
+	// debugging channel. Events are emitted from the serial Resolve loop in
+	// candidate order, so streams are deterministic at any Workers setting.
 	Tracer *obs.Tracer
 }
 
@@ -330,9 +322,9 @@ func (s *Steerer) Resolve(mat Matrix) (*SteeringResult, error) {
 		s.sobs.trials.Add(int64(len(cands)))
 		s.sobs.perRound.Observe(int64(len(cands)))
 		// Winner selection matches the serial walk exactly: the first
-		// strict minimum in candidate order. Trial events (and the text
-		// lines rendered from them) are emitted here, after the round, in
-		// candidate order — not goroutine completion order.
+		// strict minimum in candidate order. Trial events are emitted here,
+		// after the round, in candidate order — not goroutine completion
+		// order.
 		best := -1
 		for i := range trials {
 			s.traceTrial(round, int64(i), cands[i], trials[i].exc)
@@ -433,22 +425,18 @@ func (s *Steerer) rewindTo(res *SteeringResult, n int) error {
 	return nil
 }
 
-// traceTrial emits one candidate's trial outcome as a structured event and
-// renders the same event to the text Trace writer — the two streams carry
-// identical information, emitted from the serial Resolve loop in candidate
-// order.
+// traceTrial emits one candidate's trial outcome as a structured event,
+// from the serial Resolve loop in candidate order.
 func (s *Steerer) traceTrial(round, idx int64, act *Action, exc float64) {
-	if s.cfg.Tracer.Enabled() {
-		s.cfg.Tracer.Emit(obs.Event{
-			Scope: "steer",
-			Name:  "trial",
-			Clock: []obs.Coord{{Key: "resolve", V: s.sobs.resolveSeq}, {Key: "round", V: round}, {Key: "trial", V: idx}},
-			Attrs: []obs.Attr{obs.Str("action", act.String()), obs.Float("exc", exc)},
-		})
+	if !s.cfg.Tracer.Enabled() {
+		return
 	}
-	if s.cfg.Trace != nil {
-		fmt.Fprintf(s.cfg.Trace, "  trial %-40s exc %.3g\n", act.String(), exc)
-	}
+	s.cfg.Tracer.Emit(obs.Event{
+		Scope: "steer",
+		Name:  "trial",
+		Clock: []obs.Coord{{Key: "resolve", V: s.sobs.resolveSeq}, {Key: "round", V: round}, {Key: "trial", V: idx}},
+		Attrs: []obs.Attr{obs.Str("action", act.String()), obs.Float("exc", exc)},
+	})
 }
 
 // traceCommit marks the round's winning candidate after it was applied to
@@ -563,20 +551,13 @@ func actionKey(a *Action) string {
 }
 
 // shedCost compares two load reports: total demand that changed serving
-// site and the demand-weighted mean propagation-RTT delta of those groups.
-// The sums run in group-key order: float addition is not associative, so
-// map order would change their last bits from one resolve to the next.
+// site and the demand-weighted mean propagation-RTT delta of those groups,
+// over groups served in both. The sums run in group rank order.
 func shedCost(before, after *LoadReport) (moved, costMs float64) {
-	keys := make([]string, 0, len(before.Assignments))
-	for key := range before.Assignments {
-		keys = append(keys, key)
-	}
-	slices.Sort(keys)
 	var wsum, dsum float64
-	for _, key := range keys {
-		b := before.Assignments[key]
-		a, ok := after.Assignments[key]
-		if !ok || a.Site == b.Site {
+	for i, b := range before.Assignments {
+		a := after.Assignments[i]
+		if b.Site == "" || a.Site == "" || a.Site == b.Site {
 			continue
 		}
 		moved += b.Rate

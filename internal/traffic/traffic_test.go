@@ -130,18 +130,47 @@ func TestFlashCrowd(t *testing.T) {
 	m := NewModel(w.Platform, DemandConfig{Seed: 1})
 	mat := m.Matrix(0)
 	crowd := m.FlashCrowd(mat, geo.EMEA, 3)
-	for k, r := range mat.Rates {
-		g, _ := m.Group(k)
+	for _, g := range m.Groups {
+		r := mat.Rates[g.Key]
 		want := r
 		if g.Area == geo.EMEA {
 			want = 3 * r
 		}
-		if math.Abs(crowd.Rates[k]-want) > 1e-9 {
-			t.Fatalf("group %s (area %v): flash rate %.3f; want %.3f", k, g.Area, crowd.Rates[k], want)
+		if math.Abs(crowd.Rates[g.Key]-want) > 1e-9 {
+			t.Fatalf("group %s (area %v): flash rate %.3f; want %.3f", g.Key, g.Area, crowd.Rates[g.Key], want)
 		}
 	}
 	if crowd.Total <= mat.Total {
 		t.Fatal("flash crowd did not raise total demand")
+	}
+	// A unit factor is the identity, down to the last bit of Total: both
+	// sums run in group order.
+	for _, a := range geo.Areas {
+		if got := m.FlashCrowd(mat, a, 1).Total; got != mat.Total {
+			t.Fatalf("FlashCrowd(%v, 1).Total = %v; Matrix total %v", a, got, mat.Total)
+		}
+	}
+}
+
+// TestDemandFoldsFlashCrowds: Demand picks the tick's bucket and equals
+// folding FlashCrowd over the active areas, rates and Total bit for bit.
+func TestDemandFoldsFlashCrowds(t *testing.T) {
+	w := smallWorld(t)
+	m := NewModel(w.Platform, DemandConfig{Seed: 1})
+	tick := int64(3*m.Buckets() + 2)
+	flash := map[geo.Area]float64{geo.LatAm: 2.5, geo.EMEA: 0.5}
+	want := m.FlashCrowd(m.FlashCrowd(m.Matrix(2), geo.EMEA, 0.5), geo.LatAm, 2.5)
+	got := m.Demand(tick, flash)
+	if got.Bucket != 2 || got.Total != want.Total {
+		t.Fatalf("Demand(%d) = bucket %d total %v; want bucket 2 total %v", tick, got.Bucket, got.Total, want.Total)
+	}
+	for _, g := range m.Groups {
+		if got.Rates[g.Key] != want.Rates[g.Key] {
+			t.Fatalf("group %s: rate %v; want %v", g.Key, got.Rates[g.Key], want.Rates[g.Key])
+		}
+	}
+	if base := m.Demand(tick, nil); base.Total != m.Matrix(2).Total {
+		t.Fatalf("Demand without flash crowds: total %v; want %v", base.Total, m.Matrix(2).Total)
 	}
 }
 
@@ -191,6 +220,39 @@ func TestEvaluatorConservation(t *testing.T) {
 		if c <= 0 {
 			t.Fatalf("site %s has capacity %.1f; want positive floor", id, c)
 		}
+	}
+}
+
+// TestLoadReportDense: the report holds one assignment per model group, in
+// rank order, and a group carries demand exactly where it has a site.
+func TestLoadReportDense(t *testing.T) {
+	w := smallWorld(t)
+	m := NewModel(w.Platform, DemandConfig{Seed: 1})
+	ev := NewEvaluator(w.Engine, w.Imperva.IM6, m, CapacityConfig{})
+	mat := m.Matrix(0)
+	rep := ev.Evaluate(mat)
+	if len(rep.Assignments) != len(m.Groups) {
+		t.Fatalf("%d assignments for %d groups", len(rep.Assignments), len(m.Groups))
+	}
+	served, unserved := 0, 0.0
+	for i, a := range rep.Assignments {
+		if (a.Rate > 0) != (a.Site != "") {
+			t.Fatalf("group %d (%s): rate %v at site %q", i, m.Groups[i].Key, a.Rate, a.Site)
+		}
+		if a.Site == "" {
+			unserved += mat.Rates[m.Groups[i].Key]
+			continue
+		}
+		served++
+		if a.Rate != mat.Rates[m.Groups[i].Key] {
+			t.Fatalf("group %d (%s): rate %v; matrix has %v", i, m.Groups[i].Key, a.Rate, mat.Rates[m.Groups[i].Key])
+		}
+	}
+	if served == 0 {
+		t.Fatal("no group served")
+	}
+	if math.Abs(unserved-rep.Unserved) > 1e-9*mat.Total {
+		t.Fatalf("unserved groups carry %v; report says %v", unserved, rep.Unserved)
 	}
 }
 

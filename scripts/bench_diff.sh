@@ -7,9 +7,10 @@
 # (highest two <n>) on the headline benchmarks — BenchmarkAnnounce (the
 # routing core), BenchmarkTrafficSteering (the whole-pipeline number) and
 # BenchmarkRunCampaign (the paper's measurement campaign) — and, on the
-# memory columns only, the provenance-on write path:
+# memory columns only, BenchmarkSteeringRound (one round of the X3
+# steering loop), the provenance-on write path
 # BenchmarkIncrementalReconvergence/provenance (a site flap with recording
-# on) and BenchmarkServeIngestEvent (the resident server's ingest).
+# on), and BenchmarkServeIngestEvent (the resident server's ingest).
 #
 # Two gates with different teeth, because the columns have different
 # noise floors:
@@ -92,7 +93,7 @@ for bench in BenchmarkAnnounce BenchmarkTrafficSteering BenchmarkRunCampaign; do
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
 done
 
-for bench in BenchmarkIncrementalReconvergence/provenance BenchmarkServeIngestEvent; do
+for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/provenance BenchmarkServeIngestEvent; do
     missing "$bench" && continue
     gate "$bench" bytes_per_op  "B/op"      "$mem_threshold"
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
