@@ -248,8 +248,10 @@ func NewLoadEvaluator(w *World, dep *Deployment, m *DemandModel, cfg CapacityCon
 	return traffic.NewEvaluator(w.Engine, dep, m, cfg)
 }
 
-// NewSteerer captures a deployment's announcements as the restore point
-// and returns a steering engine over the evaluator's deployment.
+// NewSteerer returns a steering engine over the evaluator's deployment. It
+// snapshots the evaluator's routing engine as it stands — build it on the
+// deployment's plan state — and Steerer.Reset returns the engine to that
+// snapshot.
 func NewSteerer(ev *LoadEvaluator, cfg SteeringConfig) *Steerer {
 	return traffic.NewSteerer(ev, cfg)
 }

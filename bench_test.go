@@ -260,9 +260,10 @@ func BenchmarkDemandMatrix(b *testing.B) {
 
 // BenchmarkTrafficSteering times one full steering resolution of the X3
 // flash crowd (LatAm demand scaled up at its peak bucket) on the regional
-// deployment, including the restore. Each iteration replays the same
-// deterministic search, so this tracks the cost of the trial-and-rollback
-// loop over the incremental routing solver.
+// deployment, including the restore. Reset returns the engine to the
+// snapshot NewSteerer took, hints included, so every iteration repeats the
+// same deterministic search and the same work: this tracks the cost of the
+// fork-trial loop over the incremental routing solver.
 func BenchmarkTrafficSteering(b *testing.B) {
 	ev, flash := benchFlashSetup(b)
 	b.ReportAllocs()

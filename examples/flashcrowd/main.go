@@ -96,8 +96,9 @@ func main() {
 		fmt.Printf("  client RTT inflation vs no-crowd baseline: p50 %+.1f ms, p90 %+.1f ms, worst %+.1f ms\n",
 			p50, p90, inflations[len(inflations)-1])
 
-		// Steering is fully reversible: Reset restores the captured
-		// announcements and the catchments converge back bit-identically.
+		// Steering is fully reversible: Reset reinstates the engine
+		// snapshot NewSteerer took, so the catchments are back
+		// bit-identically.
 		if err := steerer.Reset(); err != nil {
 			log.Fatal(err)
 		}

@@ -88,9 +88,10 @@ func TestConcurrentAnnounceAndLookup(t *testing.T) {
 
 // TestConcurrentForkEvaluation stress-tests the steering trial pattern under
 // -race: many goroutines fork the shared engine, mutate their private forks
-// (withdraw/restore/prepend), and run lookups on them, while writer and
-// reader goroutines keep mutating and querying the parent. No fork mutation
-// may leak into the parent.
+// (withdraw/restore/prepend, some then ResetTo a shared snapshot), and run
+// lookups on them, while writer, resetter and reader goroutines keep
+// mutating and querying the parent. No fork mutation may leak into the
+// parent.
 func TestConcurrentForkEvaluation(t *testing.T) {
 	_, e, anns := generatedCDNWorld(t, 5)
 	tp := e.Topology()
@@ -102,6 +103,7 @@ func TestConcurrentForkEvaluation(t *testing.T) {
 		}
 	}
 	before := snapshotRibs(e, pfxGlobal)
+	snap := e.Fork()
 
 	var wg sync.WaitGroup
 	// Forkers: per-candidate trial evaluation on private snapshots.
@@ -122,6 +124,9 @@ func TestConcurrentForkEvaluation(t *testing.T) {
 				err = f.WithdrawSite(pfxGlobal, anns[i%len(anns)].Site)
 				if err == nil {
 					err = f.AnnounceSite(pfxGlobal, anns[i%len(anns)])
+				}
+				if err == nil {
+					err = f.ResetTo(snap)
 				}
 			}
 			if err != nil {
@@ -146,6 +151,16 @@ func TestConcurrentForkEvaluation(t *testing.T) {
 			}
 		}(i)
 	}
+	// Parent resetter: reinstate the snapshot while forks copy the parent.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 0; k < 4; k++ {
+			if err := e.ResetTo(snap); err != nil {
+				t.Errorf("parent reset %d: %v", k, err)
+			}
+		}
+	}()
 	// Parent readers.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)

@@ -51,14 +51,8 @@ type Engine struct {
 	// value is the disabled state; Fork copies it with the tracer stripped.
 	eobs engineObs
 
-	mu        sync.RWMutex
-	ribs      map[netip.Prefix]ribTable
-	anns      map[netip.Prefix][]SiteAnnouncement
-	lastStats ReconvergeStats
-	// hints is the failover memory of incremental reconvergence: per
-	// (prefix, site), the ASes the last withdraw/restore of that site
-	// touched, used to pre-seed the next operation on the same site.
-	hints map[netip.Prefix]map[string]*asBits
+	mu sync.RWMutex
+	routeState
 	// provOn enables decision-provenance recording (see prov.go). The
 	// records themselves live on the ribs.
 	provOn bool
@@ -66,6 +60,20 @@ type Engine struct {
 	// the default — means the engine behaves exactly as it did before the
 	// layer existed: no seed-time evaluation, no community pointers set.
 	policy *policy.Policy
+}
+
+// routeState is the engine's mutable routing state, guarded by Engine.mu.
+// Every map value in it is immutable once installed — operations install
+// fresh tables, announcement slices and hint maps — so Fork and ResetTo
+// copy only the outer maps (see fork.go).
+type routeState struct {
+	ribs      map[netip.Prefix]ribTable
+	anns      map[netip.Prefix][]SiteAnnouncement
+	lastStats ReconvergeStats
+	// hints is the failover memory of incremental reconvergence: per
+	// (prefix, site), the ASes the last withdraw/restore of that site
+	// touched, used to pre-seed the next operation on the same site.
+	hints map[netip.Prefix]map[string]*asBits
 }
 
 // ribTable is one prefix's converged routing state: the per-AS RIB, indexed
@@ -137,9 +145,11 @@ func NewEngine(t *topo.Topology) *Engine {
 		byIdx:   t.ASList(),
 		linkA:   la,
 		linkB:   lb,
-		ribs:    make(map[netip.Prefix]ribTable),
-		anns:    make(map[netip.Prefix][]SiteAnnouncement),
-		hints:   make(map[netip.Prefix]map[string]*asBits),
+		routeState: routeState{
+			ribs:  make(map[netip.Prefix]ribTable),
+			anns:  make(map[netip.Prefix][]SiteAnnouncement),
+			hints: make(map[netip.Prefix]map[string]*asBits),
+		},
 	}
 }
 

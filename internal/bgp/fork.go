@@ -1,8 +1,10 @@
 package bgp
 
 import (
+	"fmt"
 	"maps"
-	"net/netip"
+
+	"anysim/internal/obs"
 )
 
 // Fork returns a cheap copy-on-write snapshot of the engine for what-if
@@ -26,9 +28,11 @@ import (
 //     every table by reference; a mutation on either side installs a new
 //     table into its own prefix map and the other side never observes it.
 //   - Announcement slices are likewise replaced wholesale by install.
-//   - Failover-memory hint sets (*asBits) are immutable once stored, but
-//     the per-prefix hint maps are mutated in place by storeHint — so the
-//     outer and per-prefix hint maps are cloned and only the sets shared.
+//   - Per-prefix failover-hint maps are replaced wholesale by storeHint, and
+//     the hint sets (*asBits) they hold are immutable once stored.
+//
+// So copying the routing state is copying its outer maps (cloneState), the
+// one step Fork and ResetTo share.
 //
 // Equivalence guarantee: applying any sequence of engine operations to a
 // fork produces bit-identical routing state (ribs, announcements, stats,
@@ -38,41 +42,70 @@ import (
 // property-tests this against the serial apply-with-rollback walk the
 // steering loop used before forks existed.
 func (e *Engine) Fork() *Engine {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	st, cow := e.cloneState()
 	// Forks inherit the parent's metric handles — counters and histograms
 	// commute, so fork work aggregates deterministically — but never the
 	// tracer: trace order is meaning, and concurrent forks would interleave.
 	feobs := e.eobs
 	feobs.tracer = nil
 	f := &Engine{
-		topo:      e.topo,
-		cityIdx:   e.cityIdx,
-		cityKm:    e.cityKm,
-		n:         e.n,
-		asIdx:     e.asIdx,
-		byIdx:     e.byIdx,
-		linkA:     e.linkA,
-		linkB:     e.linkB,
-		ribs:      maps.Clone(e.ribs),
-		anns:      maps.Clone(e.anns),
-		lastStats: e.lastStats,
-		hints:     make(map[netip.Prefix]map[string]*asBits, len(e.hints)),
-		eobs:      feobs,
+		topo:       e.topo,
+		cityIdx:    e.cityIdx,
+		cityKm:     e.cityKm,
+		n:          e.n,
+		asIdx:      e.asIdx,
+		byIdx:      e.byIdx,
+		linkA:      e.linkA,
+		linkB:      e.linkB,
+		routeState: st,
+		eobs:       feobs,
+		// Provenance records live on the shared ribs, so the fork shares
+		// them for free.
+		provOn: e.provOn,
+		// The policy layer is immutable after parse and its interner is
+		// concurrency-safe, so the fork shares the pointer: full and
+		// incremental reconvergence across forks intern into the same
+		// table.
+		policy: e.policy,
 	}
-	cow := len(e.ribs) + len(e.anns)
-	for p, m := range e.hints {
-		f.hints[p] = maps.Clone(m)
-		cow += len(m)
-	}
-	// Provenance records live on the shared ribs, so the fork shares them
-	// for free.
-	f.provOn = e.provOn
-	// The policy layer is immutable after parse and its interner is
-	// concurrency-safe, so the fork shares the pointer: full and
-	// incremental reconvergence across forks intern into the same table.
-	f.policy = e.policy
 	e.eobs.forks.Inc()
 	e.eobs.forkCOW.Add(int64(cow))
 	return f
+}
+
+// ResetTo reinstates a snapshot's routing state on the engine: the ribs,
+// announcements, failover hints and last reconvergence statistics of snap
+// (typically a Fork of this engine, or a fork's fork) replace the engine's
+// own, in O(prefixes). Afterwards the engine is indistinguishable from snap
+// to every operation: the same op on either yields bit-identical ribs and
+// ReconvergeStats. snap is only read and stays usable. A snapshot over a
+// different topology is an error. On the root engine the reset is one
+// traced op, so the trace still narrates every change to it.
+func (e *Engine) ResetTo(snap *Engine) error {
+	if snap.topo != e.topo {
+		return fmt.Errorf("bgp: reset to a snapshot over a different topology")
+	}
+	st, _ := snap.cloneState()
+	e.mu.Lock()
+	e.routeState = st
+	e.mu.Unlock()
+	if e.eobs.tracer.Enabled() {
+		e.emitOp("reset-to", obs.Int("prefixes", int64(len(st.anns))))
+	}
+	return nil
+}
+
+// cloneState copies the engine's routing state under the read lock. Only
+// the outer maps are copied — every value they hold is immutable once
+// installed — and the returned count is the number of entries copied.
+func (e *Engine) cloneState() (routeState, int) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	st := routeState{
+		ribs:      maps.Clone(e.ribs),
+		anns:      maps.Clone(e.anns),
+		lastStats: e.lastStats,
+		hints:     maps.Clone(e.hints),
+	}
+	return st, len(e.ribs) + len(e.anns) + len(e.hints)
 }

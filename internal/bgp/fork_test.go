@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"anysim/internal/topo"
@@ -100,6 +101,75 @@ func TestForkApplyBitIdentical(t *testing.T) {
 	}
 	if asn, ok := ribsEqual(e, initial, snapshotRibs(e, pfxGlobal)); !ok {
 		t.Fatalf("parent rib for %s not restored after trial sequence", asn)
+	}
+}
+
+// randomSiteOp applies one random site operation to an engine, keyed by the
+// announcement plan: an announced site gets a new prepend or, while a
+// sibling still announces, a withdrawal; a withdrawn site is restored at a
+// random prepend. Withdraw/restore pairs are what the failover hints
+// remember, so a sequence of these builds up hint state.
+func randomSiteOp(rng *rand.Rand, e *Engine, plan []SiteAnnouncement) error {
+	a := plan[rng.Intn(len(plan))]
+	cur := e.Announcements(pfxGlobal)
+	announced := false
+	for _, c := range cur {
+		announced = announced || c.Site == a.Site
+	}
+	if announced && len(cur) > 1 && rng.Intn(2) == 0 {
+		return e.WithdrawSite(pfxGlobal, a.Site)
+	}
+	a.Prepend = rng.Intn(MaxPrepend + 1)
+	return e.AnnounceSite(pfxGlobal, a)
+}
+
+// TestResetToBitIdentical is the ResetTo property test: after random ops,
+// ResetTo(snap) leaves the engine indistinguishable from snap — one more op
+// yields ribs, announcements, ReconvergeStats and failover hints
+// bit-identical to the same op on an untouched fork of snap. The walk keeps
+// going from the reset state, so later snapshots carry hints.
+func TestResetToBitIdentical(t *testing.T) {
+	_, e, plan := generatedCDNWorld(t, 17)
+	rng := rand.New(rand.NewSource(5))
+	const rounds = 12
+	for r := 0; r < rounds; r++ {
+		snap := e.Fork()
+		for i, n := 0, 1+rng.Intn(4); i < n; i++ {
+			if err := randomSiteOp(rng, e, plan); err != nil {
+				t.Fatalf("round %d: op %d: %v", r, i, err)
+			}
+		}
+		if err := e.ResetTo(snap); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		ref := snap.Fork()
+		seed := rng.Int63()
+		if err := randomSiteOp(rand.New(rand.NewSource(seed)), e, plan); err != nil {
+			t.Fatalf("round %d: op after reset: %v", r, err)
+		}
+		if err := randomSiteOp(rand.New(rand.NewSource(seed)), ref, plan); err != nil {
+			t.Fatalf("round %d: op on fork: %v", r, err)
+		}
+		if got, want := e.LastReconvergeStats(), ref.LastReconvergeStats(); got != want {
+			t.Fatalf("round %d: stats after reset %+v != fork stats %+v", r, got, want)
+		}
+		enginesStateEqual(t, fmt.Sprintf("round %d", r), e, ref, pfxGlobal)
+		if got, want := e.ExportState(), ref.ExportState(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: announcements or hints differ after reset:\n%+v\nvs\n%+v", r, got, want)
+		}
+	}
+}
+
+// TestResetToOtherTopology: a snapshot over a different topology, even an
+// identically generated one, is refused.
+func TestResetToOtherTopology(t *testing.T) {
+	_, a, _ := generatedCDNWorld(t, 17)
+	_, b, _ := generatedCDNWorld(t, 17)
+	if err := a.ResetTo(b.Fork()); err == nil {
+		t.Fatal("ResetTo accepted a snapshot over another topology")
+	}
+	if err := a.ResetTo(a.Fork()); err != nil {
+		t.Fatalf("ResetTo own fork: %v", err)
 	}
 }
 

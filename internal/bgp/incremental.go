@@ -37,6 +37,7 @@ package bgp
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
 	"slices"
 
@@ -169,17 +170,18 @@ func (e *Engine) mergeHint(prefix netip.Prefix, siteID string, dirty *asBits) {
 }
 
 // storeHint records the touched set of a site operation as failover memory.
-// A nil set (full-recompute fallback) keeps whatever memory existed. Stored
-// sets are never mutated afterwards, so forks can share them by reference.
+// A nil set (full-recompute fallback) keeps whatever memory existed. The
+// prefix's hint map is replaced, never mutated, and stored sets are never
+// mutated afterwards, so forks and snapshots share both by reference.
 func (e *Engine) storeHint(prefix netip.Prefix, siteID string, touched *asBits) {
 	if touched == nil {
 		return
 	}
 	e.mu.Lock()
-	if e.hints[prefix] == nil {
-		e.hints[prefix] = map[string]*asBits{}
-	}
-	e.hints[prefix][siteID] = touched
+	m := make(map[string]*asBits, len(e.hints[prefix])+1)
+	maps.Copy(m, e.hints[prefix])
+	m[siteID] = touched
+	e.hints[prefix] = m
 	e.mu.Unlock()
 }
 

@@ -95,15 +95,21 @@ func (e *Engine) traceOp(name string, prefix netip.Prefix, st ReconvergeStats) {
 	if !e.eobs.tracer.Enabled() {
 		return
 	}
+	e.emitOp(name,
+		obs.Str("prefix", prefix.String()),
+		obs.Int("dirty", int64(st.Dirty)),
+		obs.Int("passes", int64(st.Passes)),
+		obs.Bool("full", st.Full),
+	)
+}
+
+// emitOp emits the next event of the root engine's op timeline; callers
+// check the tracer first.
+func (e *Engine) emitOp(name string, attrs ...obs.Attr) {
 	e.eobs.tracer.Emit(obs.Event{
 		Scope: "bgp",
 		Name:  name,
 		Clock: []obs.Coord{{Key: "op", V: e.eobs.seq.Add(1)}},
-		Attrs: []obs.Attr{
-			obs.Str("prefix", prefix.String()),
-			obs.Int("dirty", int64(st.Dirty)),
-			obs.Int("passes", int64(st.Passes)),
-			obs.Bool("full", st.Full),
-		},
+		Attrs: attrs,
 	})
 }

@@ -331,35 +331,7 @@ func (ev *Evaluator) EvaluateOn(eng *bgp.Engine, mat Matrix) *LoadReport {
 			ev.tobs.chunkNs.Observe(time.Since(c0).Nanoseconds())
 		}
 	}
-	workers := ev.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nc {
-		workers = nc
-	}
-	if workers <= 1 {
-		for ci := 0; ci < nc; ci++ {
-			chunk(ci)
-		}
-	} else {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ci := range idx {
-					chunk(ci)
-				}
-			}()
-		}
-		for ci := 0; ci < nc; ci++ {
-			idx <- ci
-		}
-		close(idx)
-		wg.Wait()
-	}
+	forEach(ev.Workers, nc, chunk)
 	// Merge partials in chunk order — the deterministic reduction.
 	for _, p := range parts {
 		for i := range rep.Sites {
@@ -372,6 +344,41 @@ func (ev *Evaluator) EvaluateOn(eng *bgp.Engine, mat Matrix) *LoadReport {
 		ev.tobs.totalNs.Observe(time.Since(t0).Nanoseconds())
 	}
 	return rep
+}
+
+// forEach calls fn(0), …, fn(n-1) over a pool of at most workers
+// goroutines (GOMAXPROCS when workers <= 0), inline when the pool would be
+// a single worker. Callers write results by index, so nothing they produce
+// depends on scheduling.
+func forEach(workers, n int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	idx := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 }
 
 // evalChunk accumulates one contiguous slice of probe groups, left to right,

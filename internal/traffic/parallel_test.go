@@ -1,12 +1,10 @@
 package traffic
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
 	"anysim/internal/geo"
-	"anysim/internal/obs"
 )
 
 // reportsIdentical compares two load reports bit-for-bit: per-site demand,
@@ -53,64 +51,6 @@ func TestEvaluateParallelBitIdentical(t *testing.T) {
 		}
 	}
 	ev.Workers = 0
-}
-
-// TestResolveParallelDeterminism is the acceptance check for the concurrent
-// trial loop: Resolve with a parallel worker pool must produce the
-// identical action sequence, final report, and JSONL steering trace as the
-// serial walk at Workers=1.
-func TestResolveParallelDeterminism(t *testing.T) {
-	w := smallWorld(t)
-	m := NewModel(w.Platform, DemandConfig{Seed: 1})
-	ev := NewEvaluator(w.Engine, w.Imperva.IM6, m, CapacityConfig{})
-	mat := m.FlashCrowd(m.Matrix(0), geo.EMEA, 2.5)
-
-	type outcome struct {
-		res   *SteeringResult
-		trace string
-	}
-	runOnce := func(workers int) outcome {
-		var trace bytes.Buffer
-		st := NewSteerer(ev, SteeringConfig{
-			AllowSelective:     true,
-			AllowCrossAnnounce: true,
-			Workers:            workers,
-			Tracer:             obs.NewTracer(&trace),
-		})
-		res, err := st.Resolve(mat)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if err := st.Reset(); err != nil {
-			t.Fatalf("workers=%d: reset: %v", workers, err)
-		}
-		return outcome{res, trace.String()}
-	}
-
-	serial := runOnce(1)
-	if len(serial.res.Initial.Overloads()) == 0 {
-		t.Skip("flash factor did not overload the small world; nothing to steer")
-	}
-	for _, workers := range []int{2, 4, 0} {
-		par := runOnce(workers)
-		if par.trace != serial.trace {
-			t.Fatalf("workers=%d: trace differs from serial walk:\n--- serial ---\n%s--- parallel ---\n%s",
-				workers, serial.trace, par.trace)
-		}
-		if len(par.res.Actions) != len(serial.res.Actions) {
-			t.Fatalf("workers=%d: %d actions; serial took %d", workers, len(par.res.Actions), len(serial.res.Actions))
-		}
-		for i := range serial.res.Actions {
-			if serial.res.Actions[i].String() != par.res.Actions[i].String() {
-				t.Fatalf("workers=%d: action %d = %s; serial = %s",
-					workers, i, par.res.Actions[i], serial.res.Actions[i])
-			}
-		}
-		reportsIdentical(t, "final report", serial.res.Final, par.res.Final)
-		if par.res.Resolved != serial.res.Resolved {
-			t.Fatalf("workers=%d: resolved=%v; serial=%v", workers, par.res.Resolved, serial.res.Resolved)
-		}
-	}
 }
 
 // TestResolveOutcomeDeterministic resolves the same flash crowd twice: the

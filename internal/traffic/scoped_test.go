@@ -2,12 +2,9 @@ package traffic
 
 import (
 	"bytes"
-	"net/netip"
 	"runtime"
-	"slices"
 	"testing"
 
-	"anysim/internal/bgp"
 	"anysim/internal/geo"
 	"anysim/internal/obs"
 	"anysim/internal/policy"
@@ -16,8 +13,8 @@ import (
 var scopedPolicy = policy.MustParse("policy scope\nimport -> accept\n")
 
 // TestScopedAnnounceApply: the scoped-announce action stamps the site's
-// announcement with its own no-peer-metro community, without mutating the
-// announcement slice shared with other trials.
+// announcement with its own no-peer-metro community on the trial fork,
+// without mutating the announcement slice the fork shares with its parent.
 func TestScopedAnnounceApply(t *testing.T) {
 	w := smallWorld(t)
 	e := w.Engine.Fork()
@@ -35,24 +32,24 @@ func TestScopedAnnounceApply(t *testing.T) {
 	if err != nil {
 		t.Skipf("site city %s is not an IATA metro", ann.City)
 	}
-	cur := map[netip.Prefix][]bgp.SiteAnnouncement{p: slices.Clone(anns)}
+	f := e.Fork()
 	act := &Action{Kind: ActionScopedAnnounce, Prefix: p, Site: ann.Site, Target: ann.Site}
-	if err := st.applyOn(e, cur, act); err != nil {
+	if err := st.applyOn(f, act); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := annIn(cur, p, ann.Site)
-	if got == nil || !hasCommunity(got.Communities, scope) {
+	got, ok := annOf(f.Announcements(p), ann.Site)
+	if !ok || !hasCommunity(got.Communities, scope) {
 		t.Fatalf("scoped announce did not add %s: %+v", scope, got)
 	}
-	// The pre-action announcement value is untouched (fresh slice).
-	if len(ann.Communities) != 0 {
-		t.Fatalf("original announcement mutated: %+v", ann)
+	// The parent's announcement set is untouched (fresh slice on the fork).
+	if parent, _ := annOf(e.Announcements(p), ann.Site); len(parent.Communities) != 0 || len(anns[0].Communities) != 0 {
+		t.Fatalf("parent announcement mutated: %+v", parent)
 	}
 	// Applying again on the already-scoped set is a no-op add.
-	if err := st.applyOn(e, cur, act); err != nil {
+	if err := st.applyOn(f, act); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = annIn(cur, p, ann.Site)
+	got, _ = annOf(f.Announcements(p), ann.Site)
 	n := 0
 	for _, c := range got.Communities {
 		if c == scope {

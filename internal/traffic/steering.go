@@ -3,11 +3,8 @@ package traffic
 import (
 	"fmt"
 	"net/netip"
-	"runtime"
 	"slices"
 	"sort"
-	"strings"
-	"sync"
 
 	"anysim/internal/bgp"
 	"anysim/internal/obs"
@@ -103,8 +100,6 @@ type SteeringConfig struct {
 	// MaxActions caps the number of steering steps per Resolve call.
 	// Default 32.
 	MaxActions int
-	// MaxPrepend caps the prepend ladder. Default bgp.MaxPrepend.
-	MaxPrepend int
 	// AllowSelective enables transit-only announcement configs.
 	AllowSelective bool
 	// AllowCrossAnnounce enables regional cross-announcement shifts. Only
@@ -136,9 +131,6 @@ func (c SteeringConfig) withDefaults() SteeringConfig {
 	if c.MaxActions == 0 {
 		c.MaxActions = 32
 	}
-	if c.MaxPrepend == 0 {
-		c.MaxPrepend = bgp.MaxPrepend
-	}
 	return c
 }
 
@@ -151,15 +143,22 @@ type SteeringResult struct {
 	Resolved bool
 }
 
-// Steerer drives the BGP knobs to resolve overload, reusing the engine's
-// incremental reconvergence for each step. Reset restores the deployment's
-// original announcements bit-identically (full recompute is deterministic).
+// Steerer drives the BGP knobs to resolve overload. Every candidate step is
+// applied by incremental reconvergence on a fork of the evaluator's engine;
+// the engine itself only ever moves between snapshots — a commit adopts the
+// winning fork, a rewind reinstates the best fork seen, and Reset
+// reinstates the snapshot taken by NewSteerer. The engine is the one owner
+// of routing state: the steerer reads announcements from it and keeps none
+// of its own.
 type Steerer struct {
 	Eval *Evaluator
 	cfg  SteeringConfig
 
-	orig map[netip.Prefix][]bgp.SiteAnnouncement
-	cur  map[netip.Prefix][]bgp.SiteAnnouncement
+	// base is the engine as NewSteerer found it, and baseLinks the
+	// topology's disabled links then: Reset's restore point and the link
+	// state it is valid for.
+	base      *bgp.Engine
+	baseLinks []int
 
 	sobs steerObs
 }
@@ -180,7 +179,7 @@ type steerObs struct {
 	reg       *obs.Registry
 	resolveTm obs.SpanTimer // steer.resolve: one whole Resolve call
 	trialsTm  obs.SpanTimer // steer.round.trial_phase: one concurrent trial round
-	commitTm  obs.SpanTimer // steer.round.commit: applying the winner to the real engine
+	commitTm  obs.SpanTimer // steer.round.commit: adopting the winner's fork on the real engine
 
 	resolveSeq int64 // Resolve invocations on this steerer (serial)
 }
@@ -191,12 +190,15 @@ func (s *Steerer) spanActive() bool {
 	return s.cfg.Tracer.Enabled() || s.sobs.reg.WallEnabled()
 }
 
-// NewSteerer captures the deployment's resolved announcements as the
-// restore point.
+// NewSteerer snapshots the evaluator's engine, with the topology's current
+// link state, as the restore point for Reset.
 func NewSteerer(ev *Evaluator, cfg SteeringConfig) *Steerer {
-	s := &Steerer{Eval: ev, cfg: cfg.withDefaults()}
-	s.orig = ev.Dep.ResolvedAnnouncements(ev.Engine.Topology())
-	s.cur = copyAnns(s.orig)
+	s := &Steerer{
+		Eval:      ev,
+		cfg:       cfg.withDefaults(),
+		base:      ev.Engine.Fork(),
+		baseLinks: ev.Engine.Topology().DisabledLinks(),
+	}
 	if reg := s.cfg.Metrics; reg != nil {
 		s.sobs = steerObs{
 			rounds:   reg.Counter("steer.rounds"),
@@ -216,31 +218,15 @@ func NewSteerer(ev *Evaluator, cfg SteeringConfig) *Steerer {
 	return s
 }
 
-func copyAnns(in map[netip.Prefix][]bgp.SiteAnnouncement) map[netip.Prefix][]bgp.SiteAnnouncement {
-	out := make(map[netip.Prefix][]bgp.SiteAnnouncement, len(in))
-	for p, anns := range in {
-		out[p] = append([]bgp.SiteAnnouncement(nil), anns...)
-	}
-	return out
-}
-
-// Reset re-announces the original configuration for every deployment
-// prefix, restoring routing state bit-identically. Prefixes are restored
-// in sorted order so the engine's traced operation sequence is the same on
-// every run (map iteration order would leak into the trace otherwise).
+// Reset returns the engine to its state at NewSteerer — ribs,
+// announcements and failover hints — so a later Resolve does exactly the
+// work the first one did. The snapshot is only valid for the link state it
+// was taken under; after a link flip Reset is an error.
 func (s *Steerer) Reset() error {
-	prefixes := make([]netip.Prefix, 0, len(s.orig))
-	for p := range s.orig {
-		prefixes = append(prefixes, p)
+	if !slices.Equal(s.Eval.Engine.Topology().DisabledLinks(), s.baseLinks) {
+		return fmt.Errorf("traffic: reset: link state changed since the steerer was built")
 	}
-	slices.SortFunc(prefixes, func(a, b netip.Prefix) int { return strings.Compare(a.String(), b.String()) })
-	for _, p := range prefixes {
-		if err := s.Eval.Engine.Announce(p, s.orig[p]); err != nil {
-			return fmt.Errorf("traffic: reset %s: %w", p, err)
-		}
-	}
-	s.cur = copyAnns(s.orig)
-	return nil
+	return s.Eval.Engine.ResetTo(s.base)
 }
 
 // Resolution loop tuning. A flash crowd that saturates a whole region has
@@ -269,17 +255,17 @@ const (
 // of the worst trialsPerRound overloaded sites — every candidate is applied
 // and evaluated concurrently on its own engine fork (see trialRound) — then
 // commit the trial that minimizes total excess demand (demand above
-// capacity, summed over sites) to the real engine via incremental
-// reconvergence. A worst-site-only greedy oscillates here — prepending the
+// capacity, summed over sites) by making the winner's fork the real
+// engine's state. A worst-site-only greedy oscillates here — prepending the
 // worst site refills a previously drained sibling, and uniform prepend
 // waves recreate the original catchment. The engine is left in the steered
 // state; call Reset to unwind.
 func (s *Steerer) Resolve(mat Matrix) (*SteeringResult, error) {
 	// The whole Resolve, each concurrent trial round, and each winner
-	// application are spanned for the profiler. The commit span wraps
-	// s.apply, so the engine's reconvergence spans nest inside it. Spans
-	// live on the serial Resolve timeline only — the trial forks never
-	// trace — so span-bearing traces stay deterministic at any Workers.
+	// adoption are spanned for the profiler. The commit span wraps the
+	// engine's reset-to op. Spans live on the serial Resolve timeline only
+	// — the trial forks never trace — so span-bearing traces stay
+	// deterministic at any Workers.
 	s.sobs.resolveSeq++
 	spans := s.spanActive()
 	var rsp obs.SpanScope
@@ -289,8 +275,9 @@ func (s *Steerer) Resolve(mat Matrix) (*SteeringResult, error) {
 	}
 	rep := s.Eval.Evaluate(mat)
 	res := &SteeringResult{Initial: rep}
+	// best is the lowest-excess state seen: the walk rewinds to it.
+	best := snapshot{eng: s.Eval.Engine.Fork(), rep: rep}
 	bestExcess := totalExcess(rep)
-	bestLen := 0
 	stall := 0
 	round := int64(0)
 	// Tabu memory: each exact transition is committed at most once per
@@ -325,20 +312,19 @@ func (s *Steerer) Resolve(mat Matrix) (*SteeringResult, error) {
 		// strict minimum in candidate order. Trial events are emitted here,
 		// after the round, in candidate order — not goroutine completion
 		// order.
-		best := -1
+		win := -1
 		for i := range trials {
 			s.traceTrial(round, int64(i), cands[i], trials[i].exc)
-			if best < 0 || trials[i].exc < trials[best].exc {
-				best = i
+			if win < 0 || trials[i].exc < trials[win].exc {
+				win = i
 			}
 		}
-		if best < 0 {
+		if win < 0 {
 			break
 		}
-		// Apply the winner to the real engine; reconvergence is
-		// deterministic, so it lands in the trialled state. The losing
-		// forks are simply dropped — no rollback churn.
-		act := cands[best]
+		// The winner's fork already holds the committed state: the real
+		// engine adopts it, and the losing forks are simply dropped.
+		act, won := cands[win], trials[win]
 		var csp obs.SpanScope
 		if spans {
 			// Named "apply" so the span does not shadow the flat "commit"
@@ -346,13 +332,13 @@ func (s *Steerer) Resolve(mat Matrix) (*SteeringResult, error) {
 			csp = obs.StartSpan(s.cfg.Tracer, s.sobs.reg, s.sobs.commitTm, "steer", "apply",
 				obs.Coord{Key: "resolve", V: s.sobs.resolveSeq}, obs.Coord{Key: "round", V: round})
 		}
-		if err := s.apply(act); err != nil {
+		if err := s.Eval.Engine.ResetTo(won.fork); err != nil {
 			csp.End()
 			rsp.End()
 			return nil, err
 		}
 		csp.End()
-		after := trials[best].after
+		after := won.after
 		if sl, ok := rep.SiteLoadByID(act.Target); ok {
 			act.UtilBefore = sl.Utilization()
 		}
@@ -365,32 +351,31 @@ func (s *Steerer) Resolve(mat Matrix) (*SteeringResult, error) {
 		act.MovedRate, act.RTTCostMs = shedCost(rep, after)
 		accepted[actionKey(act)] = true
 		res.Actions = append(res.Actions, *act)
-		exc := trials[best].exc
 		s.sobs.actions.Inc()
-		s.sobs.excess.Set(exc)
-		s.traceCommit(round, int64(best), act, exc)
+		s.sobs.excess.Set(won.exc)
+		s.traceCommit(round, int64(win), act, won.exc)
 		rep = after
-		if exc < bestExcess-1e-9 {
-			bestExcess, bestLen, stall = exc, len(res.Actions), 0
+		if won.exc < bestExcess-1e-9 {
+			bestExcess, stall = won.exc, 0
+			best = snapshot{eng: won.fork, rep: after, actions: len(res.Actions)}
 		} else {
 			stall++
-			if stall%stallRestart == 0 && len(res.Actions) > bestLen {
-				if err := s.rewindTo(res, bestLen); err != nil {
+			if stall%stallRestart == 0 && len(res.Actions) > best.actions {
+				if rep, err = s.rewindTo(res, best); err != nil {
 					rsp.End()
 					return nil, err
 				}
-				rep = s.Eval.Evaluate(mat)
 			}
 		}
 	}
 	// The walk may have ended past its minimum; leave the engine in the
 	// best state seen.
-	if len(res.Actions) > bestLen {
-		if err := s.rewindTo(res, bestLen); err != nil {
+	if len(res.Actions) > best.actions {
+		var err error
+		if rep, err = s.rewindTo(res, best); err != nil {
 			rsp.End()
 			return nil, err
 		}
-		rep = s.Eval.Evaluate(mat)
 	}
 	res.Final = rep
 	res.Resolved = len(rep.Overloads()) == 0
@@ -400,29 +385,32 @@ func (s *Steerer) Resolve(mat Matrix) (*SteeringResult, error) {
 	return res, nil
 }
 
-// rewindTo restores the original announcements and replays the first n
-// committed actions: apply is deterministic, so the replay reconverges to
-// that intermediate state exactly.
-func (s *Steerer) rewindTo(res *SteeringResult, n int) error {
+// snapshot is a state of the walk: the engine fork holding it, its load
+// report, and how many committed actions led there. A trial fork is never
+// touched after its trial, so a committed winner's fork serves as is.
+type snapshot struct {
+	eng     *bgp.Engine
+	rep     *LoadReport
+	actions int
+}
+
+// rewindTo reinstates a snapshot of the walk on the real engine, drops the
+// actions committed after it, and returns its load report.
+func (s *Steerer) rewindTo(res *SteeringResult, to snapshot) (*LoadReport, error) {
 	s.sobs.rewinds.Inc()
 	if tr := s.cfg.Tracer; tr.Enabled() {
 		tr.Emit(obs.Event{
 			Scope: "steer",
 			Name:  "rewind",
 			Clock: []obs.Coord{{Key: "resolve", V: s.sobs.resolveSeq}},
-			Attrs: []obs.Attr{obs.Int("keep", int64(n)), obs.Int("drop", int64(len(res.Actions)-n))},
+			Attrs: []obs.Attr{obs.Int("keep", int64(to.actions)), obs.Int("drop", int64(len(res.Actions)-to.actions))},
 		})
 	}
-	if err := s.Reset(); err != nil {
-		return err
+	if err := s.Eval.Engine.ResetTo(to.eng); err != nil {
+		return nil, err
 	}
-	res.Actions = res.Actions[:n]
-	for i := range res.Actions {
-		if err := s.apply(&res.Actions[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	res.Actions = res.Actions[:to.actions]
+	return to.rep, nil
 }
 
 // traceTrial emits one candidate's trial outcome as a structured event,
@@ -439,8 +427,8 @@ func (s *Steerer) traceTrial(round, idx int64, act *Action, exc float64) {
 	})
 }
 
-// traceCommit marks the round's winning candidate after it was applied to
-// the real engine.
+// traceCommit marks the round's winning candidate after the real engine
+// adopted its fork.
 func (s *Steerer) traceCommit(round, idx int64, act *Action, exc float64) {
 	if !s.cfg.Tracer.Enabled() {
 		return
@@ -459,8 +447,10 @@ func (s *Steerer) traceCommit(round, idx int64, act *Action, exc float64) {
 	})
 }
 
-// trialOutcome is one candidate's measured effect.
+// trialOutcome is one candidate's measured effect, with the fork that
+// holds it so a commit can adopt it.
 type trialOutcome struct {
+	fork  *bgp.Engine
 	after *LoadReport
 	exc   float64
 	err   error
@@ -468,58 +458,22 @@ type trialOutcome struct {
 
 // trialRound applies and evaluates every candidate concurrently, each on a
 // private copy-on-write fork of the real engine, over a worker pool bounded
-// by cfg.Workers (GOMAXPROCS when 0). An action only ever touches its own
-// prefix, so each trial clones just that prefix's announcement list; the
-// shared steerer state, the demand model, and the parent engine are
-// read-only for the duration of the round. Results come back indexed by
-// candidate, so downstream winner selection and tracing are independent of
-// scheduling. This replaces the serial apply/measure/rollback walk: each
-// trial costs one incremental reconvergence on a throwaway fork instead of
-// two on the live engine.
+// by cfg.Workers (GOMAXPROCS when 0). The demand model and the parent
+// engine are read-only for the duration of the round. Results come back
+// indexed by candidate, so downstream winner selection and tracing are
+// independent of scheduling. Each trial costs one incremental
+// reconvergence on its fork, and the winner's costs nothing more.
 func (s *Steerer) trialRound(mat Matrix, cands []*Action) ([]trialOutcome, error) {
 	out := make([]trialOutcome, len(cands))
-	run := func(i int) {
-		act := cands[i]
+	forEach(s.cfg.Workers, len(cands), func(i int) {
 		f := s.Eval.Engine.Fork()
-		cur := map[netip.Prefix][]bgp.SiteAnnouncement{
-			act.Prefix: slices.Clone(s.cur[act.Prefix]),
-		}
-		if err := s.applyOn(f, cur, act); err != nil {
+		if err := s.applyOn(f, cands[i]); err != nil {
 			out[i] = trialOutcome{err: err}
 			return
 		}
 		after := s.Eval.EvaluateOn(f, mat)
-		out[i] = trialOutcome{after: after, exc: totalExcess(after)}
-	}
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		for i := range cands {
-			run(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					run(i)
-				}
-			}()
-		}
-		for i := range cands {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+		out[i] = trialOutcome{fork: f, after: after, exc: totalExcess(after)}
+	})
 	for i := range out {
 		if out[i].err != nil {
 			return nil, out[i].err
@@ -617,12 +571,13 @@ func (s *Steerer) knobCands(rep *LoadReport, over SiteLoad) []*Action {
 	if !ok {
 		return nil
 	}
-	ann, _ := s.annFor(p, over.Site)
+	anns := s.Eval.Engine.Announcements(p)
+	ann, announced := annOf(anns, over.Site)
 	var cands []*Action
 
 	crossCands := func() []*Action {
 		var out []*Action
-		for _, helper := range s.helpersBySpare(rep, p) {
+		for _, helper := range helpersBySpare(rep, anns, s.Eval.Config().SoftUtil) {
 			out = append(out, &Action{
 				Kind: ActionCrossAnnounce, Prefix: p, Site: helper, Target: over.Site,
 				Detail: fmt.Sprintf("announce %s from %s", p, helper),
@@ -636,7 +591,7 @@ func (s *Steerer) knobCands(rep *LoadReport, over SiteLoad) []*Action {
 	// prepending every hot site in turn only restores the original relative
 	// path lengths. Add capacity first by cross-announcing from spare
 	// sites, largest spare first.
-	saturated := s.cfg.AllowCrossAnnounce && s.prefixSaturated(rep, p)
+	saturated := s.cfg.AllowCrossAnnounce && s.prefixSaturated(rep, anns, p)
 	if saturated {
 		cands = append(cands, crossCands()...)
 	}
@@ -645,7 +600,7 @@ func (s *Steerer) knobCands(rep *LoadReport, over SiteLoad) []*Action {
 	// disturbing the intra-region balance. Before any helper exists the
 	// wave would only shuffle the region onto itself, so it is not
 	// offered.
-	if wave := s.waveCand(p, over); wave != nil {
+	if wave := s.waveCand(anns, p, over); wave != nil {
 		cands = append(cands, wave)
 	}
 
@@ -654,7 +609,7 @@ func (s *Steerer) knobCands(rep *LoadReport, over SiteLoad) []*Action {
 	// spills to transit (and often to a sibling site) while every other
 	// peer keeps its direct route. Offered before transit-only because it
 	// sheds a strict subset of what that knob sheds.
-	if s.cfg.AllowScoped && ann != nil && s.Eval.Engine.Policy() != nil {
+	if s.cfg.AllowScoped && announced && s.Eval.Engine.Policy() != nil {
 		if scope, err := policy.NoPeerMetro(ann.City); err == nil && !hasCommunity(ann.Communities, scope) {
 			cands = append(cands, &Action{
 				Kind: ActionScopedAnnounce, Prefix: p, Site: over.Site, Target: over.Site,
@@ -668,7 +623,7 @@ func (s *Steerer) knobCands(rep *LoadReport, over SiteLoad) []*Action {
 	// two levels also offer transit-only: withdrawing from peers forces
 	// those clients onto their provider paths, where length comparison
 	// resumes.
-	if s.cfg.AllowSelective && ann != nil && ann.OnlyNeighbors == nil && ann.Prepend >= 2 {
+	if s.cfg.AllowSelective && announced && ann.OnlyNeighbors == nil && ann.Prepend >= 2 {
 		providers := providersAt(s.Eval.Engine.Topology(), s.Eval.Dep.ASN, ann.City)
 		if len(providers) > 0 {
 			cands = append(cands, &Action{
@@ -681,10 +636,10 @@ func (s *Steerer) knobCands(rep *LoadReport, over SiteLoad) []*Action {
 	// a site whose path advantage is several hops deep sheds nothing until
 	// the prepend overcomes all of it, and single steps never survive a
 	// best-of-round trial. Larger strides let one action cross that gap.
-	if ann != nil && ann.Prepend < s.cfg.MaxPrepend {
-		for _, next := range []int{ann.Prepend + 1, ann.Prepend + 3, s.cfg.MaxPrepend} {
-			if next > s.cfg.MaxPrepend {
-				next = s.cfg.MaxPrepend
+	if announced && ann.Prepend < bgp.MaxPrepend {
+		for _, next := range []int{ann.Prepend + 1, ann.Prepend + 3, bgp.MaxPrepend} {
+			if next > bgp.MaxPrepend {
+				next = bgp.MaxPrepend
 			}
 			cands = append(cands, &Action{
 				Kind: ActionPrepend, Prefix: p, Site: over.Site, Target: over.Site,
@@ -696,7 +651,7 @@ func (s *Steerer) knobCands(rep *LoadReport, over SiteLoad) []*Action {
 	// Pushing is not the only move: a sibling that earlier steps drained
 	// with prepending can pull load back by removing a level. Offer the
 	// attract move for the sparest prepended siblings.
-	cands = append(cands, s.attractCands(rep, p, over)...)
+	cands = append(cands, s.attractCands(rep, anns, p, over)...)
 	// Cross-announcing can still relieve an unsaturated prefix whose mild
 	// knobs all failed.
 	if s.cfg.AllowCrossAnnounce && !saturated {
@@ -737,21 +692,22 @@ func (s *Steerer) regionSites(p netip.Prefix) (string, map[string]bool) {
 // nil when the move is unavailable: no owning region, no out-of-region
 // helper announced yet, or the whole region already at the prepend cap.
 // The wave's tabu identity is the region's aggregate prepend depth, so
-// each rung of the coordinated ladder is trialled once.
-func (s *Steerer) waveCand(p netip.Prefix, over SiteLoad) *Action {
+// each rung of the coordinated ladder is trialled once. anns is p's
+// current announcement set.
+func (s *Steerer) waveCand(anns []bgp.SiteAnnouncement, p netip.Prefix, over SiteLoad) *Action {
 	region, inRegion := s.regionSites(p)
 	if inRegion == nil {
 		return nil
 	}
 	hasHelper, canDeepen := false, false
 	depth := 0
-	for _, ann := range s.cur[p] {
+	for _, ann := range anns {
 		if !inRegion[ann.Site] {
 			hasHelper = true
 			continue
 		}
 		depth += ann.Prepend
-		if ann.Prepend < s.cfg.MaxPrepend {
+		if ann.Prepend < bgp.MaxPrepend {
 			canDeepen = true
 		}
 	}
@@ -768,7 +724,8 @@ func (s *Steerer) waveCand(p netip.Prefix, over SiteLoad) *Action {
 // soft-knee capacity of the sites announcing it. The soft threshold keeps
 // cross-announcing until the prefix has real slack: provisioning exactly to
 // demand leaves the shuffling knobs no headroom to land catchment chunks.
-func (s *Steerer) prefixSaturated(rep *LoadReport, p netip.Prefix) bool {
+// anns is p's current announcement set.
+func (s *Steerer) prefixSaturated(rep *LoadReport, anns []bgp.SiteAnnouncement, p netip.Prefix) bool {
 	demand := 0.0
 	for _, a := range rep.Assignments {
 		if a.Prefix == p {
@@ -776,7 +733,7 @@ func (s *Steerer) prefixSaturated(rep *LoadReport, p netip.Prefix) bool {
 		}
 	}
 	capacity := 0.0
-	for _, ann := range s.cur[p] {
+	for _, ann := range anns {
 		if sl, ok := rep.SiteLoadByID(ann.Site); ok {
 			capacity += sl.Capacity
 		}
@@ -802,33 +759,28 @@ func (s *Steerer) hottestPrefix(rep *LoadReport, site string) (netip.Prefix, boo
 	return best, bestRate >= 0
 }
 
-// annFor finds a site's current announcement of a prefix.
-func (s *Steerer) annFor(p netip.Prefix, site string) (*bgp.SiteAnnouncement, int) {
-	return annIn(s.cur, p, site)
-}
-
-// annIn finds a site's announcement of a prefix in a working set.
-func annIn(cur map[netip.Prefix][]bgp.SiteAnnouncement, p netip.Prefix, site string) (*bgp.SiteAnnouncement, int) {
-	for i := range cur[p] {
-		if cur[p][i].Site == site {
-			return &cur[p][i], i
+// annOf finds a site's announcement in a prefix's announcement set.
+func annOf(anns []bgp.SiteAnnouncement, site string) (bgp.SiteAnnouncement, bool) {
+	for _, a := range anns {
+		if a.Site == site {
+			return a, true
 		}
 	}
-	return nil, -1
+	return bgp.SiteAnnouncement{}, false
 }
 
-// attractCands proposes prepend decreases on announcers of p that are
-// below the soft knee but still prepended, sparest first: the inverse
-// knob, pulling load toward unused capacity instead of pushing it off the
-// overloaded site.
-func (s *Steerer) attractCands(rep *LoadReport, p netip.Prefix, over SiteLoad) []*Action {
+// attractCands proposes prepend decreases on announcers of p (announcement
+// set anns) that are below the soft knee but still prepended, sparest
+// first: the inverse knob, pulling load toward unused capacity instead of
+// pushing it off the overloaded site.
+func (s *Steerer) attractCands(rep *LoadReport, anns []bgp.SiteAnnouncement, p netip.Prefix, over SiteLoad) []*Action {
 	soft := s.Eval.Config().SoftUtil
 	type cand struct {
 		ann   bgp.SiteAnnouncement
 		spare float64
 	}
 	var cs []cand
-	for _, ann := range s.cur[p] {
+	for _, ann := range anns {
 		if ann.Site == over.Site || ann.Prepend == 0 {
 			continue
 		}
@@ -855,16 +807,15 @@ func (s *Steerer) attractCands(rep *LoadReport, p netip.Prefix, over SiteLoad) [
 	return out
 }
 
-// helpersBySpare lists sites not announcing p and below the soft knee,
-// most spare capacity first. Spare capacity, not distance, ranks helpers:
-// a nearby thin edge site would itself overload the moment a catchment
-// chunk lands on it.
-func (s *Steerer) helpersBySpare(rep *LoadReport, p netip.Prefix) []string {
+// helpersBySpare lists sites outside a prefix's announcement set anns and
+// below the soft knee, most spare capacity first. Spare capacity, not
+// distance, ranks helpers: a nearby thin edge site would itself overload
+// the moment a catchment chunk lands on it.
+func helpersBySpare(rep *LoadReport, anns []bgp.SiteAnnouncement, soft float64) []string {
 	announces := map[string]bool{}
-	for _, ann := range s.cur[p] {
+	for _, ann := range anns {
 		announces[ann.Site] = true
 	}
-	soft := s.Eval.Config().SoftUtil
 	type cand struct {
 		site  string
 		spare float64
@@ -889,90 +840,60 @@ func (s *Steerer) helpersBySpare(rep *LoadReport, p netip.Prefix) []string {
 	return out
 }
 
-// apply pushes one action into the real engine via incremental per-site
-// reconvergence and records it in the working announcement set.
-func (s *Steerer) apply(act *Action) error {
-	return s.applyOn(s.Eval.Engine, s.cur, act)
-}
-
-// applyOn pushes one action into an engine (the real one, or a trial fork)
-// and records it in the given working announcement set. Everything else it
-// reads — the deployment, the topology, the steerer configuration — is
-// immutable, so concurrent trials only need disjoint engines and working
-// sets.
-func (s *Steerer) applyOn(eng *bgp.Engine, cur map[netip.Prefix][]bgp.SiteAnnouncement, act *Action) error {
+// applyOn pushes one action into a trial fork via incremental per-site
+// reconvergence, reading the current announcements from the fork itself.
+// Everything else it reads — the deployment, the topology, the steerer
+// configuration — is immutable, so concurrent trials only need disjoint
+// engines.
+func (s *Steerer) applyOn(eng *bgp.Engine, act *Action) error {
+	anns := eng.Announcements(act.Prefix)
+	ann, announced := annOf(anns, act.Site)
+	if !announced && act.Kind != ActionCrossAnnounce && act.Kind != ActionPrependWave {
+		return fmt.Errorf("traffic: %s does not announce %s", act.Site, act.Prefix)
+	}
 	switch act.Kind {
 	case ActionPrepend:
-		ann, i := annIn(cur, act.Prefix, act.Site)
-		if ann == nil {
-			return fmt.Errorf("traffic: %s does not announce %s", act.Site, act.Prefix)
-		}
-		next := *ann
-		next.Prepend = act.Prepend
-		if err := eng.AnnounceSite(act.Prefix, next); err != nil {
-			return err
-		}
-		cur[act.Prefix][i] = next
+		ann.Prepend = act.Prepend
+		return eng.AnnounceSite(act.Prefix, ann)
 	case ActionSelective:
-		ann, i := annIn(cur, act.Prefix, act.Site)
-		if ann == nil {
-			return fmt.Errorf("traffic: %s does not announce %s", act.Site, act.Prefix)
-		}
-		next := *ann
-		next.OnlyNeighbors = providersAt(eng.Topology(), s.Eval.Dep.ASN, ann.City)
-		if err := eng.AnnounceSite(act.Prefix, next); err != nil {
-			return err
-		}
-		cur[act.Prefix][i] = next
+		ann.OnlyNeighbors = providersAt(eng.Topology(), s.Eval.Dep.ASN, ann.City)
+		return eng.AnnounceSite(act.Prefix, ann)
 	case ActionCrossAnnounce:
 		site, ok := s.Eval.Dep.SiteByID(act.Site)
 		if !ok {
 			return fmt.Errorf("traffic: unknown site %s", act.Site)
 		}
-		next := bgp.SiteAnnouncement{
+		return eng.AnnounceSite(act.Prefix, bgp.SiteAnnouncement{
 			Origin: s.Eval.Dep.ASN,
 			Site:   site.ID,
 			City:   site.City,
-		}
-		if err := eng.AnnounceSite(act.Prefix, next); err != nil {
-			return err
-		}
-		cur[act.Prefix] = append(cur[act.Prefix], next)
+		})
 	case ActionScopedAnnounce:
-		ann, i := annIn(cur, act.Prefix, act.Site)
-		if ann == nil {
-			return fmt.Errorf("traffic: %s does not announce %s", act.Site, act.Prefix)
-		}
 		scope, err := policy.NoPeerMetro(ann.City)
 		if err != nil {
 			return fmt.Errorf("traffic: scoped announce at %s: %w", ann.City, err)
 		}
-		next := *ann
-		next.Communities = appendCommunity(ann.Communities, scope)
-		if err := eng.AnnounceSite(act.Prefix, next); err != nil {
-			return err
-		}
-		cur[act.Prefix][i] = next
+		ann.Communities = appendCommunity(ann.Communities, scope)
+		return eng.AnnounceSite(act.Prefix, ann)
 	case ActionPrependWave:
 		_, inRegion := s.regionSites(act.Prefix)
 		if inRegion == nil {
 			return fmt.Errorf("traffic: %s has no owning region", act.Prefix)
 		}
-		for i, ann := range cur[act.Prefix] {
-			if !inRegion[ann.Site] || ann.Prepend >= s.cfg.MaxPrepend {
+		// anns is the set before the wave; AnnounceSite installs a fresh
+		// slice, so ranging over it is safe.
+		for _, a := range anns {
+			if !inRegion[a.Site] || a.Prepend >= bgp.MaxPrepend {
 				continue
 			}
-			next := ann
-			next.Prepend++
-			if err := eng.AnnounceSite(act.Prefix, next); err != nil {
+			a.Prepend++
+			if err := eng.AnnounceSite(act.Prefix, a); err != nil {
 				return err
 			}
-			cur[act.Prefix][i] = next
 		}
-	default:
-		return fmt.Errorf("traffic: unknown action kind %d", act.Kind)
+		return nil
 	}
-	return nil
+	return fmt.Errorf("traffic: unknown action kind %d", act.Kind)
 }
 
 // hasCommunity reports whether an announcement's community list already
@@ -987,7 +908,7 @@ func hasCommunity(cs []policy.Community, c policy.Community) bool {
 }
 
 // appendCommunity returns a fresh community list with c added (announcement
-// slices are shared across trial forks, so never mutated in place).
+// slices are shared across engine forks, so never mutated in place).
 func appendCommunity(cs []policy.Community, c policy.Community) []policy.Community {
 	out := make([]policy.Community, 0, len(cs)+1)
 	out = append(out, cs...)
