@@ -36,7 +36,6 @@ package bgp
 // inputs did not change recomputes to an identical rib and spills nothing.
 
 import (
-	"fmt"
 	"maps"
 	"net/netip"
 	"slices"
@@ -66,48 +65,19 @@ func (e *Engine) LastReconvergeStats() ReconvergeStats {
 }
 
 // WithdrawSite removes a single site's announcement for a prefix and
-// incrementally reconverges routing. Withdrawing the last site leaves the
-// prefix dark but re-announceable via AnnounceSite.
+// incrementally reconverges routing: a batch of one (see ApplyBatch).
+// Withdrawing the last site leaves the prefix dark but re-announceable via
+// AnnounceSite.
 func (e *Engine) WithdrawSite(prefix netip.Prefix, siteID string) error {
-	e.mu.RLock()
-	anns, known := e.anns[prefix]
-	old := e.ribs[prefix]
-	e.mu.RUnlock()
-	if !known {
-		return fmt.Errorf("bgp: withdraw of site %q for unannounced prefix %s", siteID, prefix)
+	b := e.NewBatch()
+	if err := b.WithdrawSite(prefix, siteID); err != nil {
+		return err
 	}
-	idx := -1
-	for i, a := range anns {
-		if a.Site == siteID {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return fmt.Errorf("bgp: prefix %s has no site %q", prefix, siteID)
-	}
-	e.eobs.siteOps.Inc()
-	removed := anns[idx]
-	newAnns := slices.Delete(slices.Clone(anns), idx, idx+1)
-	if len(newAnns) == 0 {
-		// The prefix goes dark: keep the (empty) announcement entry so a
-		// later AnnounceSite can restore it, but drop all routing state.
-		st := ReconvergeStats{Dirty: old.populated(), Passes: 1}
-		e.install(prefix, newAnns, make(ribTable, e.n), st)
-		e.eobs.dirty.Observe(int64(st.Dirty))
-		e.traceOp("withdraw-site", prefix, st)
-		return nil
-	}
-	dirty := e.siteRefs(old, siteID)
-	dirty.add(e.asIdx[removed.Origin])
-	e.seedTargets(removed, dirty)
-	e.mergeHint(prefix, siteID, dirty)
-	touched, err := e.reconverge(prefix, newAnns, old, dirty)
+	st, err := e.commit(b.anns, nil)
 	if err != nil {
 		return err
 	}
-	e.storeHint(prefix, siteID, touched)
-	e.traceOp("withdraw-site", prefix, e.LastReconvergeStats())
+	e.traceOp("withdraw-site", prefix, st)
 	return nil
 }
 
@@ -148,12 +118,13 @@ func (e *Engine) AnnounceSite(prefix netip.Prefix, ann SiteAnnouncement) error {
 	}
 	e.seedTargets(ann, dirty)
 	e.mergeHint(prefix, ann.Site, dirty)
-	touched, err := e.reconverge(prefix, newAnns, old, dirty)
+	ribs, st, touched, err := e.reconverge(prefix, newAnns, old, dirty)
 	if err != nil {
 		return err
 	}
+	e.install(prefix, newAnns, ribs, st)
 	e.storeHint(prefix, ann.Site, touched)
-	e.traceOp("announce-site", prefix, e.LastReconvergeStats())
+	e.traceOp("announce-site", prefix, st)
 	return nil
 }
 
@@ -186,58 +157,26 @@ func (e *Engine) storeHint(prefix netip.Prefix, siteID string, touched *asBits) 
 }
 
 // ReconvergeLinks incrementally reconverges every announced prefix after
-// the listed links changed up/down state. Callers flip state with
-// Topology.SetLinkEnabled first, then hand the changed indices here; the
-// endpoints of each changed link form the initial dirty set (every route
-// carried over a link lives in the ribs of its endpoints, so no other AS
-// can change at first order).
+// the listed links changed up/down state: a batch of links already flipped
+// (see ApplyBatch). Callers flip state with Topology.SetLinkEnabled first,
+// then hand the changed indices here; the endpoints of each changed link
+// form the initial dirty set (every route carried over a link lives in the
+// ribs of its endpoints, so no other AS can change at first order).
 func (e *Engine) ReconvergeLinks(changed []int) error {
 	if len(changed) == 0 {
 		return nil
 	}
-	links := e.topo.Links()
-	seed := newASBits(e.n)
-	for _, li := range changed {
-		if li < 0 || li >= len(links) {
-			return fmt.Errorf("bgp: link index %d out of range [0,%d)", li, len(links))
-		}
-		ai, bi := e.linkEnds(li)
-		seed.add(ai)
-		seed.add(bi)
+	st, err := e.commit(nil, changed)
+	if err != nil {
+		return err
 	}
-	e.eobs.linkOps.Inc()
-	var agg ReconvergeStats
-	for _, p := range e.Prefixes() {
-		e.mu.RLock()
-		anns := e.anns[p]
-		old := e.ribs[p]
-		e.mu.RUnlock()
-		if len(anns) == 0 {
-			continue // dark prefix: nothing to reconverge
-		}
-		if _, err := e.reconverge(p, anns, old, seed.clone()); err != nil {
-			return err
-		}
-		st := e.LastReconvergeStats()
-		agg.Dirty += st.Dirty
-		agg.Passes = max(agg.Passes, st.Passes)
-		agg.Full = agg.Full || st.Full
-	}
-	e.mu.Lock()
-	e.lastStats = agg
-	e.mu.Unlock()
 	if e.eobs.tracer.Enabled() {
-		e.eobs.tracer.Emit(obs.Event{
-			Scope: "bgp",
-			Name:  "reconverge-links",
-			Clock: []obs.Coord{{Key: "op", V: e.eobs.seq.Add(1)}},
-			Attrs: []obs.Attr{
-				obs.Int("links", int64(len(changed))),
-				obs.Int("dirty", int64(agg.Dirty)),
-				obs.Int("passes", int64(agg.Passes)),
-				obs.Bool("full", agg.Full),
-			},
-		})
+		e.emitOp("reconverge-links",
+			obs.Int("links", int64(len(changed))),
+			obs.Int("dirty", int64(st.Dirty)),
+			obs.Int("passes", int64(st.Passes)),
+			obs.Bool("full", st.Full),
+		)
 	}
 	return nil
 }
@@ -248,8 +187,9 @@ func (e *Engine) ReconvergeLinks(changed []int) error {
 // dirty set — so the total work tracks the number of ASes that actually
 // change. If the touched set outgrows three quarters of the topology the
 // incremental regime has lost its advantage and a full recompute takes
-// over. It returns the touched set (nil after a full fallback).
-func (e *Engine) reconverge(prefix netip.Prefix, anns []SiteAnnouncement, old ribTable, seed *asBits) (*asBits, error) {
+// over. It returns the new table and its stats for the caller to install,
+// and the touched set (nil after a full fallback).
+func (e *Engine) reconverge(prefix netip.Prefix, anns []SiteAnnouncement, old ribTable, seed *asBits) (ribTable, ReconvergeStats, *asBits, error) {
 	// The whole operation and each frontier drain are spanned for the
 	// profiler. The op clock anticipates the sequence number the caller's
 	// operation event will draw (seq+1), so spans and the event that
@@ -272,10 +212,9 @@ func (e *Engine) reconverge(prefix netip.Prefix, anns []SiteAnnouncement, old ri
 			ribs, err := e.converge(prefix, anns, nil)
 			if err != nil {
 				rsp.End()
-				return nil, err
+				return nil, ReconvergeStats{}, nil, err
 			}
 			st := ReconvergeStats{Dirty: e.n, Passes: passes, Full: true}
-			e.install(prefix, anns, ribs, st)
 			e.eobs.fulls.Inc()
 			e.eobs.dirty.Observe(int64(st.Dirty))
 			e.eobs.passes.Observe(int64(st.Passes))
@@ -283,7 +222,7 @@ func (e *Engine) reconverge(prefix netip.Prefix, anns []SiteAnnouncement, old ri
 				rsp.End(obs.Int("dirty", int64(st.Dirty)), obs.Int("passes", int64(st.Passes)),
 					obs.Bool("full", true))
 			}
-			return nil, nil
+			return ribs, st, nil, nil
 		}
 		frontier := int64(delta.len())
 		e.eobs.frontier.Observe(frontier)
@@ -296,7 +235,7 @@ func (e *Engine) reconverge(prefix netip.Prefix, anns []SiteAnnouncement, old ri
 		if err != nil {
 			psp.End()
 			rsp.End()
-			return nil, err
+			return nil, ReconvergeStats{}, nil, err
 		}
 		delta = e.spill(ribs, cur, delta)
 		cur = ribs
@@ -306,13 +245,12 @@ func (e *Engine) reconverge(prefix netip.Prefix, anns []SiteAnnouncement, old ri
 		}
 	}
 	st := ReconvergeStats{Dirty: touched.len(), Passes: passes}
-	e.install(prefix, anns, cur, st)
 	e.eobs.dirty.Observe(int64(st.Dirty))
 	e.eobs.passes.Observe(int64(st.Passes))
 	if rsp.Active() {
 		rsp.End(obs.Int("dirty", int64(st.Dirty)), obs.Int("passes", int64(st.Passes)))
 	}
-	return touched, nil
+	return cur, st, touched, nil
 }
 
 // spill returns the next worklist round: every AS outside the current round

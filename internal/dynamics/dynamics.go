@@ -15,6 +15,7 @@ package dynamics
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
 	"sort"
 
@@ -233,85 +234,110 @@ func (r *Runner) sitePrefixes(site string) []netip.Prefix {
 	return out
 }
 
-// Apply executes one event against the engine and topology.
+// Apply executes one event against the engine and topology: a batch of
+// one (see ApplyBatch).
 func (r *Runner) Apply(ev Event) error {
+	_, err := r.ApplyBatch([]Event{ev})
+	return err
+}
+
+// ApplyBatch executes a batch of events as one routing change and returns
+// its reconvergence work (zero for flash crowds alone, which leave routing
+// untouched). Every event is checked, in order, against the state the
+// events before it leave, by the rules of one-at-a-time application; a bad
+// event fails the batch with nothing applied. The engine then reconverges
+// the batch's net change once (bgp.Engine.ApplyBatch), so a fault opened
+// and repaired inside the batch costs nothing. Routing, announcement order,
+// link states and flash crowds end as applying the events one at a time
+// leaves them.
+func (r *Runner) ApplyBatch(evs []Event) (bgp.ReconvergeStats, error) {
+	b := r.Engine.NewBatch()
+	flash := maps.Clone(r.flash)
+	routing := false
+	for _, ev := range evs {
+		if err := r.stage(b, flash, ev); err != nil {
+			return bgp.ReconvergeStats{}, err
+		}
+		routing = routing || ev.Kind != FlashBegin && ev.Kind != FlashEnd
+	}
+	var st bgp.ReconvergeStats
+	if routing {
+		if err := r.Engine.ApplyBatch(b); err != nil {
+			return st, err
+		}
+		st = r.Engine.LastReconvergeStats()
+	}
+	r.flash = flash
+	return st, nil
+}
+
+// stage checks one event and stages its change: routing changes on b,
+// flash crowds on flash.
+func (r *Runner) stage(b *bgp.Batch, flash map[geo.Area]float64, ev Event) error {
 	tp := r.Engine.Topology()
 	switch ev.Kind {
 	case SiteDown:
-		return r.siteDown(ev.Site)
+		return r.siteDown(b, ev.Site)
 	case SiteUp:
-		return r.siteUp(ev.Site)
+		return r.siteUp(b, ev.Site)
 	case Reannounce:
-		if err := r.siteDown(ev.Site); err != nil {
+		if err := r.siteDown(b, ev.Site); err != nil {
 			return err
 		}
-		return r.siteUp(ev.Site)
+		return r.siteUp(b, ev.Site)
 	case LinkDown, LinkUp:
 		li, ok := tp.LinkIndexBetween(ev.A, ev.B)
 		if !ok {
 			return fmt.Errorf("dynamics: no link between %d and %d", ev.A, ev.B)
 		}
-		enable := ev.Kind == LinkUp
-		if tp.LinkEnabled(li) == enable {
-			return nil // already in the desired state
-		}
-		if err := tp.SetLinkEnabled(li, enable); err != nil {
-			return err
-		}
-		return r.Engine.ReconvergeLinks([]int{li})
+		return b.SetLink(li, ev.Kind == LinkUp)
 	case FlashBegin:
 		if ev.Factor <= 0 {
 			return fmt.Errorf("dynamics: flash-begin %s with non-positive factor %g", ev.Area, ev.Factor)
 		}
-		r.flash[ev.Area] = ev.Factor
+		flash[ev.Area] = ev.Factor
 		return nil
 	case FlashEnd:
-		if _, ok := r.flash[ev.Area]; !ok {
+		if _, ok := flash[ev.Area]; !ok {
 			return fmt.Errorf("dynamics: flash-end %s with no active flash crowd", ev.Area)
 		}
-		delete(r.flash, ev.Area)
+		delete(flash, ev.Area)
 		return nil
 	case IXPDown, IXPUp:
 		lis := tp.LinksOfIXP(ev.IXP)
 		if len(lis) == 0 {
 			return fmt.Errorf("dynamics: IXP %q has no links", ev.IXP)
 		}
-		enable := ev.Kind == IXPUp
-		changed := make([]int, 0, len(lis))
 		for _, li := range lis {
-			if tp.LinkEnabled(li) == enable {
-				continue
-			}
-			if err := tp.SetLinkEnabled(li, enable); err != nil {
+			if err := b.SetLink(li, ev.Kind == IXPUp); err != nil {
 				return err
 			}
-			changed = append(changed, li)
 		}
-		return r.Engine.ReconvergeLinks(changed)
+		return nil
 	default:
 		return fmt.Errorf("dynamics: unknown event kind %v", ev.Kind)
 	}
 }
 
-func (r *Runner) siteDown(site string) error {
+func (r *Runner) siteDown(b *bgp.Batch, site string) error {
 	if _, ok := r.siteAnns[site]; !ok {
 		return fmt.Errorf("dynamics: deployment %s has no site %q", r.Dep.Name, site)
 	}
 	for _, p := range r.sitePrefixes(site) {
-		if err := r.Engine.WithdrawSite(p, site); err != nil {
+		if err := b.WithdrawSite(p, site); err != nil {
 			return fmt.Errorf("dynamics: site-down %s: %w", site, err)
 		}
 	}
 	return nil
 }
 
-func (r *Runner) siteUp(site string) error {
+func (r *Runner) siteUp(b *bgp.Batch, site string) error {
 	anns, ok := r.siteAnns[site]
 	if !ok {
 		return fmt.Errorf("dynamics: deployment %s has no site %q", r.Dep.Name, site)
 	}
 	for _, p := range r.sitePrefixes(site) {
-		if err := r.Engine.AnnounceSite(p, anns[p]); err != nil {
+		if err := b.AnnounceSite(p, anns[p]); err != nil {
 			return fmt.Errorf("dynamics: site-up %s: %w", site, err)
 		}
 	}
@@ -342,8 +368,8 @@ type Step struct {
 	Event Event
 	// Churn aggregates per-AS catchment changes across all prefixes.
 	Churn ChurnStats
-	// Stats reports the reconvergence work of the event's last engine
-	// operation (a site event touching several prefixes reports the last).
+	// Stats reports the event's reconvergence work, summed over the
+	// prefixes it touched (see Runner.ApplyBatch).
 	Stats bgp.ReconvergeStats
 	// Moves is the classified probe-group churn report of this step (nil
 	// unless the runner's ExplainMoves mode is on).

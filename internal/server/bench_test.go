@@ -85,3 +85,32 @@ func BenchmarkServeIngestStream(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServeIngestBatch measures batch ingest where nothing coalesces:
+// each op is one 16-event body of distinct link failures spread over the
+// topology, then the body repairing them, so every body reconverges all 16
+// changes. It isolates what one lock, one reconvergence per prefix and one
+// publish per body save over paying each per event (BenchmarkServeIngestEvent
+// is the per-event path); ns/event is the op's time per event.
+func BenchmarkServeIngestBatch(b *testing.B) {
+	s := testServer(b, 7)
+	links := s.w.Topo.Links()
+	var down, up []dynamics.Event
+	for k := 0; k < 16; k++ {
+		l := links[k*len(links)/16]
+		down = append(down, dynamics.Event{Kind: dynamics.LinkDown, A: l.A, B: l.B})
+		up = append(up, dynamics.Event{Kind: dynamics.LinkUp, A: l.A, B: l.B})
+	}
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body := down
+		if i%2 == 1 {
+			body = up
+		}
+		if _, err := s.ApplyBatch(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(down)), "ns/event")
+}

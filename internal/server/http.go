@@ -36,7 +36,8 @@ import (
 //	GET  /metrics.prom       obs registry, Prometheus text exposition
 //	GET  /healthz            liveness, identity hashes, ingest lag, firing alerts
 //	GET  /watch              SSE stream of ingest/advance deltas and alert frames
-//	POST /events             ingest a dynamics-DSL / JSONL event stream
+//	POST /events             ingest a dynamics-DSL / JSONL event stream as
+//	                         one batch: applied whole, or not at all
 //	POST /advance?to=T       advance the virtual clock
 //	POST /checkpoint[?path=] write a checkpoint file (?path= is a bare file
 //	                         name inside the -checkpoint directory)
@@ -126,8 +127,6 @@ type apiError struct {
 	Error string `json:"error"`
 	// Line is set for event-stream decode errors.
 	Line int `json:"line,omitempty"`
-	// Applied reports events that took effect before the failure.
-	Applied []ApplyResult `json:"applied,omitempty"`
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -406,9 +405,8 @@ type eventsView struct {
 	Applied []ApplyResult `json:"applied"`
 }
 
-// maxEventsBody bounds a POST /events body. Events apply as they decode, so
-// an oversized body is answered 413 after the events before the limit took
-// effect (the response lists them).
+// maxEventsBody bounds a POST /events body. A body applies whole or not at
+// all, so an oversized one is answered 413 with nothing applied.
 const maxEventsBody = 8 << 20
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -425,32 +423,28 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			code = http.StatusBadRequest
 			line = derr.Line
 		}
-		writeJSON(w, code, apiError{Error: err.Error(), Line: line, Applied: applied})
+		writeJSON(w, code, apiError{Error: err.Error(), Line: line})
 		return
 	}
 	writeJSON(w, http.StatusOK, eventsView{Applied: applied})
 }
 
-// Ingest decodes an event stream (dynamics DSL or JSONL, see
-// dynamics.NewDecoder) and applies each event in order. On error it
-// returns the results of the events already applied — an event stream is
-// applied up to, not including, its first bad line.
+// Ingest decodes a whole event stream (dynamics DSL or JSONL, see
+// dynamics.NewDecoder) and applies it as one batch (ApplyBatch): one
+// reconvergence of its net change and one published state. A stream that
+// fails to decode, or holds an event that cannot apply, changes nothing.
 func (s *Server) Ingest(r io.Reader) ([]ApplyResult, error) {
 	d := dynamics.NewDecoder(r)
-	var applied []ApplyResult
+	var evs []dynamics.Event
 	for {
 		ev, err := d.Next()
 		if err == io.EOF {
-			return applied, nil
+			return s.ApplyBatch(evs)
 		}
 		if err != nil {
-			return applied, err
+			return nil, err
 		}
-		res, err := s.Apply(ev)
-		if err != nil {
-			return applied, err
-		}
-		applied = append(applied, res)
+		evs = append(evs, ev)
 	}
 }
 

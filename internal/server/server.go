@@ -70,7 +70,7 @@ type Config struct {
 }
 
 // Server owns one world and applies events to it. All mutation goes
-// through the mutex-serialized ingest path (Apply, AdvanceTo, Checkpoint);
+// through the mutex-serialized ingest path (ApplyBatch, AdvanceTo, Checkpoint);
 // queries never take that lock — they read the last published State.
 type Server struct {
 	cfg   Config
@@ -263,7 +263,9 @@ func (s *Server) OldestTick() int64 {
 	return s.hist[0].Tick
 }
 
-// ApplyResult reports one ingested event.
+// ApplyResult reports one ingested event. The events of one batch share
+// the Seq of the one state it published, and the batch's reconvergence
+// work rides on its last result.
 type ApplyResult struct {
 	Seq    int64  `json:"seq"`
 	Tick   int64  `json:"tick"`
@@ -273,45 +275,57 @@ type ApplyResult struct {
 	Full   bool   `json:"full,omitempty"`
 }
 
-// Apply ingests one event: the clock advances to the event's tick (an
-// event timed before the current tick applies "now" — the server's clock
-// only runs forward), the event reconverges routing incrementally, and a
-// new state is published.
+// Apply ingests one event: a batch of one (see ApplyBatch).
 func (s *Server) Apply(ev dynamics.Event) (ApplyResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if int64(ev.At) > s.tick {
-		s.tick = int64(ev.At)
-	}
-	if err := s.runner.Apply(ev); err != nil {
+	res, err := s.ApplyBatch([]dynamics.Event{ev})
+	if err != nil {
 		return ApplyResult{}, err
 	}
-	s.events++
-	var stats bgp.ReconvergeStats
-	switch ev.Kind {
-	case dynamics.FlashBegin, dynamics.FlashEnd:
-		// Demand-only events leave routing (and its stats) untouched.
-	default:
-		stats = s.w.Engine.LastReconvergeStats()
+	return res[0], nil
+}
+
+// ApplyBatch ingests a batch of events under one lock: the runner checks
+// every event and reconverges the batch's net change once
+// (dynamics.Runner.ApplyBatch), the clock advances to the batch's latest
+// event tick (an event timed before the current tick applies "now" — the
+// server's clock only runs forward), and one new state is published. A bad
+// event fails the batch with nothing applied: clock, routing, links and
+// flash crowds stay as they were. The results come one per event, in order.
+func (s *Server) ApplyBatch(evs []dynamics.Event) ([]ApplyResult, error) {
+	if len(evs) == 0 {
+		return nil, nil
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	stats, err := s.runner.ApplyBatch(evs)
+	if err != nil {
+		return nil, err
+	}
+	res := make([]ApplyResult, len(evs))
+	for i, ev := range evs {
+		s.tick = max(s.tick, int64(ev.At))
+		res[i] = ApplyResult{Tick: s.tick, Event: ev.String()}
+	}
+	last := &res[len(res)-1]
+	last.Dirty, last.Passes, last.Full = stats.Dirty, stats.Passes, stats.Full
 	prev := s.cur.Load()
 	s.tsdb.SampleReconverge(s.tick, stats.Dirty, stats.Passes)
 	st, trs := s.publishLocked()
 	s.lastApplyNs.Store(time.Now().UnixNano())
-	s.sobs.events.Inc()
+	s.sobs.events.Add(int64(len(evs)))
 	s.sobs.dirty.Observe(int64(stats.Dirty))
 	s.sobs.passes.Observe(int64(stats.Passes))
-	s.emitTrace("ingest",
-		obs.Str("event", ev.String()),
-		obs.Int("dirty", int64(stats.Dirty)),
-		obs.Int("passes", int64(stats.Passes)),
-		obs.Bool("full", stats.Full),
-	)
-	res := ApplyResult{
-		Seq: st.Seq, Tick: s.tick, Event: ev.String(),
-		Dirty: stats.Dirty, Passes: stats.Passes, Full: stats.Full,
+	for i := range res {
+		res[i].Seq = st.Seq
+		s.events++
+		s.emitAt("ingest", s.events, res[i].Tick,
+			obs.Str("event", res[i].Event),
+			obs.Int("dirty", int64(res[i].Dirty)),
+			obs.Int("passes", int64(res[i].Passes)),
+			obs.Bool("full", res[i].Full),
+		)
 	}
-	s.notifyWatchers("ingest", prev, st, res)
+	s.notifyWatchers("ingest", prev, st, *last)
 	s.notifyAlerts(st, trs)
 	return res, nil
 }
@@ -365,15 +379,20 @@ func (s *Server) publishLocked() (*State, []ts.Transition) {
 // Series returns the time-series flight recorder. Never nil after New.
 func (s *Server) Series() *ts.DB { return s.tsdb }
 
-// emitTrace emits one server event clocked by (event, tick).
+// emitTrace emits one server event clocked by the current (event, tick).
 func (s *Server) emitTrace(name string, attrs ...obs.Attr) {
+	s.emitAt(name, s.events, s.tick, attrs...)
+}
+
+// emitAt emits one server event clocked by (event, tick).
+func (s *Server) emitAt(name string, event, tick int64, attrs ...obs.Attr) {
 	if !s.sobs.tracer.Enabled() {
 		return
 	}
 	s.sobs.tracer.Emit(obs.Event{
 		Scope: "serve",
 		Name:  name,
-		Clock: []obs.Coord{{Key: "event", V: s.events}, {Key: "tick", V: s.tick}},
+		Clock: []obs.Coord{{Key: "event", V: event}, {Key: "tick", V: tick}},
 		Attrs: attrs,
 	})
 }

@@ -6,10 +6,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"anysim/internal/bgp"
 	"anysim/internal/dynamics"
+	"anysim/internal/geo"
 	"anysim/internal/glass"
 	"anysim/internal/obs"
 	"anysim/internal/worldgen"
@@ -194,15 +197,20 @@ func TestServeErrorPaths(t *testing.T) {
 	s := testServer(t, 7)
 	h := s.Handler()
 
-	// Decode failure carries the 1-based line number.
+	// Decode failure carries the 1-based line number, and the body's valid
+	// first line is not applied.
+	before := ingestState(s)
 	rec := do(t, h, "POST", "/events", "at 1 site-down "+busiestSite(t, s)+"\nat 2 bogus-kind x\n")
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad event line = %d, want 400", rec.Code)
 	}
 	var apiErr apiError
 	decode(t, rec, &apiErr)
-	if apiErr.Line != 2 || len(apiErr.Applied) != 1 {
-		t.Errorf("decode error = %+v, want line 2 with 1 applied", apiErr)
+	if apiErr.Line != 2 {
+		t.Errorf("decode error = %+v, want line 2", apiErr)
+	}
+	if after := ingestState(s); !reflect.DeepEqual(after, before) {
+		t.Errorf("a body failing on line 2 changed state:\n%+v\nwant\n%+v", after, before)
 	}
 
 	// A well-formed event that cannot apply (unknown site) is a 422.
@@ -226,13 +234,97 @@ func TestServeErrorPaths(t *testing.T) {
 	if rec = do(t, h, "POST", "/checkpoint", ""); rec.Code != http.StatusBadRequest {
 		t.Errorf("checkpoint without path = %d, want 400", rec.Code)
 	}
-	// An oversized body is refused with 413 (blank lines decode to no
-	// events, so nothing applies before the limit).
+	// An oversized body is refused with 413 (TestIngestAllOrNothing covers
+	// one with valid events before the limit).
 	if rec = do(t, h, "POST", "/events", strings.Repeat("\n", maxEventsBody+1)); rec.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized events body = %d, want 413", rec.Code)
 	}
 	if rec = do(t, h, "GET", "/nope", ""); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown path = %d, want 404", rec.Code)
+	}
+}
+
+// ingestSnapshot is everything an ingested body can change.
+type ingestSnapshot struct {
+	Seq, Tick, Events int64
+	Routing           []bgp.PrefixState
+	Disabled          []int
+	Flash             map[geo.Area]float64
+}
+
+func ingestState(s *Server) ingestSnapshot {
+	s.mu.Lock()
+	tick := s.tick
+	s.mu.Unlock()
+	return ingestSnapshot{
+		Seq:      s.Current().Seq,
+		Tick:     tick,
+		Events:   s.EventsApplied(),
+		Routing:  s.w.Engine.ExportState(),
+		Disabled: s.w.Topo.DisabledLinks(),
+		Flash:    s.runner.ActiveFlash(),
+	}
+}
+
+// TestIngestAllOrNothing: a POST /events body applies whole or not at all.
+// A body failing on its last line — a decode error, an event that cannot
+// apply, or the size cap after every valid event — leaves the clock, the
+// ingest count, routing, links and flash crowds as they were. The same
+// valid events alone then apply as one batch: one published state, and the
+// body's reconvergence work on the last result.
+func TestIngestAllOrNothing(t *testing.T) {
+	s := testServer(t, 7)
+	h := s.Handler()
+	site := busiestSite(t, s)
+	tp := s.w.Topo
+	link := tp.Links()[tp.LinksOf(s.dep.ASN)[0]]
+	good := fmt.Sprintf("at 5 flash-begin EMEA 2\nat 6 link-down %d %d\nat 7 site-down %s\n", link.A, link.B, site)
+	before := ingestState(s)
+	for _, tc := range []struct {
+		name       string
+		body       string
+		code, line int
+	}{
+		{"decode error", good + "at 8 bogus-kind x\n", http.StatusBadRequest, 4},
+		{"unknown site", good + "at 8 site-down no-such-site\n", http.StatusUnprocessableEntity, 0},
+		{"site down twice", good + "at 8 site-down " + site + "\n", http.StatusUnprocessableEntity, 0},
+		{"too large", good + strings.Repeat("\n", maxEventsBody), http.StatusRequestEntityTooLarge, 0},
+	} {
+		rec := do(t, h, "POST", "/events", tc.body)
+		if rec.Code != tc.code {
+			t.Fatalf("%s: POST /events = %d, want %d: %s", tc.name, rec.Code, tc.code, rec.Body)
+		}
+		var apiErr apiError
+		decode(t, rec, &apiErr)
+		if apiErr.Line != tc.line || apiErr.Error == "" {
+			t.Errorf("%s: error body %+v, want line %d", tc.name, apiErr, tc.line)
+		}
+		if after := ingestState(s); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: failed body changed state:\n%+v\nwant\n%+v", tc.name, after, before)
+		}
+	}
+
+	rec := do(t, h, "POST", "/events", good)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("valid body = %d: %s", rec.Code, rec.Body)
+	}
+	var ev eventsView
+	decode(t, rec, &ev)
+	if len(ev.Applied) != 3 {
+		t.Fatalf("applied %d results, want 3", len(ev.Applied))
+	}
+	for i, res := range ev.Applied {
+		if res.Seq != before.Seq+1 || res.Tick != int64(5+i) {
+			t.Errorf("result %d = %+v, want seq %d, tick %d", i, res, before.Seq+1, 5+i)
+		}
+		if last := i == len(ev.Applied)-1; (res.Dirty > 0) != last {
+			t.Errorf("result %d = %+v: only the last result carries the body's work", i, res)
+		}
+	}
+	after := ingestState(s)
+	if after.Seq != before.Seq+1 || after.Events != before.Events+3 || after.Tick != 7 ||
+		len(after.Disabled) != 1 || after.Flash[geo.EMEA] != 2 {
+		t.Errorf("after the valid body: %+v", after)
 	}
 }
 

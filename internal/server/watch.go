@@ -20,8 +20,9 @@ import (
 )
 
 // watchEvent is one SSE /watch payload: what happened and where the twin
-// stands now. Kind is "hello" (subscription start), "ingest" (an event was
-// applied), or "advance" (the virtual clock moved).
+// stands now. Kind is "hello" (subscription start), "ingest" (a batch of
+// events was applied; Event names its last, and the stats are the batch's),
+// or "advance" (the virtual clock moved).
 type watchEvent struct {
 	Kind   string `json:"kind"`
 	Seq    int64  `json:"seq"`
@@ -36,7 +37,7 @@ type watchEvent struct {
 	Unserved       float64  `json:"unserved,omitempty"`
 	Overloads      []string `json:"overloads,omitempty"`
 	// MovedGroups counts probe groups whose serving site changed from the
-	// previously published state — the catchment delta of this event.
+	// previously published state — the catchment delta of this ingest.
 	MovedGroups int `json:"moved_groups,omitempty"`
 }
 

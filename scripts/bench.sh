@@ -46,10 +46,11 @@ go test -run '^$' -benchmem -count 5 \
     ./internal/core/ | tee -a "$raw"
 
 # The resident server: full ingest path (reconverge + re-evaluate + publish)
-# with the query-ns/op column reporting snapshot-read latency, and the
-# decoder-fronted stream path POST /events takes.
+# with the query-ns/op column reporting snapshot-read latency, the
+# decoder-fronted stream path POST /events takes, and batch ingest of
+# bodies whose events do not cancel.
 go test -run '^$' -benchmem -count 5 \
-    -bench 'BenchmarkServeIngestEvent$|BenchmarkServeIngestStream$' \
+    -bench 'BenchmarkServeIngestEvent$|BenchmarkServeIngestStream$|BenchmarkServeIngestBatch$' \
     ./internal/server/ | tee -a "$raw"
 
 awk '

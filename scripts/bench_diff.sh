@@ -10,7 +10,8 @@
 # memory columns only, BenchmarkSteeringRound (one round of the X3
 # steering loop), the provenance-on write path
 # BenchmarkIncrementalReconvergence/provenance (a site flap with recording
-# on), and BenchmarkServeIngestEvent (the resident server's ingest).
+# on), BenchmarkServeIngestEvent (the resident server's per-event ingest)
+# and BenchmarkServeIngestBatch (its batch ingest of 16 link faults).
 #
 # Two gates with different teeth, because the columns have different
 # noise floors:
@@ -93,7 +94,7 @@ for bench in BenchmarkAnnounce BenchmarkTrafficSteering BenchmarkRunCampaign; do
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
 done
 
-for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/provenance BenchmarkServeIngestEvent; do
+for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/provenance BenchmarkServeIngestEvent BenchmarkServeIngestBatch; do
     missing "$bench" && continue
     gate "$bench" bytes_per_op  "B/op"      "$mem_threshold"
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
