@@ -391,6 +391,7 @@ func debugMux(reg *obs.Registry) *http.ServeMux {
 	mux.HandleFunc("/metrics.prom", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = debugRegistry.Load().WriteProm(w)
+		_, _ = w.Write(obs.AppendRuntimeProm(nil))
 	})
 	return mux
 }
@@ -527,8 +528,9 @@ func routes(out io.Writer, w *worldgen.World, asnStr, vipStr string) error {
 	}
 	fmt.Fprintf(out, "AS%d routes to %v (class %s):\n", asn64, prefix, cls)
 	for _, r := range rts {
+		path := r.Path()
 		fmt.Fprintf(out, "  via %-8v handoff %-4s site %-5s downstream %6.0f km  path %v\n",
-			r.Path[0], r.Handoff(), r.Site, r.DownKm, r.Path)
+			path[0], r.Handoff(), r.Site(), r.DownKm, path)
 	}
 	return nil
 }

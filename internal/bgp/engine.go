@@ -2,13 +2,14 @@ package bgp
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"math"
 	"net/netip"
 	"slices"
 	"strings"
 	"sync"
 
-	"anysim/internal/geo"
 	"anysim/internal/policy"
 	"anysim/internal/topo"
 )
@@ -35,17 +36,17 @@ const (
 type Engine struct {
 	topo *topo.Topology
 
-	cityIdx map[string]int
-	cityKm  [][]float64 // pairwise great-circle distances
-
 	// Dense AS indexing, cached from topo.Topology.ASIndex at construction
 	// for lock-free access: per-AS routing state lives in slices indexed by
 	// the dense index instead of maps keyed by ASN. linkA/linkB hold each
-	// link's endpoint indices so hot loops never hash an ASN.
+	// link's endpoint indices so hot loops never hash an ASN; linkCities
+	// and linkIXP hold its interconnection cities and IXP as dense ids.
 	n            int
 	asIdx        map[topo.ASN]int
 	byIdx        []topo.ASN
 	linkA, linkB []int32
+	linkCities   [][]cityID
+	linkIXP      []symbol
 
 	// eobs holds the cached observability handles (see obs.go). The zero
 	// value is the disabled state; Fork copies it with the tracer stripped.
@@ -85,18 +86,45 @@ type ribTable []*rib
 
 // rib holds one AS's routes for one prefix, bucketed by preference class,
 // and, when the converge that built it recorded provenance, the decision
-// record behind the selection (nil otherwise). The pointer keeps the struct
-// at 128 B, the allocation size class it had without the field.
+// record behind the selection (nil otherwise). The classes share one
+// slice, most preferred first: class c is routes[ends[c-1]:ends[c]].
+// converge fills a rib's classes in preference order — origin, customer,
+// the peer classes, provider — each at most once, so a class is always
+// appended at the end (see close). The struct is 48 B, prov included.
 type rib struct {
-	classes [FromProvider + 1][]Route
-	prov    *Provenance
+	routes []Route
+	ends   [FromProvider + 1]uint16
+	prov   *Provenance
+}
+
+// class returns the routes of class c, capped so an append by the caller
+// cannot reach the next class.
+func (r *rib) class(c RelClass) []Route {
+	var lo uint16
+	if c > FromOrigin {
+		lo = r.ends[c-1]
+	}
+	return r.routes[lo:r.ends[c]:r.ends[c]]
+}
+
+// close ends class c at the current end of routes: every route appended
+// since the previous class closed belongs to c, and the classes after it
+// stay empty until they are closed in turn.
+func (r *rib) close(c RelClass) {
+	n := len(r.routes)
+	if n > math.MaxUint16 {
+		panic("bgp: more than 65535 routes in one rib")
+	}
+	for k := c; k <= FromProvider; k++ {
+		r.ends[k] = uint16(n)
+	}
 }
 
 // best returns the most-preferred non-empty class and its routes.
 func (r *rib) best() (RelClass, []Route, bool) {
 	for c := FromOrigin; c <= FromProvider; c++ {
-		if len(r.classes[c]) > 0 {
-			return c, r.classes[c], true
+		if set := r.class(c); len(set) > 0 {
+			return c, set, true
 		}
 	}
 	return 0, nil, false
@@ -111,40 +139,35 @@ func (r *rib) selLen() (int, bool) {
 }
 
 // hasOrigin reports whether a (possibly nil) rib carries origin self routes.
-func hasOrigin(r *rib) bool { return r != nil && len(r.classes[FromOrigin]) > 0 }
+func hasOrigin(r *rib) bool { return r != nil && r.ends[FromOrigin] > 0 }
 
 // NewEngine builds an engine over a topology. The topology should be frozen;
 // mutating it after constructing an engine invalidates computed state.
 func NewEngine(t *topo.Topology) *Engine {
-	cities := geo.Cities()
-	idx := make(map[string]int, len(cities))
-	for i, c := range cities {
-		idx[c.IATA] = i
-	}
-	km := make([][]float64, len(cities))
-	for i := range km {
-		km[i] = make([]float64, len(cities))
-		for j := range km[i] {
-			km[i][j] = geo.DistanceKm(cities[i].Coord, cities[j].Coord)
-		}
-	}
 	asIdx := t.ASIndexMap()
 	links := t.Links()
 	la := make([]int32, len(links))
 	lb := make([]int32, len(links))
+	lc := make([][]cityID, len(links))
+	lx := make([]symbol, len(links))
 	for i, l := range links {
 		la[i] = int32(asIdx[l.A])
 		lb[i] = int32(asIdx[l.B])
+		lc[i] = make([]cityID, len(l.Cities))
+		for j, c := range l.Cities {
+			lc[i][j] = cityOf(c)
+		}
+		lx[i] = symbols.intern(l.IXP)
 	}
 	return &Engine{
-		topo:    t,
-		cityIdx: idx,
-		cityKm:  km,
-		n:       t.NumASes(),
-		asIdx:   asIdx,
-		byIdx:   t.ASList(),
-		linkA:   la,
-		linkB:   lb,
+		topo:       t,
+		n:          t.NumASes(),
+		asIdx:      asIdx,
+		byIdx:      t.ASList(),
+		linkA:      la,
+		linkB:      lb,
+		linkCities: lc,
+		linkIXP:    lx,
 		routeState: routeState{
 			ribs:  make(map[netip.Prefix]ribTable),
 			anns:  make(map[netip.Prefix][]SiteAnnouncement),
@@ -159,17 +182,6 @@ func (e *Engine) Topology() *topo.Topology { return e.topo }
 // linkEnds returns the dense endpoint indices of link li.
 func (e *Engine) linkEnds(li int) (ai, bi int) {
 	return int(e.linkA[li]), int(e.linkB[li])
-}
-
-// km returns the inter-city distance, panicking on unknown cities (which
-// indicates a bug, since all cities are validated at topology build time).
-func (e *Engine) km(a, b string) float64 {
-	ia, okA := e.cityIdx[a]
-	ib, okB := e.cityIdx[b]
-	if !okA || !okB {
-		panic(fmt.Sprintf("bgp: unknown city in distance query: %q, %q", a, b))
-	}
-	return e.cityKm[ia][ib]
 }
 
 // Announcements returns the announcements for a prefix.
@@ -349,6 +361,8 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 		pr = newProvRecorder(e.n, dirty)
 	}
 	links := e.topo.Links()
+	// Every node this converge creates comes from its slab; see nodeSlab.
+	slab := &nodeSlab{}
 	ribs := make(ribTable, e.n)
 	if sc != nil {
 		copy(ribs, sc.old)
@@ -377,26 +391,29 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 	dirtyOrigins := map[int]bool{}
 	for _, a := range anns {
 		oi := e.asIdx[a.Origin]
+		site := symbols.intern(a.Site)
+		chain, head := a.seedChain(slab)
 		if sc.isDirty(oi) {
 			// The origin's own rib carries the plain one-hop self route:
 			// prepending shapes what the site exports, not how the origin
 			// reaches itself.
 			dirtyOrigins[oi] = true
-			getRIB(oi).classes[FromOrigin] = append(getRIB(oi).classes[FromOrigin], Route{
+			rb := getRIB(oi)
+			rb.routes = append(rb.routes, Route{
 				Rel:           FromOrigin,
-				Path:          []topo.ASN{a.Origin},
-				Cities:        []string{a.City},
-				Site:          a.Site,
+				path:          head,
+				plen:          1,
+				site:          site,
 				FinalUpstream: a.Origin,
 			})
+			rb.close(FromOrigin)
 		}
-		seedPath, seedCities := a.seedPath(), a.seedCities()
 		for _, li := range e.topo.LinksOf(a.Origin) {
 			if !e.topo.LinkEnabled(li) {
 				continue
 			}
 			l := links[li]
-			if !containsCity(l.Cities, a.City) {
+			if !slices.Contains(e.linkCities[li], head.city) {
 				continue
 			}
 			nbr, ni := l.B, int(e.linkB[li])
@@ -406,36 +423,25 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 			if !a.announcesTo(nbr) || !sc.isDirty(ni) {
 				continue
 			}
-			rel := classify(l, nbr)
-			var comms *policy.Set
+			r := Route{
+				Rel:           classify(l, nbr),
+				path:          chain,
+				plen:          uint16(a.Prepend + 1),
+				site:          site,
+				ixp:           e.linkIXP[li],
+				FinalUpstream: nbr,
+			}
 			if e.policy != nil {
 				var rejected bool
-				comms, rel, rejected = e.applySeedPolicy(prefix, a, nbr, rel)
+				r.Comms, r.Rel, rejected = e.applySeedPolicy(prefix, a, nbr, r.Rel)
 				if rejected {
 					if pr != nil {
-						pr.dropPolicy(ni, Route{
-							Rel:           rel,
-							Path:          seedPath,
-							Cities:        seedCities,
-							Site:          a.Site,
-							FinalIXP:      l.IXP,
-							FinalUpstream: nbr,
-						})
+						pr.dropPolicy(ni, r)
 					}
 					continue
 				}
 			}
-			r := Route{
-				Rel:           rel,
-				Path:          seedPath,
-				Cities:        seedCities,
-				Site:          a.Site,
-				DownKm:        0,
-				FinalIXP:      l.IXP,
-				FinalUpstream: nbr,
-				Comms:         comms,
-			}
-			switch rel {
+			switch r.Rel {
 			case FromCustomer:
 				custSeeds = append(custSeeds, offer{ni, r})
 			case FromPublicPeer, FromRSPeer:
@@ -449,7 +455,7 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 	// announcement *set*, not its slice order (withdraw + re-announce moves
 	// a site to the end of the announcement list).
 	for i := range dirtyOrigins {
-		slices.SortFunc(ribs[i].classes[FromOrigin], routeCmp)
+		slices.SortFunc(ribs[i].class(FromOrigin), routeCmp)
 	}
 
 	// Phase 1: customer routes climb the provider hierarchy level by
@@ -496,7 +502,7 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 				if crib == nil || hasOrigin(crib) {
 					continue // origin exports arrive as per-site seeds
 				}
-				offers := e.export(l.A, crib.classes[FromCustomer], l, asn)
+				offers := e.export(slab, nil, l.A, crib.class(FromCustomer), li, asn)
 				if len(offers) == 0 {
 					continue
 				}
@@ -521,16 +527,17 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 				continue
 			}
 			cap, arb := e.capFor(e.byIdx[i])
-			kept := capClass(routes, cap, arb)
-			getRIB(i).classes[FromCustomer] = kept
-			pr.dropMissing(i, routes, kept)
+			rb := getRIB(i)
+			rb.routes = capClass(rb.routes, routes, cap, arb)
+			rb.close(FromCustomer)
+			pr.dropMissing(i, routes, rb.class(FromCustomer))
 			finalizedCust[i] = true
 			frontier = append(frontier, i)
 		}
 		pending = map[int][]Route{}
 		slices.Sort(frontier)
 		for _, i := range frontier {
-			set := ribs[i].classes[FromCustomer]
+			set := ribs[i].class(FromCustomer)
 			asn := e.byIdx[i]
 			for _, li := range e.topo.LinksOf(asn) {
 				if !e.topo.LinkEnabled(li) {
@@ -547,13 +554,11 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 					// reflects the full offer stream. Clean receivers keep
 					// their carried-over provenance instead.
 					if pr != nil && sc.isDirty(pi) {
-						pr.dropRoutes(pi, e.export(asn, set, l, l.B))
+						pr.dropRoutes(pi, e.export(slab, nil, asn, set, li, l.B))
 					}
 					continue
 				}
-				for _, nr := range e.export(asn, set, l, l.B) {
-					pending[pi] = append(pending[pi], nr)
-				}
+				pending[pi] = e.export(slab, pending[pi], asn, set, li, l.B)
 			}
 		}
 	}
@@ -588,11 +593,11 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 			if hasOrigin(fromRIB) {
 				continue
 			}
-			set := fromRIB.classes[FromCustomer]
+			set := fromRIB.class(FromCustomer)
 			if len(set) == 0 {
 				continue
 			}
-			peerOffers[ti] = append(peerOffers[ti], e.export(from, set, l, to)...)
+			peerOffers[ti] = e.export(slab, peerOffers[ti], from, set, li, to)
 		}
 	}
 	if sc == nil {
@@ -607,21 +612,18 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 			pr.dropRoutes(i, offers) // origins never import peer routes
 			continue
 		}
-		var pub, rs []Route
-		for _, r := range offers {
-			switch r.Rel {
-			case FromPublicPeer:
-				pub = append(pub, r)
-			case FromRSPeer:
-				rs = append(rs, r)
-			}
-		}
+		// Public-peer offers to the front; every other offer over a
+		// peering session is a route-server one.
+		np := partition(offers, func(r Route) bool { return r.Rel == FromPublicPeer })
+		pub, rs := offers[:np], offers[np:]
 		cap, arb := e.capFor(e.byIdx[i])
 		rb := getRIB(i)
-		rb.classes[FromPublicPeer] = capClass(pub, cap, arb)
-		rb.classes[FromRSPeer] = capClass(rs, cap, arb)
-		pr.dropMissing(i, pub, rb.classes[FromPublicPeer])
-		pr.dropMissing(i, rs, rb.classes[FromRSPeer])
+		rb.routes = capClass(rb.routes, pub, cap, arb)
+		rb.close(FromPublicPeer)
+		rb.routes = capClass(rb.routes, rs, cap, arb)
+		rb.close(FromRSPeer)
+		pr.dropMissing(i, pub, rb.class(FromPublicPeer))
+		pr.dropMissing(i, rs, rb.class(FromRSPeer))
 	}
 
 	// Phase 3: selected routes descend provider->customer edges
@@ -688,12 +690,13 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 		}
 	}
 	ln := 0
+	var newly []int // reused across levels
 	for ; ln <= maxLen || len(provPending) > 0; ln++ {
 		if ln > e.n {
 			return nil, &NonTerminationError{Prefix: prefix, Phase: 3, Iterations: ln}
 		}
 		// Finalize ASes whose cheapest provider offers have length ln.
-		var newly []int
+		newly = newly[:0]
 		for i, offers := range provPending {
 			minLen := offers[0].Len()
 			for _, r := range offers {
@@ -704,16 +707,12 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 			if minLen != ln {
 				continue
 			}
-			var keep []Route
-			for _, r := range offers {
-				if r.Len() == ln {
-					keep = append(keep, r)
-				}
-			}
+			keep := offers[:partition(offers, func(r Route) bool { return r.Len() == ln })]
 			cap, arb := e.capFor(e.byIdx[i])
-			kept := capClass(keep, cap, arb)
-			getRIB(i).classes[FromProvider] = kept
-			pr.dropMissing(i, offers, kept)
+			rb := getRIB(i)
+			rb.routes = capClass(rb.routes, keep, cap, arb)
+			rb.close(FromProvider)
+			pr.dropMissing(i, offers, rb.class(FromProvider))
 			finalized[i] = true
 			newly = append(newly, i)
 		}
@@ -741,11 +740,11 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 				ci := int(e.linkA[li])
 				if !sc.isDirty(ci) || finalized[ci] {
 					if pr != nil && sc.isDirty(ci) {
-						pr.dropRoutes(ci, e.export(asn, set, l, l.A))
+						pr.dropRoutes(ci, e.export(slab, nil, asn, set, li, l.A))
 					}
 					continue
 				}
-				provPending[ci] = append(provPending[ci], e.export(asn, set, l, l.A)...)
+				provPending[ci] = e.export(slab, provPending[ci], asn, set, li, l.A)
 			}
 		}
 		// Inject boundary exports whose selected-path length is ln.
@@ -755,12 +754,12 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 			if finalized[ci] {
 				if pr != nil {
 					_, set, _ := sc.old[pi].best()
-					pr.dropRoutes(ci, e.export(l.B, set, l, l.A))
+					pr.dropRoutes(ci, e.export(slab, nil, l.B, set, li, l.A))
 				}
 				continue
 			}
 			_, set, _ := sc.old[pi].best()
-			provPending[ci] = append(provPending[ci], e.export(l.B, set, l, l.A)...)
+			provPending[ci] = e.export(slab, provPending[ci], l.B, set, li, l.A)
 		}
 		delete(sched3, ln)
 	}
@@ -810,44 +809,37 @@ func arbitraryOperator(asn topo.ASN) bool {
 	return float64(h)/float64(^uint32(0)) < ArbitraryTieBreakFraction
 }
 
-// export derives the routes AS `to` learns from `from` over link l:
-// one per interconnection city, carrying from's hot-potato egress choice for
-// traffic entering at that city.
-func (e *Engine) export(from topo.ASN, set []Route, l topo.Link, to topo.ASN) []Route {
-	rel := classify(l, to)
-	out := make([]Route, 0, len(l.Cities))
-	for _, c := range l.Cities {
-		r, ok := e.hotPotato(set, c)
-		if !ok {
-			continue
-		}
-		nr := Route{
-			Rel:           rel,
-			Path:          prependASN(from, r.Path),
-			Cities:        prependCity(c, r.Cities),
-			Site:          r.Site,
-			DownKm:        e.km(c, r.Cities[0]) + r.DownKm,
-			FinalIXP:      r.FinalIXP,
-			FinalUpstream: r.FinalUpstream,
-			Comms:         r.Comms,
-		}
-		out = append(out, nr)
+// export appends to dst the routes AS `to` learns from `from` over link
+// li: one per interconnection city, carrying from's hot-potato egress
+// choice for traffic entering at that city. Each prepends one node, taken
+// from s, to the chosen route's shared chain.
+func (e *Engine) export(s *nodeSlab, dst []Route, from topo.ASN, set []Route, li int, to topo.ASN) []Route {
+	if len(set) == 0 {
+		return dst
 	}
-	return out
+	rel := classify(e.topo.Links()[li], to)
+	for _, c := range e.linkCities[li] {
+		r, _ := hotPotato(set, c)
+		nr := r.prepend(s, from, c)
+		nr.Rel = rel
+		nr.DownKm = km(c, r.handoff()) + r.DownKm
+		dst = append(dst, nr)
+	}
+	return dst
 }
 
 // hotPotato picks the route whose handoff city is nearest to the entry
 // city, breaking ties deterministically by downstream distance, handoff
 // city, then site.
-func (e *Engine) hotPotato(set []Route, entry string) (Route, bool) {
+func hotPotato(set []Route, entry cityID) (Route, bool) {
 	if len(set) == 0 {
 		return Route{}, false
 	}
-	best := -1
-	bestKm := 0.0
-	for i, r := range set {
-		d := e.km(entry, r.Handoff())
-		if best == -1 || less(d, r, bestKm, set[best]) {
+	best := 0
+	bestKm := km(entry, set[0].handoff())
+	for i := 1; i < len(set); i++ {
+		d := km(entry, set[i].handoff())
+		if less(d, set[i], bestKm, set[best]) {
 			best, bestKm = i, d
 		}
 	}
@@ -862,10 +854,11 @@ func less(d1 float64, r1 Route, d2 float64, r2 Route) bool {
 }
 
 // routeCmp is a total order on routes: downstream carriage, handoff city,
-// site, then path and city identity. The trailing identity keys make every
-// route-set computation independent of offer arrival and iteration order,
-// which incremental reconvergence relies on to reproduce a full recompute
-// bit-for-bit.
+// site name, then path and city identity. City ids order as their names
+// do; site symbols do not, so sites compare by name. The trailing identity
+// keys make every route-set computation independent of offer arrival and
+// iteration order, which incremental reconvergence relies on to reproduce
+// a full recompute bit-for-bit.
 func routeCmp(a, b Route) int {
 	if a.DownKm != b.DownKm {
 		if a.DownKm < b.DownKm {
@@ -873,16 +866,13 @@ func routeCmp(a, b Route) int {
 		}
 		return 1
 	}
-	if c := strings.Compare(a.Handoff(), b.Handoff()); c != 0 {
+	if c := cmp.Compare(a.handoff(), b.handoff()); c != 0 {
 		return c
 	}
-	if c := strings.Compare(a.Site, b.Site); c != 0 {
+	if c := symbolCmp(a.site, b.site); c != 0 {
 		return c
 	}
-	if c := slices.Compare(a.Path, b.Path); c != 0 {
-		return c
-	}
-	return slices.Compare(a.Cities, b.Cities)
+	return pathCmp(a.path, b.path)
 }
 
 // routeLess reports routeCmp(a, b) < 0.
@@ -903,164 +893,197 @@ func routeLess(a, b Route) bool { return routeCmp(a, b) < 0 }
 //     carrier picks its customer's or an arbitrary neighbour's route and
 //     funnels its whole cone to whichever site sits behind it.
 //
-// The grouping is slice-based with linear scans: candidate sets are small
-// (bounded by neighbour count x interconnection cities), so avoiding the
-// per-call maps is both faster and allocation-lean on the Announce hot path.
-func capClass(routes []Route, cap int, arbitrary bool) []Route {
+// capClass appends its result to dst, sorted by routeCmp, and permutes
+// routes in place; it allocates only when dst must grow. The grouping
+// sorts the shortest routes by (neighbour, handoff city, routeCmp), so each
+// neighbour is one run and each of its handoff cities one sub-run led by
+// the routeCmp-least route: no per-call maps or per-group slices.
+func capClass(dst, routes []Route, cap int, arbitrary bool) []Route {
 	if len(routes) == 0 {
-		return nil
+		return dst
 	}
 	if cap <= 0 {
 		cap = 1
 	}
-	minLen := routes[0].Len()
+	minLen := routes[0].plen
 	for _, r := range routes {
-		if r.Len() < minLen {
-			minLen = r.Len()
-		}
+		minLen = min(minLen, r.plen)
 	}
-	// Group shortest routes by neighbour, deduplicating handoff cities
-	// (keeping the routeCmp-least route per city).
+	short := routes[:partition(routes, func(r Route) bool { return r.plen == minLen })]
+	slices.SortFunc(short, func(a, b Route) int {
+		if c := cmp.Compare(a.path.asn, b.path.asn); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.handoff(), b.handoff()); c != 0 {
+			return c
+		}
+		return routeCmp(a, b)
+	})
+	// newCity reports whether short[j] leads its handoff city's sub-run.
+	newCity := func(j int) bool {
+		return j == 0 || short[j].path.asn != short[j-1].path.asn || short[j].handoff() != short[j-1].handoff()
+	}
 	type nbrGroup struct {
-		nbr    topo.ASN
-		byCity []Route
-		bestKm float64
+		nbr        topo.ASN
+		start, end int // the neighbour's run in short
+		cities     int // distinct handoff cities in the run
+		bestKm     float64
 	}
-	var groups []nbrGroup
-	for _, r := range routes {
-		if r.Len() != minLen {
-			continue
-		}
-		gi := -1
-		for i := range groups {
-			if groups[i].nbr == r.Path[0] {
-				gi = i
-				break
+	var buf [8]nbrGroup
+	groups := buf[:0]
+	for i := 0; i < len(short); {
+		g := nbrGroup{nbr: short[i].path.asn, start: i, bestKm: short[i].DownKm}
+		for i < len(short) && short[i].path.asn == g.nbr {
+			g.bestKm = min(g.bestKm, short[i].DownKm)
+			if newCity(i) {
+				g.cities++
 			}
+			i++
 		}
-		if gi < 0 {
-			groups = append(groups, nbrGroup{nbr: r.Path[0], bestKm: r.DownKm})
-			gi = len(groups) - 1
-		}
-		g := &groups[gi]
-		ci := -1
-		for i := range g.byCity {
-			if g.byCity[i].Handoff() == r.Handoff() {
-				ci = i
-				break
-			}
-		}
-		if ci < 0 {
-			g.byCity = append(g.byCity, r)
-		} else if routeLess(r, g.byCity[ci]) {
-			g.byCity[ci] = r
-		}
-		if r.DownKm < g.bestKm {
-			g.bestKm = r.DownKm
-		}
+		g.end = i
+		groups = append(groups, g)
 	}
 	// Arbitrary operators distinguish downstream carriage only in coarse
 	// ~4,000 km bands (roughly: "this exit works" vs "this exit hauls the
 	// traffic to another continent"), and rank by router-ID style order
 	// inside a band. Policy preferences (customer > peer > provider) are
 	// applied before this function and are never overridden by distance —
-	// that is the paper's catchment-inefficiency engine.
-	const bucketKm = 4000.0
-	slices.SortFunc(groups, func(a, b nbrGroup) int {
-		if arbitrary {
-			ba, bb := int(a.bestKm/bucketKm), int(b.bestKm/bucketKm)
-			if ba != bb {
-				return ba - bb
-			}
-		} else if a.bestKm != b.bestKm {
-			if a.bestKm < b.bestKm {
-				return -1
-			}
-			return 1
-		}
-		if a.nbr < b.nbr {
-			return -1
-		}
-		if a.nbr > b.nbr {
-			return 1
-		}
-		return 0
-	})
+	// that is the paper's catchment-inefficiency engine. Only the chosen
+	// set matters (the result is sorted by routeCmp), so ranking is needed
+	// only when there are more neighbours than the cap.
 	if len(groups) > cap {
+		const bucketKm = 4000.0
+		slices.SortFunc(groups, func(a, b nbrGroup) int {
+			if arbitrary {
+				if c := cmp.Compare(int(a.bestKm/bucketKm), int(b.bestKm/bucketKm)); c != 0 {
+					return c
+				}
+			} else if c := cmp.Compare(a.bestKm, b.bestKm); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.nbr, b.nbr)
+		})
 		groups = groups[:cap]
 	}
-	var out []Route
+	n := 0
 	for _, g := range groups {
-		out = append(out, g.byCity...)
+		n += g.cities
 	}
-	slices.SortFunc(out, routeCmp)
-	if len(out) > MaxRoutesPerClass {
-		out = out[:MaxRoutesPerClass]
-	}
-	return out
-}
-
-func prependASN(a topo.ASN, rest []topo.ASN) []topo.ASN {
-	out := make([]topo.ASN, 0, len(rest)+1)
-	out = append(out, a)
-	return append(out, rest...)
-}
-
-func prependCity(c string, rest []string) []string {
-	out := make([]string, 0, len(rest)+1)
-	out = append(out, c)
-	return append(out, rest...)
-}
-
-func containsCity(cities []string, c string) bool {
-	for _, x := range cities {
-		if x == c {
-			return true
+	base := len(dst)
+	dst = slices.Grow(dst, n)
+	for _, g := range groups {
+		for j := g.start; j < g.end; j++ {
+			if newCity(j) {
+				dst = append(dst, short[j])
+			}
 		}
 	}
-	return false
+	slices.SortFunc(dst[base:], routeCmp)
+	return dst[:base+min(n, MaxRoutesPerClass)]
+}
+
+// partition moves the routes satisfying keep to the front, preserving the
+// multiset (provenance still reads every offer), and returns their count.
+func partition(routes []Route, keep func(Route) bool) int {
+	k := 0
+	for i := range routes {
+		if keep(routes[i]) {
+			routes[i], routes[k] = routes[k], routes[i]
+			k++
+		}
+	}
+	return k
 }
 
 // Lookup returns the anycast catchment for traffic originated by asn from
 // the given city toward the prefix. ok is false when the prefix is unknown
 // or the AS has no route to it.
 func (e *Engine) Lookup(prefix netip.Prefix, asn topo.ASN, city string) (Forward, bool) {
+	r, cls, distKm, ok := e.lookup(prefix, asn, city)
+	if !ok {
+		return Forward{}, false
+	}
+	// Materialise the chain: the client AS (unless it is the origin itself)
+	// and then the route's hops.
+	path, cities := forwardSlices(int(r.plen))
+	if cls != FromOrigin {
+		path = append(path, asn)
+	}
+	for n := r.path; n != nil; n = n.next {
+		path = append(path, n.asn)
+		cities = append(cities, n.city.String())
+	}
+	return Forward{
+		Prefix:        prefix,
+		Site:          r.Site(),
+		Path:          path,
+		Cities:        cities,
+		DistKm:        distKm,
+		Rel:           cls,
+		FinalIXP:      r.FinalIXP(),
+		FinalUpstream: r.FinalUpstream,
+	}, true
+}
+
+// forwardSlices returns empty path and city slices with room for a route
+// of n hops and the client AS. Routes of two to four hops — over 99% of a
+// measurement campaign's lookups — take one allocation, of the size the two
+// slices would take apart; longer ones take two.
+func forwardSlices(n int) ([]topo.ASN, []string) {
+	switch {
+	case n <= 2:
+		b := new(struct {
+			path   [3]topo.ASN
+			cities [2]string
+		})
+		return b.path[: 0 : n+1], b.cities[:0:n]
+	case n == 3:
+		b := new(struct {
+			path   [4]topo.ASN
+			cities [3]string
+		})
+		return b.path[:0], b.cities[:0]
+	case n == 4:
+		b := new(struct {
+			path   [5]topo.ASN
+			cities [4]string
+		})
+		return b.path[:0], b.cities[:0]
+	}
+	return make([]topo.ASN, 0, n+1), make([]string, 0, n)
+}
+
+// LookupSite answers the part of Lookup a load evaluation reads — the
+// catchment site and the forwarding distance — without materialising the
+// path, so it allocates nothing.
+func (e *Engine) LookupSite(prefix netip.Prefix, asn topo.ASN, city string) (site string, distKm float64, ok bool) {
+	r, _, distKm, ok := e.lookup(prefix, asn, city)
+	if !ok {
+		return "", 0, false
+	}
+	return r.Site(), distKm, true
+}
+
+// lookup selects the route traffic from (asn, city) takes toward the
+// prefix, its class, and the one-way forwarding distance.
+func (e *Engine) lookup(prefix netip.Prefix, asn topo.ASN, city string) (Route, RelClass, float64, bool) {
 	i, known := e.asIdx[asn]
 	if !known {
-		return Forward{}, false
+		return Route{}, 0, 0, false
 	}
 	e.mu.RLock()
 	ribs := e.ribs[prefix]
 	e.mu.RUnlock()
-	if ribs == nil {
-		return Forward{}, false
+	if ribs == nil || ribs[i] == nil {
+		return Route{}, 0, 0, false
 	}
-	rb := ribs[i]
-	if rb == nil {
-		return Forward{}, false
-	}
-	cls, set, ok := rb.best()
+	cls, set, ok := ribs[i].best()
 	if !ok {
-		return Forward{}, false
+		return Route{}, 0, 0, false
 	}
-	r, ok := e.hotPotato(set, city)
-	if !ok {
-		return Forward{}, false
-	}
-	path := r.Path
-	if cls != FromOrigin {
-		path = prependASN(asn, r.Path)
-	}
-	return Forward{
-		Prefix:        prefix,
-		Site:          r.Site,
-		Path:          path,
-		Cities:        r.Cities,
-		DistKm:        e.km(city, r.Cities[0]) + r.DownKm,
-		Rel:           cls,
-		FinalIXP:      r.FinalIXP,
-		FinalUpstream: r.FinalUpstream,
-	}, true
+	c := cityOf(city)
+	r, _ := hotPotato(set, c)
+	return r, cls, km(c, r.handoff()) + r.DownKm, true
 }
 
 // Routes returns the full selected route set for (prefix, asn), most
@@ -1093,5 +1116,5 @@ func (e *Engine) RoutesByClass(prefix netip.Prefix, asn topo.ASN, cls RelClass) 
 	if ribs == nil || ribs[i] == nil {
 		return nil
 	}
-	return ribs[i].classes[cls]
+	return ribs[i].class(cls)
 }

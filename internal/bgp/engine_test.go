@@ -373,59 +373,72 @@ func TestOnlyNeighborsRestrictsAnnouncement(t *testing.T) {
 	}
 }
 
+// testRoute builds a route whose chain holds path and cities.
+func testRoute(path []topo.ASN, cities []string, down float64, site string) Route {
+	r := Route{DownKm: down, site: symbols.intern(site)}
+	var s nodeSlab
+	for i := len(path) - 1; i >= 0; i-- {
+		r = r.prepend(&s, path[i], cityOf(cities[i]))
+	}
+	return r
+}
+
 func TestCapClass(t *testing.T) {
-	mk := func(ln int, handoff string, down float64, site string) Route {
+	mkNbr := func(ln int, handoff string, down float64, site string, nbr topo.ASN) Route {
 		path := make([]topo.ASN, ln)
+		path[0] = nbr
 		cities := make([]string, ln)
 		for i := range cities {
 			cities[i] = handoff
 		}
-		return Route{Path: path, Cities: cities, DownKm: down, Site: site}
+		return testRoute(path, cities, down, site)
+	}
+	mk := func(ln int, handoff string, down float64, site string) Route {
+		return mkNbr(ln, handoff, down, site, 0)
 	}
 	// Longer paths are dropped.
-	out := capClass([]Route{mk(2, "NYC", 10, "a"), mk(3, "LON", 0, "b")}, MaxRoutesPerClass, false)
-	if len(out) != 1 || out[0].Site != "a" {
+	out := capClass(nil, []Route{mk(2, "NYC", 10, "a"), mk(3, "LON", 0, "b")}, MaxRoutesPerClass, false)
+	if len(out) != 1 || out[0].Site() != "a" {
 		t.Errorf("capClass kept wrong routes: %v", out)
 	}
 	// Duplicate handoffs keep the cheapest downstream.
-	out = capClass([]Route{mk(2, "NYC", 10, "a"), mk(2, "NYC", 5, "b")}, MaxRoutesPerClass, false)
-	if len(out) != 1 || out[0].Site != "b" {
+	out = capClass(nil, []Route{mk(2, "NYC", 10, "a"), mk(2, "NYC", 5, "b")}, MaxRoutesPerClass, false)
+	if len(out) != 1 || out[0].Site() != "b" {
 		t.Errorf("capClass dedup failed: %v", out)
 	}
-	withNbr := func(r Route, nbr topo.ASN) Route { r.Path[0] = nbr; return r }
 	// The cap counts neighbours, not session cities: one neighbour with
 	// many interconnection cities keeps them all (hot-potato diversity).
 	var many []Route
 	cities := []string{"NYC", "LON", "FRA", "SIN", "SYD", "SAO", "JNB", "BOM", "TYO", "SEA", "LAX", "MIA", "WAS", "CHI", "DEN"}
 	for i, c := range cities {
-		many = append(many, withNbr(mk(2, c, float64(i), "s"), 7))
+		many = append(many, mkNbr(2, c, float64(i), "s", 7))
 	}
-	out = capClass(many, 1, true)
+	out = capClass(nil, many, 1, true)
 	if len(out) != len(cities) {
 		t.Errorf("capClass kept %d routes, want all %d sessions of the single neighbour", len(out), len(cities))
 	}
 	// Distinct neighbours are capped.
 	var multi []Route
 	for i, c := range cities[:6] {
-		multi = append(multi, withNbr(mk(2, c, float64(i), "s"), topo.ASN(10+i)))
+		multi = append(multi, mkNbr(2, c, float64(i), "s", topo.ASN(10+i)))
 	}
-	out = capClass(multi, 2, false)
+	out = capClass(nil, multi, 2, false)
 	if len(out) != 2 {
 		t.Errorf("capClass kept %d routes, want 2 neighbours' single sessions", len(out))
 	}
-	if capClass(nil, 1, true) != nil {
+	if capClass(nil, nil, 1, true) != nil {
 		t.Error("capClass(nil) should be nil")
 	}
 	// Arbitrary mode still avoids continental-scale detours: 9,000 km of
 	// extra downstream carriage lands in a higher bucket and loses.
-	out = capClass([]Route{withNbr(mk(2, "SIN", 9000, "far"), 9), withNbr(mk(2, "NYC", 0, "near"), 8)}, 1, true)
+	out = capClass(nil, []Route{mkNbr(2, "SIN", 9000, "far", 9), mkNbr(2, "NYC", 0, "near", 8)}, 1, true)
 	if len(out) != 1 || out[0].Handoff() != "NYC" {
 		t.Errorf("arbitrary capClass kept %v, want lower carriage bucket", out)
 	}
 	// Within a 3,000 km band neighbour choice is geography-blind: 2,500 km
 	// of extra carriage does not beat the lower neighbour ASN.
-	out = capClass([]Route{withNbr(mk(2, "WAS", 2500, "x"), 20), withNbr(mk(2, "BOS", 0, "y"), 30)}, 1, true)
-	if len(out) != 1 || out[0].Path[0] != 20 {
+	out = capClass(nil, []Route{mkNbr(2, "WAS", 2500, "x", 20), mkNbr(2, "BOS", 0, "y", 30)}, 1, true)
+	if len(out) != 1 || out[0].Path()[0] != 20 {
 		t.Errorf("blind-in-band capClass kept %v, want lowest neighbour ASN", out)
 	}
 }

@@ -17,11 +17,13 @@ import (
 //
 // What makes the shallow copy sound is the engine's immutability discipline:
 //
-//   - The frozen topology, the city-distance matrix, and the dense AS index
-//     (n, asIdx, byIdx, linkA, linkB) never change after NewEngine — shared
-//     by reference.
-//   - A ribTable and the ribs it points to (provenance records included)
-//     are never mutated once installed.
+//   - The frozen topology and the dense AS and link indexes (n, asIdx,
+//     byIdx, linkA, linkB, linkCities, linkIXP) never change after
+//     NewEngine — shared by reference. The city table and the site/IXP
+//     symbol table are process-wide; the latter only ever appends.
+//   - A ribTable, the ribs it points to (provenance records included) and
+//     the path nodes their routes chain through are never mutated once
+//     installed.
 //     converge always builds a fresh table (copying clean ASes' rib
 //     *pointers* over) and fresh rib structs for every recomputed AS, and
 //     install replaces the per-prefix table wholesale. So the fork shares
@@ -50,13 +52,13 @@ func (e *Engine) Fork() *Engine {
 	feobs.tracer = nil
 	f := &Engine{
 		topo:       e.topo,
-		cityIdx:    e.cityIdx,
-		cityKm:     e.cityKm,
 		n:          e.n,
 		asIdx:      e.asIdx,
 		byIdx:      e.byIdx,
 		linkA:      e.linkA,
 		linkB:      e.linkB,
+		linkCities: e.linkCities,
+		linkIXP:    e.linkIXP,
 		routeState: st,
 		eobs:       feobs,
 		// Provenance records live on the shared ribs, so the fork shares

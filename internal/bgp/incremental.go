@@ -280,7 +280,7 @@ func (e *Engine) spill(ribs, old ribTable, delta *asBits) *asBits {
 			if delta.has(ni) || next.has(ni) {
 				continue
 			}
-			if e.offersChanged(asn, oldR, newR, l, nbr) {
+			if e.offersChanged(asn, oldR, newR, li, nbr) {
 				next.add(ni)
 			}
 		}
@@ -291,27 +291,28 @@ func (e *Engine) spill(ribs, old ribTable, delta *asBits) *asBits {
 // offersChanged reports whether `from` exports different offers to `nbr`
 // over link l under its old vs new rib. Origin self routes never export
 // through this path (they arrive as per-site seeds), matching converge.
-func (e *Engine) offersChanged(from topo.ASN, oldR, newR *rib, l topo.Link, nbr topo.ASN) bool {
+func (e *Engine) offersChanged(from topo.ASN, oldR, newR *rib, li int, nbr topo.ASN) bool {
+	l := e.topo.Links()[li]
 	switch {
 	case l.Type == topo.CustomerToProvider && l.A == from:
 		// Customer->provider climb (phase 1): export the customer class.
-		return !e.sameExport(from, customerExport(oldR), customerExport(newR), l, nbr)
+		return !e.sameExport(customerExport(oldR), customerExport(newR), li)
 	case l.Type != topo.CustomerToProvider:
 		// Peering (phase 2): also the customer class.
-		return !e.sameExport(from, customerExport(oldR), customerExport(newR), l, nbr)
+		return !e.sameExport(customerExport(oldR), customerExport(newR), li)
 	default:
 		// Provider->customer descent (phase 3): export the selection.
-		return !e.sameExport(from, selectedExport(oldR), selectedExport(newR), l, nbr)
+		return !e.sameExport(selectedExport(oldR), selectedExport(newR), li)
 	}
 }
 
 // customerExport returns the route set an AS offers over climb and peering
 // links: its customer class, unless it is an origin.
 func customerExport(r *rib) []Route {
-	if r == nil || len(r.classes[FromOrigin]) > 0 {
+	if r == nil || hasOrigin(r) {
 		return nil
 	}
-	return r.classes[FromCustomer]
+	return r.class(FromCustomer)
 }
 
 // selectedExport returns the route set an AS offers to its customers: its
@@ -327,20 +328,20 @@ func selectedExport(r *rib) []Route {
 	return set
 }
 
-// sameExport reports whether two route sets export identical offers over a
-// link. Exports are derived per interconnection city from the hot-potato
-// winner alone, so comparing winners city by city avoids materialising the
-// export routes (and their path/city allocations) entirely.
-func (e *Engine) sameExport(from topo.ASN, oldSet, newSet []Route, l topo.Link, to topo.ASN) bool {
+// sameExport reports whether two route sets export identical offers over
+// link li. Exports are derived per interconnection city from the
+// hot-potato winner alone, so comparing winners city by city avoids
+// materialising the export routes entirely.
+func (e *Engine) sameExport(oldSet, newSet []Route, li int) bool {
 	if len(oldSet) == 0 && len(newSet) == 0 {
 		return true
 	}
 	if routesEqual(oldSet, newSet) {
 		return true
 	}
-	for _, c := range l.Cities {
-		ro, okO := e.hotPotato(oldSet, c)
-		rn, okN := e.hotPotato(newSet, c)
+	for _, c := range e.linkCities[li] {
+		ro, okO := hotPotato(oldSet, c)
+		rn, okN := hotPotato(newSet, c)
 		if okO != okN || (okO && !routeEqual(ro, rn)) {
 			return false
 		}
@@ -352,15 +353,13 @@ func (e *Engine) sameExport(from topo.ASN, oldSet, newSet []Route, l topo.Link, 
 // in any preference class.
 func (e *Engine) siteRefs(ribs ribTable, siteID string) *asBits {
 	out := newASBits(e.n)
+	site, ok := symbols.lookup(siteID)
+	if !ok {
+		return out // never announced, so no route carries it
+	}
 	for i, r := range ribs {
-		if r == nil {
-			continue
-		}
-		for c := FromOrigin; c <= FromProvider; c++ {
-			if slices.ContainsFunc(r.classes[c], func(rt Route) bool { return rt.Site == siteID }) {
-				out.add(i)
-				break
-			}
+		if r != nil && slices.ContainsFunc(r.routes, func(rt Route) bool { return rt.site == site }) {
+			out.add(i)
 		}
 	}
 	return out
@@ -370,9 +369,10 @@ func (e *Engine) siteRefs(ribs ribTable, siteID string) *asBits {
 // announcement's per-site seed routes as dirty.
 func (e *Engine) seedTargets(a SiteAnnouncement, dirty *asBits) {
 	links := e.topo.Links()
+	c := cityOf(a.City)
 	for _, li := range e.topo.LinksOf(a.Origin) {
 		l := links[li]
-		if !containsCity(l.Cities, a.City) {
+		if !slices.Contains(e.linkCities[li], c) {
 			continue
 		}
 		nbr, ni := l.B, int(e.linkB[li])
@@ -385,12 +385,12 @@ func (e *Engine) seedTargets(a SiteAnnouncement, dirty *asBits) {
 	}
 }
 
-// routeEqual compares two routes field by field.
+// routeEqual compares two routes field by field, and their chains hop by
+// hop.
 func routeEqual(a, b Route) bool {
-	return a.Rel == b.Rel && a.Site == b.Site && a.DownKm == b.DownKm &&
-		a.FinalIXP == b.FinalIXP && a.FinalUpstream == b.FinalUpstream &&
-		slices.Equal(a.Path, b.Path) && slices.Equal(a.Cities, b.Cities) &&
-		a.Comms.Equal(b.Comms)
+	return a.Rel == b.Rel && a.site == b.site && a.DownKm == b.DownKm &&
+		a.ixp == b.ixp && a.FinalUpstream == b.FinalUpstream && a.plen == b.plen &&
+		pathEqual(a.path, b.path) && a.Comms.Equal(b.Comms)
 }
 
 func routesEqual(a, b []Route) bool {
@@ -408,19 +408,15 @@ func routesEqual(a, b []Route) bool {
 // ribEqual compares two ribs class by class; a nil rib equals an empty one
 // (an AS can hold an allocated-but-empty rib after a class emptied out).
 func ribEqual(a, b *rib) bool {
-	for c := FromOrigin; c <= FromProvider; c++ {
-		if !routesEqual(classRoutes(a, c), classRoutes(b, c)) {
-			return false
-		}
+	var ea, eb [FromProvider + 1]uint16
+	var ra, rb []Route
+	if a != nil {
+		ea, ra = a.ends, a.routes
 	}
-	return true
-}
-
-func classRoutes(r *rib, c RelClass) []Route {
-	if r == nil {
-		return nil
+	if b != nil {
+		eb, rb = b.ends, b.routes
 	}
-	return r.classes[c]
+	return ea == eb && routesEqual(ra, rb)
 }
 
 // Catchments returns the serving site for every AS that has a route to the
@@ -444,8 +440,8 @@ func (e *Engine) Catchments(prefix netip.Prefix) map[topo.ASN]string {
 		if !ok || len(as.Cities) == 0 {
 			continue
 		}
-		if r, ok := e.hotPotato(set, as.Cities[0]); ok {
-			out[asn] = r.Site
+		if r, ok := hotPotato(set, cityOf(as.Cities[0])); ok {
+			out[asn] = r.Site()
 		}
 	}
 	return out

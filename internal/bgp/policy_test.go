@@ -42,8 +42,8 @@ func TestSeedPolicyTagging(t *testing.T) {
 	if !ok || !pz.Valid {
 		t.Fatal("no provenance for zayo")
 	}
-	if !pz.Winner.Comms.Has(sinTag) || pz.Winner.Comms.Has(fraTag) {
-		t.Fatalf("zayo winner communities = %v, want metro:SIN only", pz.Winner.Comms)
+	if !pz.Winner().Comms.Has(sinTag) || pz.Winner().Comms.Has(fraTag) {
+		t.Fatalf("zayo winner communities = %v, want metro:SIN only", pz.Winner().Comms)
 	}
 	// Belnet prefers the public peer (through Zayo, hence SIN-tagged); the
 	// losing route-server route was seeded at FRA.
@@ -51,11 +51,11 @@ func TestSeedPolicyTagging(t *testing.T) {
 	if !ok || !pb.Valid {
 		t.Fatal("no provenance for belnet")
 	}
-	if pb.WinnerClass != FromPublicPeer || !pb.Winner.Comms.Has(sinTag) {
-		t.Fatalf("belnet winner = %v comms %v, want public-peer with metro:SIN", pb.WinnerClass, pb.Winner.Comms)
+	if pb.WinnerClass != FromPublicPeer || !pb.Winner().Comms.Has(sinTag) {
+		t.Fatalf("belnet winner = %v comms %v, want public-peer with metro:SIN", pb.WinnerClass, pb.Winner().Comms)
 	}
-	if !pb.HasRunnerUp || pb.RunnerClass != FromRSPeer || !pb.RunnerUp.Comms.Has(fraTag) {
-		t.Fatalf("belnet runner-up = %v comms %v, want rs-peer with metro:FRA", pb.RunnerClass, pb.RunnerUp.Comms)
+	if !pb.HasRunnerUp || pb.RunnerClass != FromRSPeer || !pb.RunnerUp().Comms.Has(fraTag) {
+		t.Fatalf("belnet runner-up = %v comms %v, want rs-peer with metro:FRA", pb.RunnerClass, pb.RunnerUp().Comms)
 	}
 }
 

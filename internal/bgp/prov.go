@@ -22,8 +22,8 @@ package bgp
 //
 // The provenance-off path stays byte- and allocation-identical to an engine
 // without the feature: every recording site is gated on a nil *provRecorder
-// before any event is materialised, and the prov pointer keeps a rib at
-// 128 B, the same allocation size class it had without the field.
+// before any event is materialised, and with the prov pointer a rib is
+// 48 B, the allocation size class its 40 B would round up to without it.
 // BenchmarkAnnounceProvenance pins this.
 //
 // Determinism. A record is a pure function of (topology, announcement set):
@@ -87,9 +87,11 @@ func (s DecisionStep) String() string {
 }
 
 // Provenance is the decision record of one AS's route selection for one
-// prefix. Winner is the representative selected route (the routeCmp-least
-// retained route of the winning class); RunnerUp, when present, is the most
-// competitive route that lost, and Step is the comparison that rejected it.
+// prefix. Winner() is the representative selected route (the routeCmp-least
+// retained route of the winning class); RunnerUp(), when HasRunnerUp, is
+// the most competitive route that lost, and Step is the comparison that
+// rejected it. Both routes share their path chains with the ribs, so a
+// record costs two 40-byte Routes and no path copies.
 type Provenance struct {
 	// Valid reports that the AS holds routing state for the prefix.
 	Valid bool
@@ -97,13 +99,12 @@ type Provenance struct {
 	WinnerClass RelClass
 	// Step is the decision step that settled the selection.
 	Step DecisionStep
-	// Winner is the representative selected route.
-	Winner Route
 	// HasRunnerUp reports whether any competing route existed.
 	HasRunnerUp bool
-	// RunnerUp is the best losing route; RunnerClass is its import class.
-	RunnerUp    Route
+	// RunnerClass is the runner-up's import class.
 	RunnerClass RelClass
+
+	winner, runnerUp Route
 	// AltInClass is the number of retained equally-preferred routes (the
 	// hot-potato egress breadth of the winning class).
 	AltInClass int
@@ -111,6 +112,13 @@ type Provenance struct {
 	// (router-ID style) neighbour ranking.
 	Arbitrary bool
 }
+
+// Winner returns the representative selected route.
+func (p Provenance) Winner() Route { return p.winner }
+
+// RunnerUp returns the best losing route (the zero Route unless
+// HasRunnerUp).
+func (p Provenance) RunnerUp() Route { return p.runnerUp }
 
 // provRecorder accumulates the best dropped route per (AS, class) during one
 // converge call. It exists only when provenance is enabled; every method is
@@ -244,7 +252,7 @@ func (e *Engine) buildProv(i int, rb *rib, pr *provRecorder) Provenance {
 	p := Provenance{
 		Valid:       true,
 		WinnerClass: cls,
-		Winner:      set[0],
+		winner:      set[0],
 		AltInClass:  len(set),
 		Arbitrary:   arb,
 	}
@@ -263,22 +271,22 @@ func (e *Engine) buildProv(i int, rb *rib, pr *provRecorder) Provenance {
 		}
 	}
 	if has {
-		p.RunnerUp, p.RunnerClass, p.HasRunnerUp = ru, cls, true
+		p.runnerUp, p.RunnerClass, p.HasRunnerUp = ru, cls, true
 		p.Step = stepOr(StepTieBreak, ruPol)
 		return p
 	}
 	if d, pol, okD := pr.dropOf(i, cls); okD {
-		p.RunnerUp, p.RunnerClass, p.HasRunnerUp = d, cls, true
+		p.runnerUp, p.RunnerClass, p.HasRunnerUp = d, cls, true
 		p.Step = stepOr(StepPathLen, pol)
 		return p
 	}
 	for c := cls + 1; c <= FromProvider; c++ {
-		if alts := rb.classes[c]; len(alts) > 0 {
-			p.RunnerUp, p.RunnerClass, p.HasRunnerUp, p.Step = alts[0], c, true, StepLocalPref
+		if alts := rb.class(c); len(alts) > 0 {
+			p.runnerUp, p.RunnerClass, p.HasRunnerUp, p.Step = alts[0], c, true, StepLocalPref
 			return p
 		}
 		if d, pol, okD := pr.dropOf(i, c); okD {
-			p.RunnerUp, p.RunnerClass, p.HasRunnerUp = d, c, true
+			p.runnerUp, p.RunnerClass, p.HasRunnerUp = d, c, true
 			p.Step = stepOr(StepLocalPref, pol)
 			return p
 		}
@@ -397,9 +405,9 @@ func (p Provenance) String() string {
 	if !p.Valid {
 		return "no-route"
 	}
-	s := fmt.Sprintf("%s via %s (%d alt), %s", p.WinnerClass, p.Winner.String(), p.AltInClass, p.Step)
+	s := fmt.Sprintf("%s via %s (%d alt), %s", p.WinnerClass, p.winner.String(), p.AltInClass, p.Step)
 	if p.HasRunnerUp {
-		s += fmt.Sprintf(" over %s %s", p.RunnerClass, p.RunnerUp.String())
+		s += fmt.Sprintf(" over %s %s", p.RunnerClass, p.runnerUp.String())
 	}
 	return s
 }

@@ -17,10 +17,10 @@ func provEqual(a, b Provenance) bool {
 	if !a.Valid {
 		return true
 	}
-	if !routeEqual(a.Winner, b.Winner) {
+	if !routeEqual(a.Winner(), b.Winner()) {
 		return false
 	}
-	return !a.HasRunnerUp || routeEqual(a.RunnerUp, b.RunnerUp)
+	return !a.HasRunnerUp || routeEqual(a.RunnerUp(), b.RunnerUp())
 }
 
 // provTable is one prefix's per-AS provenance, indexed by dense AS rank: the
@@ -107,8 +107,8 @@ func TestProvenanceInvariants(t *testing.T) {
 				if p.WinnerClass != cls {
 					t.Fatalf("%s: winner class %v != selected class %v", asn, p.WinnerClass, cls)
 				}
-				if !routeEqual(p.Winner, s[0]) {
-					t.Fatalf("%s: winner %v is not the selected representative %v", asn, p.Winner, s[0])
+				if !routeEqual(p.Winner(), s[0]) {
+					t.Fatalf("%s: winner %v is not the selected representative %v", asn, p.Winner(), s[0])
 				}
 				if p.AltInClass != len(set) {
 					t.Fatalf("%s: AltInClass %d != retained set size %d", asn, p.AltInClass, len(set))
@@ -132,12 +132,12 @@ func TestProvenanceInvariants(t *testing.T) {
 				t.Fatalf("%s: local-pref runner-up class %v not worse than winner %v", asn, p.RunnerClass, p.WinnerClass)
 			}
 		case StepPathLen:
-			if !p.HasRunnerUp || p.RunnerClass != p.WinnerClass || p.RunnerUp.Len() <= p.Winner.Len() {
-				t.Fatalf("%s: path-len runner-up %v does not lose on length to %v", asn, p.RunnerUp, p.Winner)
+			if !p.HasRunnerUp || p.RunnerClass != p.WinnerClass || p.RunnerUp().Len() <= p.Winner().Len() {
+				t.Fatalf("%s: path-len runner-up %v does not lose on length to %v", asn, p.RunnerUp(), p.Winner())
 			}
 		case StepTieBreak:
-			if !p.HasRunnerUp || p.RunnerClass != p.WinnerClass || p.RunnerUp.Len() != p.Winner.Len() {
-				t.Fatalf("%s: tie-break runner-up %v is not an equal-length same-class peer of %v", asn, p.RunnerUp, p.Winner)
+			if !p.HasRunnerUp || p.RunnerClass != p.WinnerClass || p.RunnerUp().Len() != p.Winner().Len() {
+				t.Fatalf("%s: tie-break runner-up %v is not an equal-length same-class peer of %v", asn, p.RunnerUp(), p.Winner())
 			}
 		}
 	}

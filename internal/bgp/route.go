@@ -7,9 +7,15 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"net/netip"
+	"strings"
+	"sync"
+	"sync/atomic"
 
+	"anysim/internal/geo"
 	"anysim/internal/policy"
 	"anysim/internal/topo"
 )
@@ -71,61 +77,294 @@ func classify(l topo.Link, recv topo.ASN) RelClass {
 
 // Route is a path to an anycast prefix as held by one AS's RIB.
 //
-// Path is the AS path from the owning AS's next hop down to the origin
-// (Path[0] is the neighbour the route was learned from; Path[len-1] is the
-// origin AS). Cities is the parallel list of interconnection cities:
-// Cities[0] is where the owning AS hands traffic to Path[0], and Cities[i]
-// is where Path[i-1] hands traffic to Path[i]. Because a site announces its
-// prefixes from the site's own city, Cities[len-1] is the catchment site's
-// city.
+// The AS path runs from the owning AS's next hop down to the origin
+// (Path()[0] is the neighbour the route was learned from; the last element
+// is the origin AS). Cities() is the parallel list of interconnection
+// cities: Cities()[0] is where the owning AS hands traffic to Path()[0],
+// and Cities()[i] is where Path()[i-1] hands traffic to Path()[i]. Because
+// a site announces its prefixes from the site's own city, the last city is
+// the catchment site's city.
+//
+// A Route is a small value of dense ids plus one shared path chain. The
+// chain is an immutable linked list of (AS, city) nodes, so an export
+// prepends one node to the exporter's chain instead of copying two slices,
+// and every route derived from the same selection shares its tail. Cities
+// are ids into geo.Cities(), sites and IXPs ids into a process-wide intern
+// table; the string forms are materialised only by the accessor methods
+// (and by Lookup's Forward), the boundary where names leave the engine.
+// The struct is 40 bytes; two of its five words hold pointers the GC
+// scans (the chain and Comms).
 type Route struct {
-	Rel RelClass
-	// FinalUpstream is the AS handing traffic to the origin (the owner of
-	// the penultimate traceroute hop when the CDN's site router does not
-	// answer). It shares Rel's alignment word: together with dropping a
-	// word of padding this keeps Route at its pre-policy 104 bytes, so
-	// rib slice growth hits the same allocator size classes (and the
-	// BenchmarkAnnounce allocation pin) as before the Comms field existed.
-	FinalUpstream topo.ASN
-
-	Path   []topo.ASN
-	Cities []string
-	Site   string // identity of the announcing anycast site
-
-	// DownKm is the total intra-AS carriage distance, in kilometres, from
-	// the handoff at Cities[0] down to the site. It excludes the owning
-	// AS's own carriage from wherever traffic enters it to Cities[0].
-	DownKm float64
-
-	// FinalIXP is the IXP over which the final handoff to the origin
-	// happens, or "" if the final link is a private interconnection. The
-	// paper finds 49% of p-hop IPs belong to IXPs and are invisible in BGP.
-	FinalIXP string
+	path *pathNode
 
 	// Comms is the route's interned community set (nil = none). Communities
 	// are attached at the origin's edge and travel transitively: export
 	// copies the pointer, never the set. Always nil when the engine has no
-	// policy layer, so the no-policy path carries only this one pointer of
-	// overhead.
+	// policy layer.
 	Comms *policy.Set
+
+	// DownKm is the total intra-AS carriage distance, in kilometres, from
+	// the handoff at Cities()[0] down to the site. It excludes the owning
+	// AS's own carriage from wherever traffic enters it to Cities()[0].
+	DownKm float64
+
+	// FinalUpstream is the AS handing traffic to the origin (the owner of
+	// the penultimate traceroute hop when the CDN's site router does not
+	// answer).
+	FinalUpstream topo.ASN
+
+	site symbol // identity of the announcing anycast site
+	// ixp is the IXP over which the final handoff to the origin happens,
+	// or noSymbol if the final link is a private interconnection. The
+	// paper finds 49% of p-hop IPs belong to IXPs and are invisible in BGP.
+	ixp  symbol
+	plen uint16 // AS-path length: the number of nodes in the chain
+
+	Rel RelClass
+}
+
+// pathNode is one hop of a route's AS path: the AS and the city where the
+// previous hop (or the route's owner, for the head) hands traffic to it.
+// Nodes are immutable once the converge that built them finishes, so ribs,
+// forks and snapshots share tails freely.
+type pathNode struct {
+	next *pathNode
+	asn  topo.ASN
+	city cityID
 }
 
 // Origin returns the origin AS of the route.
-func (r Route) Origin() topo.ASN { return r.Path[len(r.Path)-1] }
+func (r Route) Origin() topo.ASN { return r.last().asn }
 
 // Len returns the AS-path length.
-func (r Route) Len() int { return len(r.Path) }
+func (r Route) Len() int { return int(r.plen) }
 
 // Handoff returns the city where the owning AS hands traffic to the next
 // hop.
-func (r Route) Handoff() string { return r.Cities[0] }
+func (r Route) Handoff() string { return r.path.city.String() }
+
+// handoff is Handoff's dense id.
+func (r Route) handoff() cityID { return r.path.city }
 
 // SiteCity returns the city of the catchment site.
-func (r Route) SiteCity() string { return r.Cities[len(r.Cities)-1] }
+func (r Route) SiteCity() string { return r.last().city.String() }
+
+// Site returns the identity of the announcing anycast site.
+func (r Route) Site() string { return r.site.String() }
+
+// FinalIXP returns the IXP over which the final handoff to the origin
+// happens, or "" if the final link is a private interconnection.
+func (r Route) FinalIXP() string { return r.ixp.String() }
+
+// Path returns the AS path as a fresh slice.
+func (r Route) Path() []topo.ASN {
+	out := make([]topo.ASN, 0, r.plen)
+	for n := r.path; n != nil; n = n.next {
+		out = append(out, n.asn)
+	}
+	return out
+}
+
+// Cities returns the handoff cities, parallel to Path, as a fresh slice.
+func (r Route) Cities() []string {
+	out := make([]string, 0, r.plen)
+	for n := r.path; n != nil; n = n.next {
+		out = append(out, n.city.String())
+	}
+	return out
+}
+
+// last returns the chain's final node: the origin at the site's city.
+func (r Route) last() *pathNode {
+	n := r.path
+	for n.next != nil {
+		n = n.next
+	}
+	return n
+}
 
 // String renders the route for debugging.
 func (r Route) String() string {
-	return fmt.Sprintf("%s via %v@%s to site %s (%.0f km downstream)", r.Rel, r.Path[0], r.Cities[0], r.Site, r.DownKm)
+	return fmt.Sprintf("%s via %v@%s to site %s (%.0f km downstream)", r.Rel, r.path.asn, r.Handoff(), r.Site(), r.DownKm)
+}
+
+// prepend returns the route as exported by AS from at city c: one node
+// pushed onto the shared chain, everything else carried over.
+func (r Route) prepend(s *nodeSlab, from topo.ASN, c cityID) Route {
+	if r.plen == math.MaxUint16 {
+		panic("bgp: AS path longer than 65535 hops")
+	}
+	r.path = s.push(from, c, r.path)
+	r.plen++
+	return r
+}
+
+// pathCmp orders two chains as slices.Compare orders their AS paths, then
+// their city lists. Reaching a node both chains share (pointer equality at
+// the same depth) ends the walk early: from there on they are identical.
+func pathCmp(a, b *pathNode) int {
+	x, y := a, b
+	for x != y {
+		if x == nil {
+			return -1
+		}
+		if y == nil {
+			return 1
+		}
+		if x.asn != y.asn {
+			return cmp.Compare(x.asn, y.asn)
+		}
+		x, y = x.next, y.next
+	}
+	// Equal AS paths, hence equal lengths: compare the cities up to the
+	// shared tail.
+	for x, y = a, b; x != y; x, y = x.next, y.next {
+		if x.city != y.city {
+			return cmp.Compare(x.city, y.city)
+		}
+	}
+	return 0
+}
+
+// pathEqual reports whether two chains hold the same hops.
+func pathEqual(a, b *pathNode) bool {
+	for ; a != b; a, b = a.next, b.next {
+		if a == nil || b == nil || a.asn != b.asn || a.city != b.city {
+			return false
+		}
+	}
+	return true
+}
+
+// nodeSlab hands out path nodes from chunks, so a converge pays one
+// allocation per chunk instead of one per exported route. A slab belongs to
+// one converge; once that converge returns, its nodes are never written
+// again.
+type nodeSlab struct{ buf []pathNode }
+
+// push allocates a node from the slab. Chunks double from 32 up to 1024
+// nodes, so a small incremental pass does not reserve a large block.
+func (s *nodeSlab) push(asn topo.ASN, c cityID, next *pathNode) *pathNode {
+	if len(s.buf) == cap(s.buf) {
+		s.buf = make([]pathNode, 0, min(max(2*cap(s.buf), 32), 1024))
+	}
+	s.buf = append(s.buf, pathNode{next: next, asn: asn, city: c})
+	return &s.buf[len(s.buf)-1]
+}
+
+// cityID is a city's rank in geo.Cities(), which is sorted by IATA code, so
+// comparing ids orders cities exactly as comparing their codes does.
+type cityID uint16
+
+var (
+	cityNames = func() []string {
+		cs := geo.Cities()
+		out := make([]string, len(cs))
+		for i, c := range cs {
+			out[i] = c.IATA
+		}
+		return out
+	}()
+	cityIDs = func() map[string]cityID {
+		m := make(map[string]cityID, len(cityNames))
+		for i, c := range cityNames {
+			m[c] = cityID(i)
+		}
+		return m
+	}()
+	// cityKm holds the great-circle distance of every city pair, flat:
+	// cityKm[a*len(cityNames)+b].
+	cityKm = func() []float64 {
+		cs := geo.Cities()
+		out := make([]float64, len(cs)*len(cs))
+		for i := range cs {
+			for j := range cs {
+				out[i*len(cs)+j] = geo.DistanceKm(cs[i].Coord, cs[j].Coord)
+			}
+		}
+		return out
+	}()
+)
+
+// String returns the city's IATA code.
+func (c cityID) String() string { return cityNames[c] }
+
+// cityOf returns a city's id, panicking on a city the geo registry does not
+// know: topologies validate every city at build time and announcements
+// only use their origin's cities, so an unknown city is a caller's bug.
+func cityOf(name string) cityID {
+	c, ok := cityIDs[name]
+	if !ok {
+		panic(fmt.Sprintf("bgp: unknown city %q", name))
+	}
+	return c
+}
+
+// km returns the distance between two cities.
+func km(a, b cityID) float64 { return cityKm[int(a)*len(cityNames)+int(b)] }
+
+// symbol is an interned site or IXP name; noSymbol stands for "".
+type symbol uint32
+
+const noSymbol symbol = 0
+
+// symtab is an append-only string intern table. Ids are assigned in first
+// use order, which varies with the order concurrent trials intern new
+// names, so an id is identity only: ordering compares names.
+type symtab struct {
+	mu  sync.RWMutex
+	ids map[string]symbol
+	// names is replaced, never mutated, on every insert, so readers index
+	// it without the lock.
+	names atomic.Pointer[[]string]
+}
+
+// symbols is the one table every engine and fork interns sites and IXPs
+// into. Sharing it lets a bare Route render its names; the handful of
+// distinct names a process announces bounds its size.
+var symbols = func() *symtab {
+	t := &symtab{ids: map[string]symbol{"": noSymbol}}
+	names := []string{""}
+	t.names.Store(&names)
+	return t
+}()
+
+// intern returns the name's symbol, adding it on first use.
+func (t *symtab) intern(name string) symbol {
+	if s, ok := t.lookup(name); ok {
+		return s
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s, ok := t.ids[name]; ok {
+		return s
+	}
+	old := *t.names.Load()
+	names := append(old[:len(old):len(old)], name)
+	s := symbol(len(old))
+	t.ids[name] = s
+	t.names.Store(&names)
+	return s
+}
+
+// lookup returns the name's symbol if it was ever interned.
+func (t *symtab) lookup(name string) (symbol, bool) {
+	t.mu.RLock()
+	s, ok := t.ids[name]
+	t.mu.RUnlock()
+	return s, ok
+}
+
+// String returns the interned name.
+func (s symbol) String() string { return (*symbols.names.Load())[s] }
+
+// symbolCmp orders two symbols by their names.
+func symbolCmp(a, b symbol) int {
+	if a == b {
+		return 0
+	}
+	names := *symbols.names.Load()
+	return strings.Compare(names[a], names[b])
 }
 
 // MaxPrepend caps per-announcement AS-path prepending. Operators rarely
@@ -164,25 +403,18 @@ type SiteAnnouncement struct {
 	Communities []policy.Community `json:"communities,omitempty"`
 }
 
-// seedPath is the AS path the announcement exports to its neighbours: the
-// origin ASN repeated 1+Prepend times. With Prepend 0 this is exactly the
-// single-element path the engine has always seeded.
-func (a SiteAnnouncement) seedPath() []topo.ASN {
-	path := make([]topo.ASN, a.Prepend+1)
-	for i := range path {
-		path[i] = a.Origin
+// seedChain returns the path the announcement exports to its neighbours:
+// the origin at the site's city repeated 1+Prepend times, every prepended
+// "hop" being the same router at the site. head is the chain's last node,
+// the origin's own one-hop self route. With Prepend 0 both are one node.
+func (a SiteAnnouncement) seedChain(s *nodeSlab) (chain, head *pathNode) {
+	c := cityOf(a.City)
+	head = s.push(a.Origin, c, nil)
+	chain = head
+	for i := 0; i < a.Prepend; i++ {
+		chain = s.push(a.Origin, c, chain)
 	}
-	return path
-}
-
-// seedCities is the city list parallel to seedPath: the announcement city
-// repeated, since every prepended "hop" is the same router at the site.
-func (a SiteAnnouncement) seedCities() []string {
-	cities := make([]string, a.Prepend+1)
-	for i := range cities {
-		cities[i] = a.City
-	}
-	return cities
+	return chain, head
 }
 
 // announcesTo reports whether the announcement is made to the given
@@ -211,7 +443,8 @@ type Forward struct {
 	DistKm float64
 	// Rel is how the client AS learned the route it uses.
 	Rel RelClass
-	// FinalIXP / FinalUpstream describe the last handoff (see Route).
+	// FinalIXP / FinalUpstream describe the last handoff (see Route's
+	// FinalIXP and FinalUpstream).
 	FinalIXP      string
 	FinalUpstream topo.ASN
 }

@@ -1,0 +1,118 @@
+package bgp
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"anysim/internal/topo"
+)
+
+// TestRouteSize pins the route value at 40 bytes and a rib at 48: rib
+// slices, offer lists and capClass results copy Routes by value, and every
+// recomputed AS allocates a rib, so every word counts.
+func TestRouteSize(t *testing.T) {
+	if got := unsafe.Sizeof(Route{}); got > 40 {
+		t.Fatalf("sizeof(Route) = %d bytes, want <= 40", got)
+	}
+	if got := unsafe.Sizeof(rib{}); got > 48 {
+		t.Fatalf("sizeof(rib) = %d bytes, want <= 48", got)
+	}
+}
+
+// TestPathCmpMatchesSlices checks the chain walk against the slice order it
+// replaces — AS path first, then cities — including chains that share
+// tails, where the walk stops early.
+func TestPathCmpMatchesSlices(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cities := []string{"AMS", "FRA", "LON", "NYC"}
+	var s nodeSlab
+	type built struct {
+		r      Route
+		path   []topo.ASN
+		cities []string
+	}
+	// A pool of chains: half fresh, half one hop pushed onto an earlier
+	// chain, so tails are shared at assorted depths.
+	var pool []built
+	for len(pool) < 200 {
+		var b built
+		if len(pool) > 0 && rng.Intn(2) == 0 {
+			b = pool[rng.Intn(len(pool))]
+		} else {
+			b.r = Route{}
+		}
+		asn, c := topo.ASN(1+rng.Intn(3)), cities[rng.Intn(len(cities))]
+		b.r = b.r.prepend(&s, asn, cityOf(c))
+		b.path = append([]topo.ASN{asn}, b.path...)
+		b.cities = append([]string{c}, b.cities...)
+		pool = append(pool, b)
+	}
+	sign := func(x int) int { return min(max(x, -1), 1) }
+	for _, a := range pool {
+		if !slices.Equal(a.r.Path(), a.path) || !slices.Equal(a.r.Cities(), a.cities) || a.r.Len() != len(a.path) {
+			t.Fatalf("chain %v/%v renders as %v/%v", a.path, a.cities, a.r.Path(), a.r.Cities())
+		}
+		for _, b := range pool {
+			want := slices.Compare(a.path, b.path)
+			if want == 0 {
+				want = slices.Compare(a.cities, b.cities)
+			}
+			if got := pathCmp(a.r.path, b.r.path); sign(got) != sign(want) {
+				t.Fatalf("pathCmp(%v/%v, %v/%v) = %d, want %d", a.path, a.cities, b.path, b.cities, got, want)
+			}
+			if got := pathEqual(a.r.path, b.r.path); got != (want == 0) {
+				t.Fatalf("pathEqual(%v/%v, %v/%v) = %v", a.path, a.cities, b.path, b.cities, got)
+			}
+		}
+	}
+}
+
+// TestCityIDsOrderAsNames checks the invariant routeCmp's handoff key rests
+// on: city ids compare as their IATA codes do.
+func TestCityIDsOrderAsNames(t *testing.T) {
+	for i := 1; i < len(cityNames); i++ {
+		if cityNames[i-1] >= cityNames[i] {
+			t.Fatalf("city %d %q does not sort after %q", i, cityNames[i], cityNames[i-1])
+		}
+		if cityOf(cityNames[i]) != cityID(i) {
+			t.Fatalf("cityOf(%q) = %d, want %d", cityNames[i], cityOf(cityNames[i]), i)
+		}
+	}
+}
+
+// TestLookupMaterialisesChain: Lookup's Forward is the chain rendered with
+// the client AS in front, and LookupSite answers Lookup's site and distance
+// from every AS and presence city, allocating nothing.
+func TestLookupMaterialisesChain(t *testing.T) {
+	tp, e, _ := generatedCDNWorld(t, 3)
+	for _, asn := range tp.ASNs() {
+		cls, set, ok := e.Routes(pfxGlobal, asn)
+		for _, city := range tp.MustAS(asn).Cities {
+			fwd, okF := e.Lookup(pfxGlobal, asn, city)
+			site, distKm, okS := e.LookupSite(pfxGlobal, asn, city)
+			if okF != ok || okS != ok {
+				t.Fatalf("%s@%s: Lookup ok %v, LookupSite ok %v, routes %v", asn, city, okF, okS, ok)
+			}
+			if !ok {
+				continue
+			}
+			if site != fwd.Site || distKm != fwd.DistKm {
+				t.Fatalf("%s@%s: LookupSite = %s %.3f, Lookup = %s %.3f", asn, city, site, distKm, fwd.Site, fwd.DistKm)
+			}
+			r, _ := hotPotato(set, cityOf(city))
+			want := r.Path()
+			if cls != FromOrigin {
+				want = append([]topo.ASN{asn}, want...)
+			}
+			if !slices.Equal(fwd.Path, want) || !slices.Equal(fwd.Cities, r.Cities()) || fwd.Site != r.Site() {
+				t.Fatalf("%s@%s: Forward %v %v %s, route %v %v %s", asn, city, fwd.Path, fwd.Cities, fwd.Site, want, r.Cities(), r.Site())
+			}
+		}
+	}
+	city := tp.MustAS(topo.CDNBase).Cities[0]
+	if n := testing.AllocsPerRun(100, func() { e.LookupSite(pfxGlobal, topo.CDNBase, city) }); n != 0 {
+		t.Fatalf("LookupSite allocates %v times per call", n)
+	}
+}

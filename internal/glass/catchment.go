@@ -159,7 +159,7 @@ func classify(ce CatchmentExplanation) Pathology {
 		if !ok || !p.HasRunnerUp {
 			continue
 		}
-		if kmBetween(ce.City, p.RunnerUp.SiteCity()) >= kmBetween(ce.City, ce.SiteCity) {
+		if kmBetween(ce.City, p.RunnerUp().SiteCity()) >= kmBetween(ce.City, ce.SiteCity) {
 			continue
 		}
 		switch p.Step {

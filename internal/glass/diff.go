@@ -151,7 +151,7 @@ func attribute(before, after *CatchmentSet, b, a *GroupView) (MoveCause, topo.AS
 		return CausePolicyFilter, hb.ASN
 	}
 	if okB && okA && pb.Valid && pa.Valid &&
-		pb.WinnerClass == pa.WinnerClass && pb.Winner.Len() == pa.Winner.Len() {
+		pb.WinnerClass == pa.WinnerClass && pb.Winner().Len() == pa.Winner().Len() {
 		return CauseTieBreakShift, hb.ASN
 	}
 	return CausePolicyShift, hb.ASN

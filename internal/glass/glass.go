@@ -131,9 +131,9 @@ func explainForward(e *bgp.Engine, fwd bgp.Forward, asn topo.ASN, city string) E
 			if p.HasRunnerUp {
 				h.HasRunnerUp = true
 				h.RunnerClass = p.RunnerClass.String()
-				h.RunnerSite = p.RunnerUp.Site
-				h.RunnerSiteCity = p.RunnerUp.SiteCity()
-				h.RunnerPathLen = p.RunnerUp.Len()
+				h.RunnerSite = p.RunnerUp().Site()
+				h.RunnerSiteCity = p.RunnerUp().SiteCity()
+				h.RunnerPathLen = p.RunnerUp().Len()
 			}
 		}
 		exp.Hops = append(exp.Hops, h)

@@ -247,12 +247,14 @@ func Pow2Bounds(maxExp int) []int64 {
 	return out
 }
 
-// WriteSnapshot encodes the registry as deterministic JSON: two sections,
-// "sim" and "wall", each holding counters, gauges, and histograms in sorted
-// name order with a fixed field layout. Metric values in the sim section
-// are pure functions of the simulation, so two runs of the same seed
-// produce byte-identical sim sections at any worker count; the wall section
-// is empty unless EnableWall(true) was called. A nil registry writes "{}".
+// WriteSnapshot encodes the registry as deterministic JSON: a "sim"
+// section and, while wall collection is on (EnableWall(true)), a "wall"
+// section, each holding counters, gauges, and histograms in sorted name
+// order with a fixed field layout. Metric values in the sim section are
+// pure functions of the simulation, so two runs of the same seed produce
+// byte-identical sim sections at any worker count. With wall collection
+// off the wall section is omitted rather than written as zeros;
+// RestoreSnapshot accepts either form. A nil registry writes "{}".
 func (r *Registry) WriteSnapshot(w io.Writer) error {
 	_, err := w.Write(r.AppendSnapshot(nil))
 	return err
@@ -267,8 +269,10 @@ func (r *Registry) AppendSnapshot(b []byte) []byte {
 	defer r.mu.Unlock()
 	b = append(b, "{\n  \"sim\": "...)
 	b = r.appendSection(b, false)
-	b = append(b, ",\n  \"wall\": "...)
-	b = r.appendSection(b, true)
+	if r.wall.Load() {
+		b = append(b, ",\n  \"wall\": "...)
+		b = r.appendSection(b, true)
+	}
 	return append(b, "\n}\n"...)
 }
 

@@ -10,6 +10,7 @@ package obs
 import (
 	"io"
 	"math"
+	"runtime/metrics"
 	"sort"
 	"strconv"
 )
@@ -127,4 +128,59 @@ func sortedNames[M any](m map[string]M) []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// runtimeSamples are the runtime/metrics series AppendRuntimeProm reads.
+var runtimeSamples = []string{
+	"/cpu/classes/gc/total:cpu-seconds",
+	"/cpu/classes/total:cpu-seconds",
+	"/gc/heap/allocs:bytes",
+	"/gc/heap/allocs:objects",
+}
+
+// AppendRuntimeProm appends the Go runtime's GC cost, in the exposition
+// format of AppendProm: the share of CPU time spent in GC since the
+// process started, and the cumulative bytes and objects allocated on the
+// heap. Unlike the registry these are not deterministic, so the live
+// /metrics.prom endpoints append them after the registry and snapshots
+// never carry them. The CPU classes are estimates the runtime refreshes at
+// each GC; before the first one the fraction reads 0.
+func AppendRuntimeProm(b []byte) []byte {
+	s := make([]metrics.Sample, len(runtimeSamples))
+	for i, name := range runtimeSamples {
+		s[i].Name = name
+	}
+	metrics.Read(s)
+	value := func(i int) float64 {
+		switch s[i].Value.Kind() {
+		case metrics.KindFloat64:
+			return s[i].Value.Float64()
+		case metrics.KindUint64:
+			return float64(s[i].Value.Uint64())
+		}
+		return 0 // unsupported by this runtime
+	}
+	frac := 0.0
+	if total := value(1); total > 0 {
+		frac = value(0) / total
+	}
+	for _, m := range []struct {
+		name, typ string
+		v         float64
+	}{
+		{"anysim_runtime_gc_cpu_fraction", "gauge", frac},
+		{"anysim_runtime_heap_allocs_bytes_total", "counter", value(2)},
+		{"anysim_runtime_heap_allocs_objects_total", "counter", value(3)},
+	} {
+		b = append(b, "# TYPE "...)
+		b = append(b, m.name...)
+		b = append(b, ' ')
+		b = append(b, m.typ...)
+		b = append(b, '\n')
+		b = append(b, m.name...)
+		b = append(b, ' ')
+		b = appendPromFloat(b, m.v)
+		b = append(b, '\n')
+	}
+	return b
 }

@@ -14,10 +14,11 @@ import (
 	"strconv"
 )
 
-// snapshotFile mirrors the WriteSnapshot layout.
+// snapshotFile mirrors the WriteSnapshot layout. Wall is nil when the
+// snapshot was taken with wall collection off.
 type snapshotFile struct {
-	Sim  snapshotSection `json:"sim"`
-	Wall snapshotSection `json:"wall"`
+	Sim  snapshotSection  `json:"sim"`
+	Wall *snapshotSection `json:"wall"`
 }
 
 type snapshotSection struct {
@@ -37,7 +38,9 @@ type histSnapshot struct {
 // back into the registry. Every metric named in the snapshot is created if
 // absent (in its recorded class) and forced to the recorded value,
 // overwriting whatever the handle accumulated before the call; metrics not
-// named in the snapshot are left untouched. Restoring histograms whose
+// named in the snapshot are left untouched. A snapshot with a wall section
+// switches wall collection on, one without leaves it as it is, so the
+// restored registry snapshots to the same sections. Restoring histograms whose
 // bucket bounds differ from an existing handle's is an error.
 func (r *Registry) RestoreSnapshot(data []byte) error {
 	if r == nil {
@@ -47,24 +50,33 @@ func (r *Registry) RestoreSnapshot(data []byte) error {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return fmt.Errorf("obs: restore snapshot: %w", err)
 	}
-	for _, sec := range []struct {
-		s    snapshotSection
-		wall bool
-	}{{f.Sim, false}, {f.Wall, true}} {
-		for name, v := range sec.s.Counters {
-			r.counter(name, sec.wall).force(v)
+	if err := r.restoreSection(f.Sim, false); err != nil {
+		return err
+	}
+	if f.Wall == nil {
+		return nil
+	}
+	// The snapshot was taken with wall collection on; so is the registry
+	// it restores.
+	r.EnableWall(true)
+	return r.restoreSection(*f.Wall, true)
+}
+
+// restoreSection forces every metric of one snapshot section.
+func (r *Registry) restoreSection(sec snapshotSection, wall bool) error {
+	for name, v := range sec.Counters {
+		r.counter(name, wall).force(v)
+	}
+	for name, raw := range sec.Gauges {
+		v, err := decodeSnapshotFloat(raw)
+		if err != nil {
+			return fmt.Errorf("obs: restore gauge %q: %w", name, err)
 		}
-		for name, raw := range sec.s.Gauges {
-			v, err := decodeSnapshotFloat(raw)
-			if err != nil {
-				return fmt.Errorf("obs: restore gauge %q: %w", name, err)
-			}
-			r.gauge(name, sec.wall).bits.Store(floatBits(v))
-		}
-		for name, h := range sec.s.Histograms {
-			if err := r.histogram(name, h.Bounds, sec.wall).force(h); err != nil {
-				return fmt.Errorf("obs: restore histogram %q: %w", name, err)
-			}
+		r.gauge(name, wall).bits.Store(floatBits(v))
+	}
+	for name, h := range sec.Histograms {
+		if err := r.histogram(name, h.Bounds, wall).force(h); err != nil {
+			return fmt.Errorf("obs: restore histogram %q: %w", name, err)
 		}
 	}
 	return nil

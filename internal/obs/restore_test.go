@@ -59,6 +59,32 @@ func TestRestoreSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreSnapshotWithoutWall: a registry with wall collection off
+// snapshots without a wall section, and that snapshot restores — sim
+// metrics forced, wall collection left off — to a byte-identical snapshot.
+func TestRestoreSnapshotWithoutWall(t *testing.T) {
+	orig := NewRegistry()
+	orig.Counter("a.count").Add(5)
+	orig.Histogram("a.hist", Pow2Bounds(2)).Observe(3)
+	orig.WallCounter("w.count").Add(1) // gated off: records nothing
+	snap := orig.AppendSnapshot(nil)
+	if bytes.Contains(snap, []byte(`"wall"`)) {
+		t.Fatalf("wall-off snapshot carries a wall section:\n%s", snap)
+	}
+
+	dst := NewRegistry()
+	dst.Counter("a.count").Add(100)
+	if err := dst.RestoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if dst.WallEnabled() {
+		t.Error("restoring a wall-less snapshot switched wall collection on")
+	}
+	if got := dst.AppendSnapshot(nil); !bytes.Equal(got, snap) {
+		t.Errorf("restored snapshot differs:\n got %s\nwant %s", got, snap)
+	}
+}
+
 // TestRestoreSnapshotBoundsMismatch checks that a histogram whose recorded
 // bounds differ from an existing handle's is refused.
 func TestRestoreSnapshotBoundsMismatch(t *testing.T) {

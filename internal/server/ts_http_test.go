@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -160,8 +161,28 @@ func TestAlertsEndpoint(t *testing.T) {
 	if hv.FiringAlerts != 1 {
 		t.Fatalf("healthz firing_alerts = %d, want 1", hv.FiringAlerts)
 	}
-	if !strings.Contains(do(t, h, "GET", "/metrics.prom", "").Body.String(), "anysim_slo_firing 1") {
+	prom := do(t, h, "GET", "/metrics.prom", "").Body.String()
+	if !strings.Contains(prom, "anysim_slo_firing 1") {
 		t.Fatal("prometheus exposition missing anysim_slo_firing 1")
+	}
+	// The Go runtime's GC cost follows the registry: a fraction in [0, 1]
+	// and allocation totals the server's own work has made positive.
+	for _, m := range []struct {
+		series    string
+		positive  bool
+		atMostOne bool
+	}{
+		{"anysim_runtime_gc_cpu_fraction", false, true},
+		{"anysim_runtime_heap_allocs_bytes_total", true, false},
+		{"anysim_runtime_heap_allocs_objects_total", true, false},
+	} {
+		v, ok := promValue(prom, m.series)
+		if !ok {
+			t.Fatalf("prometheus exposition missing %s:\n%s", m.series, prom)
+		}
+		if v < 0 || (m.positive && v == 0) || (m.atMostOne && v > 1) {
+			t.Fatalf("%s = %v out of range", m.series, v)
+		}
 	}
 
 	// A demand-only event at the next tick reconverges nothing, so the
@@ -223,4 +244,16 @@ func TestWatchAlertFrames(t *testing.T) {
 			t.Errorf("alert frame missing %s: %s", want, alert)
 		}
 	}
+}
+
+// promValue returns the sample value of an unlabelled series in a
+// Prometheus text exposition.
+func promValue(exposition, series string) (float64, bool) {
+	for _, line := range strings.Split(exposition, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			return f, err == nil
+		}
+	}
+	return 0, false
 }

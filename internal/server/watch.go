@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"anysim/internal/obs"
 	"anysim/internal/obs/ts"
 )
 
@@ -245,10 +246,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetricsProm is GET /metrics.prom: the registry in Prometheus text
-// exposition format (see obs.AppendProm).
+// exposition format (see obs.AppendProm), then the Go runtime's GC cost
+// (obs.AppendRuntimeProm).
 func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	h := w.Header()
 	h.Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	h.Set("Cache-Control", "no-store")
 	s.w.Config.Metrics.WriteProm(w)
+	w.Write(obs.AppendRuntimeProm(nil))
 }

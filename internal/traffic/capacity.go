@@ -398,25 +398,25 @@ func (ev *Evaluator) evalChunk(eng *bgp.Engine, mat Matrix, groups []GroupDemand
 			p.unserved += rate
 			continue
 		}
-		fwd, ok := eng.Lookup(region.Prefix, g.ASN, g.City)
+		site, distKm, ok := eng.LookupSite(region.Prefix, g.ASN, g.City)
 		if !ok {
 			p.unserved += rate
 			continue
 		}
-		i, ok := siteIdx[fwd.Site]
+		i, ok := siteIdx[site]
 		if !ok {
 			// A cross-announced site outside the deployment's static site
 			// list cannot happen (sites are deployment-wide), so this is a
 			// consistency bug worth failing loudly on.
-			panic(fmt.Sprintf("traffic: catchment site %q not in deployment %s", fwd.Site, ev.Dep.Name))
+			panic(fmt.Sprintf("traffic: catchment site %q not in deployment %s", site, ev.Dep.Name))
 		}
 		p.demand[i] += rate
 		p.groups[i]++
 		asgs[gi] = Assignment{
-			Site:   fwd.Site,
+			Site:   site,
 			Prefix: region.Prefix,
 			Rate:   rate,
-			RTTMs:  geo.FiberRTTMs(fwd.DistKm * rttInflation),
+			RTTMs:  geo.FiberRTTMs(distKm * rttInflation),
 		}
 	}
 	return p

@@ -8,10 +8,12 @@
 # routing core), BenchmarkTrafficSteering (the whole-pipeline number) and
 # BenchmarkRunCampaign (the paper's measurement campaign) — and, on the
 # memory columns only, BenchmarkSteeringRound (one round of the X3
-# steering loop), the provenance-on write path
-# BenchmarkIncrementalReconvergence/provenance (a site flap with recording
-# on), BenchmarkServeIngestEvent (the resident server's per-event ingest)
-# and BenchmarkServeIngestBatch (its batch ingest of 16 link faults).
+# steering loop), the incremental write path
+# BenchmarkIncrementalReconvergence/incremental (a site flap) and
+# .../provenance (the same with recording on), BenchmarkEngineFork/fork-trial
+# (one steering trial: a fork plus a prepended re-announcement on it),
+# BenchmarkServeIngestEvent (the resident server's per-event ingest) and
+# BenchmarkServeIngestBatch (its batch ingest of 16 link faults).
 #
 # Two gates with different teeth, because the columns have different
 # noise floors:
@@ -94,7 +96,7 @@ for bench in BenchmarkAnnounce BenchmarkTrafficSteering BenchmarkRunCampaign; do
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
 done
 
-for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/provenance BenchmarkServeIngestEvent BenchmarkServeIngestBatch; do
+for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkEngineFork/fork-trial BenchmarkServeIngestEvent BenchmarkServeIngestBatch; do
     missing "$bench" && continue
     gate "$bench" bytes_per_op  "B/op"      "$mem_threshold"
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
