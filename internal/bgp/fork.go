@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"maps"
+	"net/netip"
 
 	"anysim/internal/obs"
 )
@@ -95,6 +96,58 @@ func (e *Engine) ResetTo(snap *Engine) error {
 		e.emitOp("reset-to", obs.Int("prefixes", int64(len(st.anns))))
 	}
 	return nil
+}
+
+// RibsChangedFrom reports which ASes hold a different rib for prefix on
+// this engine than on base, as ascending dense AS indices
+// (topo.Topology.ASIndex). It returns nil when the two engines share the
+// prefix's whole table, as a fork does until its first operation on the
+// prefix.
+//
+// The comparison is by rib pointer, which is sound under the immutability
+// discipline above: converge gives fresh ribs only to the ASes it
+// recomputes and carries every other rib over by pointer, Fork and ResetTo
+// copy pointers, and what a lookup answers depends on nothing but the rib.
+// So an AS outside the result answers every query exactly as on base. A
+// recomputed rib with equal contents still counts as changed, and after a
+// full recompute every AS with a route does. base must be an engine over
+// the same topology, typically the parent of a fork; dense indices mean
+// nothing across topologies, so another topology panics.
+func (e *Engine) RibsChangedFrom(base *Engine, prefix netip.Prefix) []int {
+	if base.topo != e.topo {
+		panic("bgp: RibsChangedFrom across topologies")
+	}
+	e.mu.RLock()
+	t := e.ribs[prefix]
+	e.mu.RUnlock()
+	base.mu.RLock()
+	bt := base.ribs[prefix]
+	base.mu.RUnlock()
+	if len(t) == len(bt) && (len(t) == 0 || &t[0] == &bt[0]) {
+		return nil
+	}
+	// A prefix the engine never announced holds no ribs.
+	if t == nil {
+		t = make(ribTable, e.n)
+	}
+	if bt == nil {
+		bt = make(ribTable, e.n)
+	}
+	bt = bt[:len(t)]
+	// Count first so the result is one exact allocation.
+	n := 0
+	for i, r := range t {
+		if r != bt[i] {
+			n++
+		}
+	}
+	out := make([]int, 0, n)
+	for i, r := range t {
+		if r != bt[i] {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // cloneState copies the engine's routing state under the read lock. Only

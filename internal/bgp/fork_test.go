@@ -211,3 +211,67 @@ func TestForkIsolation(t *testing.T) {
 		t.Fatal("prefix announced on parent after Fork is visible in fork")
 	}
 }
+
+// TestRibsChangedFrom is the property test behind delta load evaluation:
+// after any site operation on a fork, every AS outside the reported set
+// answers Routes and LookupSite exactly as on the parent, and the set is no
+// larger than the operation's dirty set. An untouched prefix reports nil,
+// and a full recompute reports every AS that holds a route.
+func TestRibsChangedFrom(t *testing.T) {
+	tp, e, plan := generatedCDNWorld(t, 17)
+	other := netip.MustParsePrefix("198.18.201.0/24")
+	if got := e.Fork().RibsChangedFrom(e, pfxGlobal); got != nil {
+		t.Fatalf("fresh fork reports %d changed ASes; want nil", len(got))
+	}
+	rng := rand.New(rand.NewSource(11))
+	for r := 0; r < 16; r++ {
+		f := e.Fork()
+		if err := randomSiteOp(rng, f, plan); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		changed := f.RibsChangedFrom(e, pfxGlobal)
+		if dirty := f.LastReconvergeStats().Dirty; len(changed) > dirty {
+			t.Fatalf("round %d: %d changed ASes, more than the %d dirty", r, len(changed), dirty)
+		}
+		if got := f.RibsChangedFrom(e, other); got != nil {
+			t.Fatalf("round %d: untouched prefix reports %d changed ASes", r, len(got))
+		}
+		in := make(map[int]bool, len(changed))
+		for _, i := range changed {
+			in[i] = true
+		}
+		for i, asn := range tp.ASList() {
+			if in[i] {
+				continue
+			}
+			fc, fr, fok := f.Routes(pfxGlobal, asn)
+			ec, er, eok := e.Routes(pfxGlobal, asn)
+			if fc != ec || fok != eok || !reflect.DeepEqual(fr, er) {
+				t.Fatalf("round %d: %s is outside the changed set but its routes moved", r, asn)
+			}
+			for _, city := range tp.MustAS(asn).Cities {
+				fs, fd, fok := f.LookupSite(pfxGlobal, asn, city)
+				es, ed, eok := e.LookupSite(pfxGlobal, asn, city)
+				if fs != es || fd != ed || fok != eok {
+					t.Fatalf("round %d: %s at %s is outside the changed set but looks up %q/%v, parent %q/%v",
+						r, asn, city, fs, fd, es, ed)
+				}
+			}
+		}
+		// Adopt half the trials, so later forks start from states with
+		// failover hints, as the steering walk's do.
+		if rng.Intn(2) == 0 {
+			if err := e.ResetTo(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	f := e.Fork()
+	if err := f.Announce(pfxGlobal, f.Announcements(pfxGlobal)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(f.RibsChangedFrom(e, pfxGlobal)), snapshotRibs(e, pfxGlobal).populated(); got != want {
+		t.Fatalf("full recompute reports %d changed ASes; want the %d that hold a route", got, want)
+	}
+}

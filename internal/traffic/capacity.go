@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -116,7 +117,16 @@ type LoadReport struct {
 	Unserved float64
 
 	siteIdx map[string]int
+	// siteOf is each group's index into Sites, by rank in Model.Groups, or
+	// rankIdle / rankUnserved for a group no site serves.
+	siteOf []int32
 }
+
+// Site ranks (LoadReport.siteOf) of groups no site serves.
+const (
+	rankIdle     int32 = -1 // no demand in the matrix
+	rankUnserved int32 = -2 // demand, but no region or no route
+)
 
 // SiteLoadByID returns one site's load.
 func (r *LoadReport) SiteLoadByID(id string) (SiteLoad, bool) {
@@ -164,11 +174,7 @@ func (r *LoadReport) EffectiveRTTMs(i int, softUtil float64) float64 {
 	if a.Site == "" {
 		return math.Inf(1)
 	}
-	s, ok := r.SiteLoadByID(a.Site)
-	if !ok {
-		return a.RTTMs
-	}
-	return a.RTTMs + PenaltyMs(s.Utilization(), softUtil)
+	return a.RTTMs + PenaltyMs(r.Sites[r.siteOf[i]].Utilization(), softUtil)
 }
 
 // Evaluator computes load reports: it resolves each probe group to its
@@ -185,7 +191,48 @@ type Evaluator struct {
 	// Reports are bit-identical at any worker count (see EvaluateOn).
 	Workers int
 
+	idx  groupIndex
 	tobs evalObs
+}
+
+// groupIndex is what the evaluator resolves once per probe group instead of
+// once per evaluation. The model, the deployment and the topology are
+// immutable, so it never goes stale.
+type groupIndex struct {
+	prefixes []netip.Prefix // the deployment's distinct region prefixes
+	pfx      []int32        // per group: index into prefixes, -1 when no region serves it
+	byAS     [][]int32      // per dense AS index: the ranks of the groups in that AS
+	siteIdx  map[string]int // site ID -> index into a report's Sites
+}
+
+// newGroupIndex resolves every group's region prefix and dense AS index.
+func newGroupIndex(e *bgp.Engine, dep *cdn.Deployment, m *Model) groupIndex {
+	tp := e.Topology()
+	gx := groupIndex{
+		pfx:     make([]int32, len(m.Groups)),
+		byAS:    make([][]int32, tp.NumASes()),
+		siteIdx: make(map[string]int, len(dep.Sites)),
+	}
+	for i, s := range dep.Sites {
+		gx.siteIdx[s.ID] = i
+	}
+	rank := map[netip.Prefix]int32{}
+	for gi, g := range m.Groups {
+		gx.pfx[gi] = -1
+		if region, ok := dep.RegionForCountry(g.Country); ok {
+			pi, seen := rank[region.Prefix]
+			if !seen {
+				pi = int32(len(gx.prefixes))
+				rank[region.Prefix] = pi
+				gx.prefixes = append(gx.prefixes, region.Prefix)
+			}
+			gx.pfx[gi] = pi
+		}
+		if ai, ok := tp.ASIndex(g.ASN); ok {
+			gx.byAS[ai] = append(gx.byAS[ai], int32(gi))
+		}
+	}
+	return gx
 }
 
 // evalObs bundles the evaluator's observability handles; the zero value is
@@ -220,7 +267,7 @@ const rttInflation = 1.25
 // catchments.
 func NewEvaluator(e *bgp.Engine, dep *cdn.Deployment, m *Model, cfg CapacityConfig) *Evaluator {
 	cfg = cfg.withDefaults()
-	ev := &Evaluator{Engine: e, Dep: dep, Model: m, cfg: cfg, Caps: map[string]float64{}}
+	ev := &Evaluator{Engine: e, Dep: dep, Model: m, cfg: cfg, Caps: map[string]float64{}, idx: newGroupIndex(e, dep, m)}
 
 	// Peak baseline demand per site over the day, under current routing.
 	peak := map[string]float64{}
@@ -259,7 +306,7 @@ func NewEvaluatorWithCaps(e *bgp.Engine, dep *cdn.Deployment, m *Model, cfg Capa
 	for site, c := range caps {
 		cp[site] = c
 	}
-	return &Evaluator{Engine: e, Dep: dep, Model: m, cfg: cfg, Caps: cp}
+	return &Evaluator{Engine: e, Dep: dep, Model: m, cfg: cfg, Caps: cp, idx: newGroupIndex(e, dep, m)}
 }
 
 // Config returns the capacity configuration in effect.
@@ -278,12 +325,21 @@ func (ev *Evaluator) Evaluate(mat Matrix) *LoadReport {
 // processes all chunks or eight process four each.
 const evalChunks = 32
 
-// evalPartial is one chunk's contribution to a load report's sums; the
-// chunk writes its groups' assignments straight into the report.
+// evalPartial is one chunk's contribution to a load report's sums, plus,
+// on the trial path, the results of the groups the chunk re-looked-up.
 type evalPartial struct {
 	demand   []float64
 	groups   []int
 	unserved float64
+	changed  []groupResult
+}
+
+// groupResult is one probe group's evaluated state: its rank in
+// Model.Groups, its site rank (see LoadReport.siteOf) and its assignment.
+type groupResult struct {
+	group int32
+	site  int32
+	a     Assignment
 }
 
 // EvaluateOn computes the load report for one demand matrix against an
@@ -292,41 +348,109 @@ type evalPartial struct {
 // by ev.Workers (GOMAXPROCS when 0); see evalChunks for why the result does
 // not depend on the worker count.
 func (ev *Evaluator) EvaluateOn(eng *bgp.Engine, mat Matrix) *LoadReport {
+	rep, _ := ev.evaluate(eng, mat, nil)
+	return rep
+}
+
+// trialDelta is what a trial evaluation reads besides its fork: base, the
+// report of the fork's parent on the same matrix, and the groups whose AS
+// holds a different rib for their prefix on the fork than on the parent.
+type trialDelta struct {
+	base  *LoadReport
+	dirty []bool // by group rank
+}
+
+// trialReport is a steering trial's load report kept as a delta: the site
+// sums and unserved demand in rep, whose Assignments stay nil, and the
+// groups the trial re-looked-up, in rank order. Only a committed trial pays
+// for the full report (see materialise).
+type trialReport struct {
+	rep     *LoadReport
+	base    *LoadReport
+	changed []groupResult
+}
+
+// evaluateTrial computes the load report of a steering trial: mat on fork,
+// a fork of parent, whose report on mat is base. Only the groups whose rib
+// the fork changed are looked up again (see bgp.Engine.RibsChangedFrom);
+// every other group takes its rate and site from base. Every group still
+// passes through the same chunks in the same order as in EvaluateOn, so
+// the site sums and Unserved are bit-identical to EvaluateOn(fork, mat).
+func (ev *Evaluator) evaluateTrial(fork, parent *bgp.Engine, base *LoadReport, mat Matrix) *trialReport {
+	d := &trialDelta{base: base, dirty: make([]bool, len(ev.Model.Groups))}
+	for pi, p := range ev.idx.prefixes {
+		for _, ai := range fork.RibsChangedFrom(parent, p) {
+			for _, gi := range ev.idx.byAS[ai] {
+				if ev.idx.pfx[gi] == int32(pi) {
+					d.dirty[gi] = true
+				}
+			}
+		}
+	}
+	rep, parts := ev.evaluate(fork, mat, d)
+	t := &trialReport{rep: rep, base: base}
+	for _, p := range parts {
+		t.changed = append(t.changed, p.changed...)
+	}
+	return t
+}
+
+// materialise returns the trial's full load report: the base report's
+// assignments with the re-looked-up groups' results written over them.
+func (t *trialReport) materialise() *LoadReport {
+	t.rep.Assignments = slices.Clone(t.base.Assignments)
+	t.rep.siteOf = slices.Clone(t.base.siteOf)
+	for _, c := range t.changed {
+		t.rep.Assignments[c.group], t.rep.siteOf[c.group] = c.a, c.site
+	}
+	return t.rep
+}
+
+// evaluate is the one evaluation loop behind EvaluateOn and
+// evaluateTrial. With d nil it fills the report's assignments; with a
+// trial delta it leaves them unset and returns the chunk partials, whose
+// changed lists hold the re-looked-up groups.
+func (ev *Evaluator) evaluate(eng *bgp.Engine, mat Matrix, d *trialDelta) (*LoadReport, []evalPartial) {
 	ev.tobs.reports.Inc()
 	var t0 time.Time
 	if ev.tobs.totalNs != nil {
 		t0 = time.Now()
 	}
 	groups := ev.Model.Groups
-	rep := &LoadReport{
-		Bucket:      mat.Bucket,
-		Assignments: make([]Assignment, len(groups)),
-		siteIdx:     map[string]int{},
+	rep := &LoadReport{Bucket: mat.Bucket, siteIdx: ev.idx.siteIdx}
+	if d == nil {
+		rep.Assignments = make([]Assignment, len(groups))
+		rep.siteOf = make([]int32, len(groups))
 	}
-	for _, s := range ev.Dep.Sites {
-		rep.siteIdx[s.ID] = len(rep.Sites)
-		rep.Sites = append(rep.Sites, SiteLoad{
+	rep.Sites = make([]SiteLoad, len(ev.Dep.Sites))
+	for i, s := range ev.Dep.Sites {
+		rep.Sites[i] = SiteLoad{
 			Site:     s.ID,
 			City:     s.City,
 			Tier:     s.Tier(),
 			Capacity: ev.Caps[s.ID],
-		})
+		}
 	}
 	if len(groups) == 0 {
-		return rep
+		return rep, nil
 	}
 	nc := evalChunks
 	if nc > len(groups) {
 		nc = len(groups)
 	}
-	parts := make([]*evalPartial, nc)
+	// The partials' sums share two backing arrays: one allocation each per
+	// evaluation instead of two per chunk.
+	ns := len(rep.Sites)
+	demand, counts := make([]float64, nc*ns), make([]int, nc*ns)
+	parts := make([]evalPartial, nc)
 	chunk := func(ci int) {
 		var c0 time.Time
 		if ev.tobs.chunkNs != nil {
 			c0 = time.Now()
 		}
-		lo, hi := ci*len(groups)/nc, (ci+1)*len(groups)/nc
-		parts[ci] = ev.evalChunk(eng, mat, groups[lo:hi], rep.Assignments[lo:hi], len(rep.Sites), rep.siteIdx)
+		p := &parts[ci]
+		p.demand, p.groups = demand[ci*ns:(ci+1)*ns], counts[ci*ns:(ci+1)*ns]
+		ev.evalChunk(eng, mat, ci*len(groups)/nc, (ci+1)*len(groups)/nc, rep, d, p)
 		if ev.tobs.chunkNs != nil {
 			ev.tobs.chunkNs.Observe(time.Since(c0).Nanoseconds())
 		}
@@ -343,7 +467,7 @@ func (ev *Evaluator) EvaluateOn(eng *bgp.Engine, mat Matrix) *LoadReport {
 	if ev.tobs.totalNs != nil {
 		ev.tobs.totalNs.Observe(time.Since(t0).Nanoseconds())
 	}
-	return rep
+	return rep, parts
 }
 
 // forEach calls fn(0), …, fn(n-1) over a pool of at most workers
@@ -381,43 +505,71 @@ func forEach(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// evalChunk accumulates one contiguous slice of probe groups, left to right,
-// writing each served group's assignment to the same index of asgs.
-func (ev *Evaluator) evalChunk(eng *bgp.Engine, mat Matrix, groups []GroupDemand, asgs []Assignment, nSites int, siteIdx map[string]int) *evalPartial {
-	p := &evalPartial{
-		demand: make([]float64, nSites),
-		groups: make([]int, nSites),
-	}
-	for gi, g := range groups {
-		rate := mat.Rates[g.Key]
-		if rate == 0 {
-			continue
+// evalChunk accumulates the probe groups of ranks [lo, hi) into p, left to
+// right. On the full path (d nil) it looks every group up and writes its
+// assignment and site rank into rep. On the trial path it looks up only the
+// groups d marks dirty, plus any the base report left unserved (base keeps
+// no rate for them), and records their results in p; every other group
+// adds the rate and site base recorded for it.
+func (ev *Evaluator) evalChunk(eng *bgp.Engine, mat Matrix, lo, hi int, rep *LoadReport, d *trialDelta, p *evalPartial) {
+	for gi := lo; gi < hi; gi++ {
+		var (
+			site int32
+			rate float64
+		)
+		if d != nil && !d.dirty[gi] && d.base.siteOf[gi] != rankUnserved {
+			site = d.base.siteOf[gi]
+			if site >= 0 {
+				rate = d.base.Assignments[gi].Rate
+			}
+		} else {
+			var a Assignment
+			site, rate, a = ev.evalGroup(eng, mat, gi)
+			if d == nil {
+				rep.Assignments[gi], rep.siteOf[gi] = a, site
+			} else {
+				p.changed = append(p.changed, groupResult{group: int32(gi), site: site, a: a})
+			}
 		}
-		region, ok := ev.Dep.RegionForCountry(g.Country)
-		if !ok {
+		switch {
+		case site >= 0:
+			p.demand[site] += rate
+			p.groups[site]++
+		case site == rankUnserved:
 			p.unserved += rate
-			continue
-		}
-		site, distKm, ok := eng.LookupSite(region.Prefix, g.ASN, g.City)
-		if !ok {
-			p.unserved += rate
-			continue
-		}
-		i, ok := siteIdx[site]
-		if !ok {
-			// A cross-announced site outside the deployment's static site
-			// list cannot happen (sites are deployment-wide), so this is a
-			// consistency bug worth failing loudly on.
-			panic(fmt.Sprintf("traffic: catchment site %q not in deployment %s", site, ev.Dep.Name))
-		}
-		p.demand[i] += rate
-		p.groups[i]++
-		asgs[gi] = Assignment{
-			Site:   site,
-			Prefix: region.Prefix,
-			Rate:   rate,
-			RTTMs:  geo.FiberRTTMs(distKm * rttInflation),
 		}
 	}
-	return p
+}
+
+// evalGroup looks up where the group of rank gi sends its demand on eng:
+// its site rank, or rankIdle / rankUnserved, its rate, and for a served
+// group its assignment.
+func (ev *Evaluator) evalGroup(eng *bgp.Engine, mat Matrix, gi int) (int32, float64, Assignment) {
+	g := &ev.Model.Groups[gi]
+	rate := mat.Rates[g.Key]
+	if rate == 0 {
+		return rankIdle, 0, Assignment{}
+	}
+	pi := ev.idx.pfx[gi]
+	if pi < 0 {
+		return rankUnserved, rate, Assignment{}
+	}
+	prefix := ev.idx.prefixes[pi]
+	site, distKm, ok := eng.LookupSite(prefix, g.ASN, g.City)
+	if !ok {
+		return rankUnserved, rate, Assignment{}
+	}
+	i, ok := ev.idx.siteIdx[site]
+	if !ok {
+		// A cross-announced site outside the deployment's static site
+		// list cannot happen (sites are deployment-wide), so this is a
+		// consistency bug worth failing loudly on.
+		panic(fmt.Sprintf("traffic: catchment site %q not in deployment %s", site, ev.Dep.Name))
+	}
+	return int32(i), rate, Assignment{
+		Site:   site,
+		Prefix: prefix,
+		Rate:   rate,
+		RTTMs:  geo.FiberRTTMs(distKm * rttInflation),
+	}
 }

@@ -295,7 +295,7 @@ func (s *Steerer) Resolve(mat Matrix) (*SteeringResult, error) {
 			tsp = obs.StartSpan(s.cfg.Tracer, s.sobs.reg, s.sobs.trialsTm, "steer", "trials",
 				obs.Coord{Key: "resolve", V: s.sobs.resolveSeq}, obs.Coord{Key: "round", V: round + 1})
 		}
-		trials, err := s.trialRound(mat, cands)
+		trials, err := s.trialRound(rep, mat, cands)
 		if err != nil {
 			tsp.End()
 			rsp.End()
@@ -322,6 +322,9 @@ func (s *Steerer) Resolve(mat Matrix) (*SteeringResult, error) {
 		if win < 0 {
 			break
 		}
+		if testHookTrials != nil {
+			testHookTrials(rep, mat, trials)
+		}
 		// The winner's fork already holds the committed state: the real
 		// engine adopts it, and the losing forks are simply dropped.
 		act, won := cands[win], trials[win]
@@ -338,7 +341,7 @@ func (s *Steerer) Resolve(mat Matrix) (*SteeringResult, error) {
 			return nil, err
 		}
 		csp.End()
-		after := won.after
+		after := won.after.materialise()
 		if sl, ok := rep.SiteLoadByID(act.Target); ok {
 			act.UtilBefore = sl.Utilization()
 		}
@@ -451,10 +454,14 @@ func (s *Steerer) traceCommit(round, idx int64, act *Action, exc float64) {
 // holds it so a commit can adopt it.
 type trialOutcome struct {
 	fork  *bgp.Engine
-	after *LoadReport
+	after *trialReport
 	exc   float64
 	err   error
 }
+
+// testHookTrials, when set by a test, sees every round's trial outcomes
+// with the report and matrix they were evaluated against.
+var testHookTrials func(base *LoadReport, mat Matrix, trials []trialOutcome)
 
 // trialRound applies and evaluates every candidate concurrently, each on a
 // private copy-on-write fork of the real engine, over a worker pool bounded
@@ -462,8 +469,9 @@ type trialOutcome struct {
 // engine are read-only for the duration of the round. Results come back
 // indexed by candidate, so downstream winner selection and tracing are
 // independent of scheduling. Each trial costs one incremental
-// reconvergence on its fork, and the winner's costs nothing more.
-func (s *Steerer) trialRound(mat Matrix, cands []*Action) ([]trialOutcome, error) {
+// reconvergence on its fork and a delta evaluation against rep, the real
+// engine's report on mat; the winner's adds only its full report.
+func (s *Steerer) trialRound(rep *LoadReport, mat Matrix, cands []*Action) ([]trialOutcome, error) {
 	out := make([]trialOutcome, len(cands))
 	forEach(s.cfg.Workers, len(cands), func(i int) {
 		f := s.Eval.Engine.Fork()
@@ -471,8 +479,8 @@ func (s *Steerer) trialRound(mat Matrix, cands []*Action) ([]trialOutcome, error
 			out[i] = trialOutcome{err: err}
 			return
 		}
-		after := s.Eval.EvaluateOn(f, mat)
-		out[i] = trialOutcome{fork: f, after: after, exc: totalExcess(after)}
+		after := s.Eval.evaluateTrial(f, s.Eval.Engine, rep, mat)
+		out[i] = trialOutcome{fork: f, after: after, exc: totalExcess(after.rep)}
 	})
 	for i := range out {
 		if out[i].err != nil {

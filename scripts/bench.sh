@@ -39,6 +39,12 @@ go test -run '^$' -benchmem -benchtime 1x -count 5 \
     -bench 'BenchmarkTrafficSteering$|BenchmarkSteeringRound$|BenchmarkDemandMatrix$' \
     . | tee -a "$raw"
 
+# One steering trial's load evaluation on the X3 crowd: a full EvaluateOn
+# of the trial fork against the delta the steering loop computes.
+go test -run '^$' -benchmem -count 5 \
+    -bench 'BenchmarkTrialEvaluate$' \
+    ./internal/traffic/ | tee -a "$raw"
+
 # The paper's measurement campaign on the small world: keyed-draw and
 # prefix-lookup cost per probe, with deterministic allocs/bytes.
 go test -run '^$' -benchmem -count 5 \

@@ -12,6 +12,7 @@
 # BenchmarkIncrementalReconvergence/incremental (a site flap) and
 # .../provenance (the same with recording on), BenchmarkEngineFork/fork-trial
 # (one steering trial: a fork plus a prepended re-announcement on it),
+# BenchmarkTrialEvaluate/delta (that trial's delta load evaluation),
 # BenchmarkServeIngestEvent (the resident server's per-event ingest) and
 # BenchmarkServeIngestBatch (its batch ingest of 16 link faults).
 #
@@ -96,7 +97,7 @@ for bench in BenchmarkAnnounce BenchmarkTrafficSteering BenchmarkRunCampaign; do
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
 done
 
-for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkEngineFork/fork-trial BenchmarkServeIngestEvent BenchmarkServeIngestBatch; do
+for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkEngineFork/fork-trial BenchmarkTrialEvaluate/delta BenchmarkServeIngestEvent BenchmarkServeIngestBatch; do
     missing "$bench" && continue
     gate "$bench" bytes_per_op  "B/op"      "$mem_threshold"
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
