@@ -199,7 +199,7 @@ func (e *Engine) commit(staged map[netip.Prefix][]SiteAnnouncement, links []int)
 			st = ReconvergeStats{Dirty: oldRibs.populated(), Passes: 1}
 			e.eobs.dirty.Observe(int64(st.Dirty))
 		case len(old) == 0:
-			ribs, err := e.converge(p, next, nil)
+			ribs, err := e.convergeFull(p, next)
 			if err != nil {
 				return ReconvergeStats{}, err
 			}

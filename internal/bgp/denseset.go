@@ -44,6 +44,12 @@ func (b *asBits) or(o *asBits) {
 	}
 }
 
+// reset empties the set.
+func (b *asBits) reset() {
+	clear(b.words)
+	b.count = 0
+}
+
 // clone returns an independent copy.
 func (b *asBits) clone() *asBits {
 	out := &asBits{words: make([]uint64, len(b.words)), count: b.count}

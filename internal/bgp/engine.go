@@ -47,6 +47,11 @@ type Engine struct {
 	linkA, linkB []int32
 	linkCities   [][]cityID
 	linkIXP      []symbol
+	// adj is the dense per-AS view converge reads instead of scanning
+	// LinksOf and looking ASes up; arenas holds converge's idle working
+	// storage. Forks share both.
+	adj    *adjacency
+	arenas *arenaPool
 
 	// eobs holds the cached observability handles (see obs.go). The zero
 	// value is the disabled state; Fork copies it with the tracer stripped.
@@ -79,9 +84,10 @@ type routeState struct {
 
 // ribTable is one prefix's converged routing state: the per-AS RIB, indexed
 // by dense AS index. An AS with no route has a nil entry. Tables and the
-// ribs they point to are immutable once installed — converge builds a fresh
-// table and fresh ribs for every recomputed AS, carrying clean ASes' ribs
-// over by pointer — which is what makes Fork a shallow-copy operation.
+// ribs they point to are immutable once installed — every operation works
+// on a private table, gives every recomputed AS a fresh rib and carries
+// clean ASes' ribs over by pointer — which is what makes Fork a
+// shallow-copy operation.
 type ribTable []*rib
 
 // rib holds one AS's routes for one prefix, bucketed by preference class,
@@ -145,6 +151,7 @@ func hasOrigin(r *rib) bool { return r != nil && r.ends[FromOrigin] > 0 }
 // mutating it after constructing an engine invalidates computed state.
 func NewEngine(t *topo.Topology) *Engine {
 	asIdx := t.ASIndexMap()
+	byIdx := t.ASList()
 	links := t.Links()
 	la := make([]int32, len(links))
 	lb := make([]int32, len(links))
@@ -161,13 +168,15 @@ func NewEngine(t *topo.Topology) *Engine {
 	}
 	return &Engine{
 		topo:       t,
-		n:          t.NumASes(),
+		n:          len(byIdx),
 		asIdx:      asIdx,
-		byIdx:      t.ASList(),
+		byIdx:      byIdx,
 		linkA:      la,
 		linkB:      lb,
 		linkCities: lc,
 		linkIXP:    lx,
+		adj:        newAdjacency(t, asIdx, byIdx),
+		arenas:     &arenaPool{n: len(byIdx)},
 		routeState: routeState{
 			ribs:  make(map[netip.Prefix]ribTable),
 			anns:  make(map[netip.Prefix][]SiteAnnouncement),
@@ -178,6 +187,67 @@ func NewEngine(t *topo.Topology) *Engine {
 
 // Topology returns the engine's topology.
 func (e *Engine) Topology() *topo.Topology { return e.topo }
+
+// adjacency holds every AS's links split by the role the neighbour plays —
+// providers, then customers, then peers, each run in LinksOf order, whether
+// the link is up or not — and every AS's route-retention trait.
+type adjacency struct {
+	links []nbrLink
+	// off[3i+k] starts AS i's run of role k.
+	off    []int32
+	traits []asTrait
+}
+
+// nbrLink is one entry of an AS's adjacency: the link, the neighbour's
+// dense index, and the class under which the neighbour files the routes
+// the AS exports over the link.
+type nbrLink struct {
+	li, nbr int32
+	rel     RelClass
+}
+
+// newAdjacency builds the adjacency of a topology over its dense index.
+func newAdjacency(t *topo.Topology, asIdx map[topo.ASN]int, byIdx []topo.ASN) *adjacency {
+	links := t.Links()
+	n := len(byIdx)
+	adj := &adjacency{
+		links:  make([]nbrLink, 0, 2*len(links)),
+		off:    make([]int32, 3*n+1),
+		traits: make([]asTrait, n),
+	}
+	for i, asn := range byIdx {
+		for role := range 3 {
+			adj.off[3*i+role] = int32(len(adj.links))
+			for _, li := range t.LinksOf(asn) {
+				l := links[li]
+				nbr, _ := l.Other(asn)
+				rel := classify(l, nbr)
+				r := 2 // a peer
+				switch rel {
+				case FromCustomer:
+					r = 0 // nbr is a provider
+				case FromProvider:
+					r = 1 // nbr is a customer
+				}
+				if r == role {
+					adj.links = append(adj.links, nbrLink{li: int32(li), nbr: int32(asIdx[nbr]), rel: rel})
+				}
+			}
+		}
+		adj.traits[i] = traitOf(t.MustAS(asn))
+	}
+	adj.off[3*n] = int32(len(adj.links))
+	return adj
+}
+
+// providers, customers and peers return AS i's links by the role the
+// neighbour plays; adjacent returns all three runs.
+func (e *Engine) providers(i int32) []nbrLink { return e.adj.run(3*i, 3*i+1) }
+func (e *Engine) customers(i int32) []nbrLink { return e.adj.run(3*i+1, 3*i+2) }
+func (e *Engine) peers(i int32) []nbrLink     { return e.adj.run(3*i+2, 3*i+3) }
+func (e *Engine) adjacent(i int32) []nbrLink  { return e.adj.run(3*i, 3*i+3) }
+
+func (a *adjacency) run(from, to int32) []nbrLink { return a.links[a.off[from]:a.off[to]] }
 
 // linkEnds returns the dense endpoint indices of link li.
 func (e *Engine) linkEnds(li int) (ai, bi int) {
@@ -270,7 +340,7 @@ func (e *Engine) Announce(prefix netip.Prefix, anns []SiteAnnouncement) error {
 		siteIDs[a.Site] = true
 	}
 
-	ribs, err := e.converge(prefix, anns, nil)
+	ribs, err := e.convergeFull(prefix, anns)
 	if err != nil {
 		return err
 	}
@@ -323,52 +393,65 @@ func (e *Engine) install(prefix netip.Prefix, anns []SiteAnnouncement, ribs ribT
 	e.mu.Unlock()
 }
 
-// convergeScope restricts convergence to a dirty region for incremental
-// reconvergence. dirty lists the ASes whose RIBs must be recomputed; old
-// holds the previous table, carried over untouched for clean ASes and used
-// as the source of boundary exports into the dirty region. A nil scope
-// recomputes every AS.
-type convergeScope struct {
-	dirty *asBits
-	old   ribTable
+// offer is a route on its way to a receiving AS (dense index).
+type offer struct {
+	to int32
+	r  Route
 }
 
-// isDirty reports whether AS index i must be recomputed; with no scope every
-// AS is.
-func (sc *convergeScope) isDirty(i int) bool {
-	return sc == nil || sc.dirty.has(i)
+// boundary is a phase-3 offer from outside a scoped pass: clean provider
+// pi exports its selection to dirty customer ci over link li.
+type boundary struct{ li, ci, pi int32 }
+
+// isDirty reports whether AS index i is recomputed: every AS when dirty is
+// nil (a full converge), else the members of dirty.
+func isDirty(dirty *asBits, i int32) bool {
+	return dirty == nil || dirty.has(int(i))
 }
 
-// converge runs the three Gao-Rexford propagation phases and returns the
-// per-AS RIB table. With a scope it recomputes only the dirty ASes,
-// injecting the offers clean neighbours would export at the round the full
-// computation delivers them: in phases 1 and 3 an offer's arrival round
+// convergeFull computes a prefix's routing from scratch into a fresh table.
+func (e *Engine) convergeFull(prefix netip.Prefix, anns []SiteAnnouncement) (ribTable, error) {
+	a := e.arenas.get()
+	defer e.arenas.put(a)
+	ribs := make(ribTable, e.n)
+	if err := e.converge(a, prefix, anns, ribs, nil); err != nil {
+		return nil, err
+	}
+	return ribs, nil
+}
+
+// converge runs the three Gao-Rexford propagation phases over ribs in
+// place. With a nil dirty set it computes every AS, and ribs must hold no
+// rib. Otherwise it recomputes only the dirty ASes, whose entries must be
+// nil on entry, and reads every other entry as an immutable boundary: the
+// offers clean neighbours export are injected at the round the full
+// computation delivers them. In phases 1 and 3 an offer's arrival round
 // equals its AS-path length, so boundary exports can be scheduled exactly.
 // Links disabled via Topology.SetLinkEnabled carry no offers in any phase.
+//
+// Offers live in the arena's flat lists, never in per-AS maps: phases 1
+// and 3 keep one list per path length (a level), and settle a level by
+// grouping its list by receiving AS, ascending, each receiver's offers in
+// arrival order. Phase 2 visits receivers in ascending order and gathers
+// each one's offers as it goes. Every AS sees its offers in one fixed
+// order, which matters because capClass's sorts are unstable and routeCmp
+// ignores fields (IXP, class, final upstream, communities) that still tell
+// two routes apart.
 //
 // With provenance on, a recorder captures the best rejected offer per
 // (AS, class) at every point an offer is suppressed or capped out, and each
 // recomputed AS's rib gets a record pairing its selection with its
 // runner-up. With provenance off, pr stays nil, every capture site is a
 // single branch, and the ribs carry no record.
-func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *convergeScope) (ribTable, error) {
+func (e *Engine) converge(a *arena, prefix netip.Prefix, anns []SiteAnnouncement, ribs ribTable, dirty *asBits) error {
+	a.begin(dirty)
 	var pr *provRecorder
 	if e.provOn {
-		dirty := e.n
-		if sc != nil {
-			dirty = sc.dirty.len()
-		}
-		pr = newProvRecorder(e.n, dirty)
+		pr = newProvRecorder(e.n, len(a.dirty))
 	}
-	links := e.topo.Links()
 	// Every node this converge creates comes from its slab; see nodeSlab.
 	slab := &nodeSlab{}
-	ribs := make(ribTable, e.n)
-	if sc != nil {
-		copy(ribs, sc.old)
-		sc.dirty.forEach(func(i int) { ribs[i] = nil })
-	}
-	getRIB := func(i int) *rib {
+	getRIB := func(i int32) *rib {
 		r := ribs[i]
 		if r == nil {
 			r = &rib{}
@@ -376,87 +459,94 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 		}
 		return r
 	}
+	// settle runs capClass for AS i's offers of one class and closes it.
+	settle := func(i int32, routes []Route, c RelClass) {
+		t := e.adj.traits[i]
+		rb := getRIB(i)
+		rb.routes = capClass(rb.routes, routes, int(t.cap), t.arbitrary)
+		rb.close(c)
+		pr.dropMissing(int(i), routes, rb.class(c))
+	}
+	// dropExport records, with provenance on, the offers a dirty receiver
+	// heard after it had settled.
+	dropExport := func(to int32, from topo.ASN, set []Route, li int32, rel RelClass) {
+		if pr != nil && isDirty(dirty, to) {
+			a.tmp = e.export(slab, a.tmp[:0], from, set, li, rel)
+			pr.dropRoutes(int(to), a.tmp)
+		}
+	}
 
 	// Phase 0: origin self routes and seed routes at direct neighbours.
 	// A site announces its prefixes over the BGP sessions at the site's
 	// own city only; other cities of the same link do not carry it. In
 	// scoped mode only dirty origins rebuild their self routes (a clean
 	// origin's carried-over rib must never be appended to) and only dirty
-	// neighbours receive seeds.
-	type offer struct {
-		to int // dense AS index
-		r  Route
-	}
-	var custSeeds, peerSeeds, provSeeds []offer
-	dirtyOrigins := map[int]bool{}
-	for _, a := range anns {
-		oi := e.asIdx[a.Origin]
-		site := symbols.intern(a.Site)
-		chain, head := a.seedChain(slab)
-		if sc.isDirty(oi) {
+	// neighbours receive seeds. A neighbour hears at most one seed per
+	// announcement (there is one link per AS pair), so its seeds arrive in
+	// announcement order.
+	for _, ann := range anns {
+		oi := int32(e.asIdx[ann.Origin])
+		site := symbols.intern(ann.Site)
+		chain, head := ann.seedChain(slab)
+		if isDirty(dirty, oi) {
 			// The origin's own rib carries the plain one-hop self route:
 			// prepending shapes what the site exports, not how the origin
 			// reaches itself.
-			dirtyOrigins[oi] = true
+			a.origins.add(int(oi))
 			rb := getRIB(oi)
 			rb.routes = append(rb.routes, Route{
 				Rel:           FromOrigin,
 				path:          head,
 				plen:          1,
 				site:          site,
-				FinalUpstream: a.Origin,
+				FinalUpstream: ann.Origin,
 			})
 			rb.close(FromOrigin)
 		}
-		for _, li := range e.topo.LinksOf(a.Origin) {
-			if !e.topo.LinkEnabled(li) {
+		for _, nl := range e.adjacent(oi) {
+			if !e.topo.LinkEnabled(int(nl.li)) || !slices.Contains(e.linkCities[nl.li], head.city) {
 				continue
 			}
-			l := links[li]
-			if !slices.Contains(e.linkCities[li], head.city) {
-				continue
-			}
-			nbr, ni := l.B, int(e.linkB[li])
-			if l.B == a.Origin {
-				nbr, ni = l.A, int(e.linkA[li])
-			}
-			if !a.announcesTo(nbr) || !sc.isDirty(ni) {
+			nbr := e.byIdx[nl.nbr]
+			if !ann.announcesTo(nbr) || !isDirty(dirty, nl.nbr) {
 				continue
 			}
 			r := Route{
-				Rel:           classify(l, nbr),
+				Rel:           nl.rel,
 				path:          chain,
-				plen:          uint16(a.Prepend + 1),
+				plen:          uint16(ann.Prepend + 1),
 				site:          site,
-				ixp:           e.linkIXP[li],
+				ixp:           e.linkIXP[nl.li],
 				FinalUpstream: nbr,
 			}
 			if e.policy != nil {
 				var rejected bool
-				r.Comms, r.Rel, rejected = e.applySeedPolicy(prefix, a, nbr, r.Rel)
+				r.Comms, r.Rel, rejected = e.applySeedPolicy(prefix, ann, nbr, r.Rel)
 				if rejected {
 					if pr != nil {
-						pr.dropPolicy(ni, r)
+						pr.dropPolicy(int(nl.nbr), r)
 					}
 					continue
 				}
 			}
+			o := offer{nl.nbr, r}
 			switch r.Rel {
 			case FromCustomer:
-				custSeeds = append(custSeeds, offer{ni, r})
+				l := a.level(r.Len())
+				*l = append(*l, o)
 			case FromPublicPeer, FromRSPeer:
-				peerSeeds = append(peerSeeds, offer{ni, r})
+				a.peerSeeds = append(a.peerSeeds, o)
 			case FromProvider:
-				provSeeds = append(provSeeds, offer{ni, r})
+				a.provSeeds = append(a.provSeeds, o)
 			}
 		}
 	}
 	// Canonicalise self-route order so routing state is a function of the
 	// announcement *set*, not its slice order (withdraw + re-announce moves
 	// a site to the end of the announcement list).
-	for i := range dirtyOrigins {
+	a.origins.forEach(func(i int) {
 		slices.SortFunc(ribs[i].class(FromOrigin), routeCmp)
-	}
+	})
 
 	// Phase 1: customer routes climb the provider hierarchy level by
 	// level; each AS keeps only its first (shortest) generation. An
@@ -465,309 +555,398 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 	// prepended and an unprepended site finalizes on the shorter path
 	// alone — which is how prepending sheds a customer cone. The same
 	// invariant lets scoped runs inject boundary exports from clean
-	// customers at the round the full computation would deliver them.
-	pending := map[int][]Route{}
-	sched1 := map[int]map[int][]Route{} // arrival round -> AS index -> offers
-	maxRound := 0
-	sched := func(round, to int, offers []Route) {
-		m := sched1[round]
-		if m == nil {
-			m = map[int][]Route{}
-			sched1[round] = m
-		}
-		m[to] = append(m[to], offers...)
-		if round > maxRound {
-			maxRound = round
-		}
-	}
-	for _, o := range custSeeds {
-		sched(o.r.Len(), o.to, []Route{o.r})
-	}
-	if sc != nil {
-		sc.dirty.forEach(func(i int) {
-			asn := e.byIdx[i]
-			for _, li := range e.topo.LinksOf(asn) {
-				if !e.topo.LinkEnabled(li) {
+	// customers at the round the full computation would deliver them. A
+	// round's offers arrive as the previous round's exports, then the
+	// round's scheduled seeds and boundary exports.
+	if dirty != nil {
+		for _, i := range a.dirty {
+			for _, nl := range e.customers(i) {
+				ci := nl.nbr
+				if !e.topo.LinkEnabled(int(nl.li)) || dirty.has(int(ci)) {
 					continue
 				}
-				l := links[li]
-				if l.Type != topo.CustomerToProvider || l.B != asn {
-					continue
-				}
-				ci := int(e.linkA[li])
-				if sc.dirty.has(ci) {
-					continue
-				}
-				crib := sc.old[ci]
+				crib := ribs[ci]
 				if crib == nil || hasOrigin(crib) {
 					continue // origin exports arrive as per-site seeds
 				}
-				offers := e.export(slab, nil, l.A, crib.class(FromCustomer), li, asn)
-				if len(offers) == 0 {
+				set := crib.class(FromCustomer)
+				if len(set) == 0 {
 					continue
 				}
-				sched(offers[0].Len(), i, offers)
+				l := a.level(set[0].Len() + 1)
+				*l = e.exportTo(slab, *l, i, e.byIdx[ci], set, nl.li, FromCustomer)
 			}
-		})
+		}
 	}
-	finalizedCust := make([]bool, e.n)
+	maxRound := a.top
 	round := 1
-	for ; len(pending) > 0 || round <= maxRound; round++ {
-		if round > e.n+1 {
-			return nil, &NonTerminationError{Prefix: prefix, Phase: 1, Iterations: round}
+	for ; len(a.exp) > 0 || round <= maxRound; round++ {
+		// A path visits each AS at most once, plus the origin's prepends.
+		if round > e.n+1+MaxPrepend {
+			return &NonTerminationError{Prefix: prefix, Phase: 1, Iterations: round}
 		}
-		for i, offers := range sched1[round] {
-			pending[i] = append(pending[i], offers...)
+		work := a.exp
+		if round < len(a.pre) {
+			work = append(work, a.pre[round]...)
+			a.pre[round] = a.pre[round][:0]
 		}
-		delete(sched1, round)
-		frontier := make([]int, 0, len(pending))
-		for i, routes := range pending {
-			if hasOrigin(ribs[i]) || finalizedCust[i] {
-				pr.dropRoutes(i, routes) // arrived after the AS settled: lost
+		a.group(work)
+		a.exp = work[:0]
+		frontier := a.frontier[:0]
+		for k, i := range a.recv {
+			routes := a.buf[a.off[k]:a.off[k+1]]
+			if hasOrigin(ribs[i]) || a.settled.has(int(i)) {
+				pr.dropRoutes(int(i), routes) // arrived after the AS settled: lost
 				continue
 			}
-			cap, arb := e.capFor(e.byIdx[i])
-			rb := getRIB(i)
-			rb.routes = capClass(rb.routes, routes, cap, arb)
-			rb.close(FromCustomer)
-			pr.dropMissing(i, routes, rb.class(FromCustomer))
-			finalizedCust[i] = true
+			settle(i, routes, FromCustomer)
+			a.settled.add(int(i))
 			frontier = append(frontier, i)
 		}
-		pending = map[int][]Route{}
-		slices.Sort(frontier)
+		a.frontier = frontier
 		for _, i := range frontier {
 			set := ribs[i].class(FromCustomer)
 			asn := e.byIdx[i]
-			for _, li := range e.topo.LinksOf(asn) {
-				if !e.topo.LinkEnabled(li) {
+			for _, nl := range e.providers(i) {
+				if !e.topo.LinkEnabled(int(nl.li)) {
 					continue
 				}
-				l := links[li]
-				if l.Type != topo.CustomerToProvider || l.A != asn {
-					continue // only climb customer->provider edges
-				}
-				pi := int(e.linkB[li])
-				if !sc.isDirty(pi) || finalizedCust[pi] || hasOrigin(ribs[pi]) {
+				pi := nl.nbr
+				if !isDirty(dirty, pi) || a.settled.has(int(pi)) || hasOrigin(ribs[pi]) {
 					// A dirty receiver that already settled still *heard*
 					// this export; record it as dropped so its runner-up
 					// reflects the full offer stream. Clean receivers keep
 					// their carried-over provenance instead.
-					if pr != nil && sc.isDirty(pi) {
-						pr.dropRoutes(pi, e.export(slab, nil, asn, set, li, l.B))
-					}
+					dropExport(pi, asn, set, nl.li, FromCustomer)
 					continue
 				}
-				pending[pi] = e.export(slab, pending[pi], asn, set, li, l.B)
+				a.exp = e.exportTo(slab, a.exp, pi, asn, set, nl.li, FromCustomer)
 			}
 		}
 	}
 	e.eobs.p1rounds.Observe(int64(round - 1))
 
 	// Phase 2: one hop over peering links; only own/customer routes are
-	// exported to peers (Gao-Rexford). Collected per receiving AS so a
-	// scoped run visits only the dirty region's peering sessions.
-	peerOffers := map[int][]Route{}
-	for _, o := range peerSeeds {
-		peerOffers[o.to] = append(peerOffers[o.to], o.r)
-	}
-	collectPeer := func(ti int) {
-		to := e.byIdx[ti]
-		for _, li := range e.topo.LinksOf(to) {
-			if !e.topo.LinkEnabled(li) {
+	// exported to peers (Gao-Rexford). Each receiver hears its seeds, then
+	// its peers' exports in link order; a scoped run visits only the dirty
+	// region's peering sessions.
+	slices.SortStableFunc(a.peerSeeds, func(x, y offer) int { return cmp.Compare(x.to, y.to) })
+	seeds := a.peerSeeds
+	for _, ti := range a.dirty {
+		buf := a.buf[:0]
+		for ; len(seeds) > 0 && seeds[0].to == ti; seeds = seeds[1:] {
+			buf = append(buf, seeds[0].r)
+		}
+		for _, nl := range e.peers(ti) {
+			if !e.topo.LinkEnabled(int(nl.li)) {
 				continue
 			}
-			l := links[li]
-			if l.Type != topo.PublicPeer && l.Type != topo.RouteServerPeer {
-				continue
-			}
-			from, fi := l.A, int(e.linkA[li])
-			if l.A == to {
-				from, fi = l.B, int(e.linkB[li])
-			}
-			fromRIB := ribs[fi]
-			if fromRIB == nil {
-				continue
-			}
+			fromRIB := ribs[nl.nbr]
 			// Origin exports were already seeded per site; skip here.
-			if hasOrigin(fromRIB) {
+			if fromRIB == nil || hasOrigin(fromRIB) {
 				continue
 			}
-			set := fromRIB.class(FromCustomer)
-			if len(set) == 0 {
-				continue
+			if set := fromRIB.class(FromCustomer); len(set) > 0 {
+				buf = e.export(slab, buf, e.byIdx[nl.nbr], set, nl.li, nl.rel)
 			}
-			peerOffers[ti] = e.export(slab, peerOffers[ti], from, set, li, to)
 		}
-	}
-	if sc == nil {
-		for i := 0; i < e.n; i++ {
-			collectPeer(i)
+		a.buf = buf
+		if len(buf) == 0 {
+			continue
 		}
-	} else {
-		sc.dirty.forEach(collectPeer)
-	}
-	for i, offers := range peerOffers {
-		if hasOrigin(ribs[i]) {
-			pr.dropRoutes(i, offers) // origins never import peer routes
+		if hasOrigin(ribs[ti]) {
+			pr.dropRoutes(int(ti), buf) // origins never import peer routes
 			continue
 		}
 		// Public-peer offers to the front; every other offer over a
 		// peering session is a route-server one.
-		np := partition(offers, func(r Route) bool { return r.Rel == FromPublicPeer })
-		pub, rs := offers[:np], offers[np:]
-		cap, arb := e.capFor(e.byIdx[i])
-		rb := getRIB(i)
-		rb.routes = capClass(rb.routes, pub, cap, arb)
-		rb.close(FromPublicPeer)
-		rb.routes = capClass(rb.routes, rs, cap, arb)
-		rb.close(FromRSPeer)
-		pr.dropMissing(i, pub, rb.class(FromPublicPeer))
-		pr.dropMissing(i, rs, rb.class(FromRSPeer))
+		np := partition(buf, func(r Route) bool { return r.Rel == FromPublicPeer })
+		settle(ti, buf[:np], FromPublicPeer)
+		settle(ti, buf[np:], FromRSPeer)
 	}
 
 	// Phase 3: selected routes descend provider->customer edges
 	// level-synchronously by path length. Every AS always exports its
 	// final selection to its customers. A clean provider's selection is
 	// unchanged by definition, so a scoped run injects its export at the
-	// level its selected-path length dictates.
-	exportersByLen := map[int][]int{}
-	finalized := make([]bool, e.n)
+	// level its selected-path length dictates. A level's offers arrive as
+	// its provider seeds, then the previous level's exports, then its
+	// boundary exports. The descent stops once it has passed every
+	// exporter's level and no unsettled AS holds a pending offer; a settled
+	// AS's longer pending seeds are dropped offers, whether or not the
+	// descent reaches their level.
+	a.settled.reset()
 	maxLen := 0
-	for i, rb := range ribs {
+	for _, i := range a.dirty {
+		rb := ribs[i]
 		if rb == nil {
 			continue
 		}
-		if sc != nil && !sc.dirty.has(i) {
-			continue // clean ASes export via sched3 below
-		}
 		if ln, ok := rb.selLen(); ok {
-			exportersByLen[ln] = append(exportersByLen[ln], i)
-			finalized[i] = true
-			if ln > maxLen {
-				maxLen = ln
-			}
+			l := levelOf(&a.exporters, ln)
+			*l = append(*l, i)
+			a.settled.add(int(i))
+			maxLen = max(maxLen, ln)
 		}
 	}
-	sched3 := map[int][]int{} // selected-path length -> clean provider->dirty customer links
-	if sc != nil {
-		sc.dirty.forEach(func(i int) {
-			asn := e.byIdx[i]
-			for _, li := range e.topo.LinksOf(asn) {
-				if !e.topo.LinkEnabled(li) {
+	if dirty != nil {
+		for _, i := range a.dirty {
+			for _, nl := range e.providers(i) {
+				pi := nl.nbr
+				if !e.topo.LinkEnabled(int(nl.li)) || dirty.has(int(pi)) || ribs[pi] == nil {
 					continue
 				}
-				l := links[li]
-				if l.Type != topo.CustomerToProvider || l.A != asn {
-					continue
-				}
-				pi := int(e.linkB[li])
-				if sc.dirty.has(pi) {
-					continue
-				}
-				prib := sc.old[pi]
-				if prib == nil {
-					continue
-				}
-				cls, set, ok := prib.best()
+				cls, set, ok := ribs[pi].best()
 				if !ok || cls == FromOrigin {
 					continue // origin exports arrive as per-site seeds
 				}
 				ln := set[0].Len()
-				sched3[ln] = append(sched3[ln], li)
-				if ln > maxLen {
-					maxLen = ln
-				}
+				l := levelOf(&a.bounds, ln)
+				*l = append(*l, boundary{nl.li, i, pi})
+				maxLen = max(maxLen, ln)
 			}
-		})
-	}
-	provPending := map[int][]Route{}
-	for _, o := range provSeeds {
-		if !finalized[o.to] {
-			provPending[o.to] = append(provPending[o.to], o.r)
-		} else if pr != nil {
-			pr.drop(o.to, o.r)
 		}
+	}
+	// waiting counts the unsettled ASes holding a pending offer.
+	waiting := 0
+	pend := func(i int32) {
+		if !a.pend.has(int(i)) {
+			a.pend.add(int(i))
+			waiting++
+		}
+	}
+	for _, o := range a.provSeeds {
+		if a.settled.has(int(o.to)) {
+			pr.drop(int(o.to), o.r)
+			continue
+		}
+		l := a.level(o.r.Len())
+		*l = append(*l, o)
+		pend(o.to)
 	}
 	ln := 0
-	var newly []int // reused across levels
-	for ; ln <= maxLen || len(provPending) > 0; ln++ {
-		if ln > e.n {
-			return nil, &NonTerminationError{Prefix: prefix, Phase: 3, Iterations: ln}
+	for ; ln <= maxLen || waiting > 0; ln++ {
+		if ln > e.n+MaxPrepend {
+			return &NonTerminationError{Prefix: prefix, Phase: 3, Iterations: ln}
 		}
-		// Finalize ASes whose cheapest provider offers have length ln.
-		newly = newly[:0]
-		for i, offers := range provPending {
-			minLen := offers[0].Len()
-			for _, r := range offers {
-				if r.Len() < minLen {
-					minLen = r.Len()
-				}
-			}
-			if minLen != ln {
+		// Settle the ASes whose cheapest provider offers have length ln.
+		work := a.exp
+		if ln < len(a.pre) && len(a.pre[ln]) > 0 {
+			work = append(a.pre[ln], a.exp...)
+			a.pre[ln] = work[:0]
+		}
+		a.group(work)
+		a.exp = a.exp[:0]
+		exps := a.frontier[:0]
+		for k, i := range a.recv {
+			routes := a.buf[a.off[k]:a.off[k+1]]
+			if a.settled.has(int(i)) {
+				pr.dropRoutes(int(i), routes) // a longer seed of a settled AS
 				continue
 			}
-			keep := offers[:partition(offers, func(r Route) bool { return r.Len() == ln })]
-			cap, arb := e.capFor(e.byIdx[i])
-			rb := getRIB(i)
-			rb.routes = capClass(rb.routes, keep, cap, arb)
-			rb.close(FromProvider)
-			pr.dropMissing(i, offers, rb.class(FromProvider))
-			finalized[i] = true
-			newly = append(newly, i)
+			settle(i, routes, FromProvider)
+			a.settled.add(int(i))
+			waiting--
+			exps = append(exps, i)
 		}
-		for _, i := range newly {
-			delete(provPending, i)
+		if ln < len(a.exporters) && len(a.exporters[ln]) > 0 {
+			exps = append(exps, a.exporters[ln]...)
+			slices.Sort(exps)
+			a.exporters[ln] = a.exporters[ln][:0]
 		}
-		slices.Sort(newly)
-		exps := append(exportersByLen[ln], newly...)
-		slices.Sort(exps)
+		a.frontier = exps
 		for _, i := range exps {
-			rb := ribs[i]
-			cls, set, ok := rb.best()
+			cls, set, ok := ribs[i].best()
 			if !ok || cls == FromOrigin {
 				continue // origin exports were seeded per site
 			}
 			asn := e.byIdx[i]
-			for _, li := range e.topo.LinksOf(asn) {
-				if !e.topo.LinkEnabled(li) {
+			for _, nl := range e.customers(i) {
+				if !e.topo.LinkEnabled(int(nl.li)) {
 					continue
 				}
-				l := links[li]
-				if l.Type != topo.CustomerToProvider || l.B != asn {
-					continue // only descend provider->customer edges
-				}
-				ci := int(e.linkA[li])
-				if !sc.isDirty(ci) || finalized[ci] {
-					if pr != nil && sc.isDirty(ci) {
-						pr.dropRoutes(ci, e.export(slab, nil, asn, set, li, l.A))
-					}
+				ci := nl.nbr
+				if !isDirty(dirty, ci) || a.settled.has(int(ci)) {
+					dropExport(ci, asn, set, nl.li, FromProvider)
 					continue
 				}
-				provPending[ci] = e.export(slab, provPending[ci], asn, set, li, l.A)
+				a.exp = e.exportTo(slab, a.exp, ci, asn, set, nl.li, FromProvider)
+				pend(ci)
 			}
 		}
 		// Inject boundary exports whose selected-path length is ln.
-		for _, li := range sched3[ln] {
-			l := links[li]
-			ci, pi := e.linkEnds(li)
-			if finalized[ci] {
-				if pr != nil {
-					_, set, _ := sc.old[pi].best()
-					pr.dropRoutes(ci, e.export(slab, nil, l.B, set, li, l.A))
+		if ln < len(a.bounds) {
+			for _, b := range a.bounds[ln] {
+				_, set, _ := ribs[b.pi].best()
+				if a.settled.has(int(b.ci)) {
+					dropExport(b.ci, e.byIdx[b.pi], set, b.li, FromProvider)
+					continue
 				}
-				continue
+				a.exp = e.exportTo(slab, a.exp, b.ci, e.byIdx[b.pi], set, b.li, FromProvider)
+				pend(b.ci)
 			}
-			_, set, _ := sc.old[pi].best()
-			provPending[ci] = e.export(slab, provPending[ci], l.B, set, li, l.A)
+			a.bounds[ln] = a.bounds[ln][:0]
 		}
-		delete(sched3, ln)
 	}
 	e.eobs.p3levels.Observe(int64(ln))
-	if pr != nil {
-		e.record(ribs, sc, pr)
+	// Seeds at levels the descent never reached went to settled ASes.
+	for ; ln < len(a.pre); ln++ {
+		for _, o := range a.pre[ln] {
+			pr.drop(int(o.to), o.r)
+		}
+		a.pre[ln] = a.pre[ln][:0]
 	}
-	return ribs, nil
+	if pr != nil {
+		e.record(ribs, a.dirty, pr)
+	}
+	return nil
+}
+
+// arena is converge's working storage: the offer lists, the grouping
+// scratch and the per-pass AS sets. It outlives one converge — a
+// reconverge runs all its passes on one, and released arenas are pooled —
+// because allocating it afresh per pass was most of what converge cost.
+// One arena serves one converge at a time. A converge that returns without
+// error leaves every level list and exp empty and every slot zero; an idle
+// arena also holds no route or rib reference (see arenaPool.put), so it
+// pins no routing state.
+type arena struct {
+	n int
+	// dirty lists the ASes the pass recomputes, ascending (every AS for a
+	// full converge).
+	dirty []int32
+	// pre holds, per level (path length), the offers known before a
+	// phase's loop starts: phase 1's seeds and boundary exports, then
+	// phase 3's provider seeds. top is the highest level used.
+	pre [][]offer
+	top int
+	// exp collects the offers the current level exports to the next.
+	exp                  []offer
+	peerSeeds, provSeeds []offer
+	// exporters and bounds hold, per level, phase 3's exporters settled
+	// before the descent and its boundary links.
+	exporters [][]int32
+	bounds    [][]boundary
+	// group's output: the receivers ascending, receiver k's routes being
+	// buf[off[k]:off[k+1]]. slot is its per-AS counter, zero between uses.
+	recv, off []int32
+	buf       []Route
+	slot      []int32
+	frontier  []int32
+	tmp       []Route
+	// origins, settled and pend are the pass's origin, settled and
+	// pending-offer sets.
+	origins, settled, pend asBits
+	// prev holds, during a reconverge pass, its dirty ASes' previous ribs.
+	prev []*rib
+}
+
+// arenaPool holds the idle arenas of an engine and its forks. Unlike a
+// sync.Pool it never drops an arena, so converge allocates the same with or
+// without the race detector and across garbage collections; it holds at most
+// as many arenas as converges ever ran at once.
+type arenaPool struct {
+	mu   sync.Mutex
+	n    int
+	idle []*arena
+}
+
+// get returns an idle arena, or a new one.
+func (p *arenaPool) get() *arena {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if k := len(p.idle); k > 0 {
+		a := p.idle[k-1]
+		p.idle[k-1] = nil
+		p.idle = p.idle[:k-1]
+		return a
+	}
+	n := p.n
+	return &arena{n: n, slot: make([]int32, n), origins: *newASBits(n), settled: *newASBits(n), pend: *newASBits(n)}
+}
+
+// put empties an arena, clearing every route and rib reference it holds
+// (an error can leave offers behind), and returns it to the pool.
+func (p *arenaPool) put(a *arena) {
+	for i := range a.pre {
+		a.pre[i] = wipe(a.pre[i])
+	}
+	for i := range a.exporters {
+		a.exporters[i] = a.exporters[i][:0]
+	}
+	for i := range a.bounds {
+		a.bounds[i] = a.bounds[i][:0]
+	}
+	a.exp, a.peerSeeds, a.provSeeds = wipe(a.exp), wipe(a.peerSeeds), wipe(a.provSeeds)
+	a.buf, a.tmp, a.prev = wipe(a.buf), wipe(a.tmp), wipe(a.prev)
+	p.mu.Lock()
+	p.idle = append(p.idle, a)
+	p.mu.Unlock()
+}
+
+// wipe empties s and clears its whole backing array.
+func wipe[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
+// begin readies the arena for one converge pass over dirty (nil: all).
+func (a *arena) begin(dirty *asBits) {
+	a.dirty = a.dirty[:0]
+	if dirty == nil {
+		for i := range a.n {
+			a.dirty = append(a.dirty, int32(i))
+		}
+	} else {
+		dirty.forEach(func(i int) { a.dirty = append(a.dirty, int32(i)) })
+	}
+	a.top = 0
+	a.peerSeeds, a.provSeeds = a.peerSeeds[:0], a.provSeeds[:0]
+	a.origins.reset()
+	a.settled.reset()
+	a.pend.reset()
+}
+
+// level returns the scheduled-offer list of level l.
+func (a *arena) level(l int) *[]offer {
+	a.top = max(a.top, l)
+	return levelOf(&a.pre, l)
+}
+
+// levelOf returns level l of a level-indexed list, growing it as needed.
+func levelOf[T any](levels *[][]T, l int) *[]T {
+	for len(*levels) <= l {
+		*levels = append(*levels, nil)
+	}
+	return &(*levels)[l]
+}
+
+// group arranges offers by receiving AS: recv lists the receivers
+// ascending, and buf holds each receiver's routes contiguously in arrival
+// order (a counting sort over the dense AS index).
+func (a *arena) group(offers []offer) {
+	a.recv = a.recv[:0]
+	for _, o := range offers {
+		if a.slot[o.to] == 0 {
+			a.recv = append(a.recv, o.to)
+		}
+		a.slot[o.to]++
+	}
+	slices.Sort(a.recv)
+	a.off = append(a.off[:0], 0)
+	var end int32
+	for _, i := range a.recv {
+		end, a.slot[i] = end+a.slot[i], end
+		a.off = append(a.off, end)
+	}
+	a.buf = slices.Grow(a.buf[:0], len(offers))[:len(offers)]
+	for _, o := range offers {
+		a.buf[a.slot[o.to]] = o.r
+		a.slot[o.to]++
+	}
+	for _, i := range a.recv {
+		a.slot[i] = 0
+	}
 }
 
 // ArbitraryTieBreakFraction is the share of non-tier-1 ASes whose
@@ -778,26 +957,27 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 // universal (cf. Koch et al.'s ~30% of users with 30+ ms inflation).
 const ArbitraryTieBreakFraction = 0.7
 
-// capFor returns the per-class route-retention policy for an AS: how many
-// routes it keeps and whether its tie-break is geography-blind (arbitrary)
-// rather than nearest-downstream. The trait is a deterministic property of
-// the AS.
-func (e *Engine) capFor(asn topo.ASN) (cap int, arbitrary bool) {
-	as, ok := e.topo.AS(asn)
-	if !ok {
-		return 1, true
-	}
+// asTrait is an AS's per-class route-retention policy: how many routes it
+// keeps and whether its tie-break is geography-blind (arbitrary) rather
+// than nearest-downstream. It is a deterministic property of the AS.
+type asTrait struct {
+	cap       uint8
+	arbitrary bool
+}
+
+// traitOf returns an AS's retention policy.
+func traitOf(as *topo.AS) asTrait {
 	switch as.Tier {
 	case topo.Tier1:
-		return MaxRoutesPerClass, false
+		return asTrait{MaxRoutesPerClass, false}
 	case topo.Tier2:
-		return Tier2NeighborsPerClass, arbitraryOperator(asn)
+		return asTrait{Tier2NeighborsPerClass, arbitraryOperator(as.ASN)}
 	default:
 		// Edge networks are effectively single-homed per destination and
 		// hand traffic to whichever of their providers serves them best;
 		// the catchment randomness of the Internet lives in the carriers
 		// above them.
-		return 1, false
+		return asTrait{1, false}
 	}
 }
 
@@ -809,23 +989,39 @@ func arbitraryOperator(asn topo.ASN) bool {
 	return float64(h)/float64(^uint32(0)) < ArbitraryTieBreakFraction
 }
 
-// export appends to dst the routes AS `to` learns from `from` over link
-// li: one per interconnection city, carrying from's hot-potato egress
-// choice for traffic entering at that city. Each prepends one node, taken
-// from s, to the chosen route's shared chain.
-func (e *Engine) export(s *nodeSlab, dst []Route, from topo.ASN, set []Route, li int, to topo.ASN) []Route {
+// export appends to dst the routes an AS learns from `from` over link li,
+// filed under class rel: one per interconnection city, carrying from's
+// hot-potato egress choice for traffic entering at that city. Each
+// prepends one node, taken from s, to the chosen route's shared chain.
+func (e *Engine) export(s *nodeSlab, dst []Route, from topo.ASN, set []Route, li int32, rel RelClass) []Route {
 	if len(set) == 0 {
 		return dst
 	}
-	rel := classify(e.topo.Links()[li], to)
 	for _, c := range e.linkCities[li] {
-		r, _ := hotPotato(set, c)
-		nr := r.prepend(s, from, c)
-		nr.Rel = rel
-		nr.DownKm = km(c, r.handoff()) + r.DownKm
-		dst = append(dst, nr)
+		dst = append(dst, exportAt(s, from, set, c, rel))
 	}
 	return dst
+}
+
+// exportTo is export into an offer list, every route addressed to AS
+// index to.
+func (e *Engine) exportTo(s *nodeSlab, dst []offer, to int32, from topo.ASN, set []Route, li int32, rel RelClass) []offer {
+	if len(set) == 0 {
+		return dst
+	}
+	for _, c := range e.linkCities[li] {
+		dst = append(dst, offer{to, exportAt(s, from, set, c, rel)})
+	}
+	return dst
+}
+
+// exportAt is the route from exports for traffic entering it at city c.
+func exportAt(s *nodeSlab, from topo.ASN, set []Route, c cityID, rel RelClass) Route {
+	r, _ := hotPotato(set, c)
+	nr := r.prepend(s, from, c)
+	nr.Rel = rel
+	nr.DownKm = km(c, r.handoff()) + r.DownKm
+	return nr
 }
 
 // hotPotato picks the route whose handoff city is nearest to the entry

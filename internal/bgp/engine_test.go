@@ -20,7 +20,7 @@ var (
 // Imperva's Singapore site buys transit from SingTel, its Ashburn site from
 // Level 3. Under common BGP policies Zayo prefers the customer route, so
 // global anycast sends the probe to Singapore.
-func figure1World(t *testing.T) (*topo.Topology, *Engine) {
+func figure1World(t testing.TB) (*topo.Topology, *Engine) {
 	t.Helper()
 	tp := topo.New()
 	add := func(a *topo.AS) {

@@ -19,17 +19,21 @@ import (
 // What makes the shallow copy sound is the engine's immutability discipline:
 //
 //   - The frozen topology and the dense AS and link indexes (n, asIdx,
-//     byIdx, linkA, linkB, linkCities, linkIXP) never change after
+//     byIdx, linkA, linkB, linkCities, linkIXP, adj) never change after
 //     NewEngine — shared by reference. The city table and the site/IXP
-//     symbol table are process-wide; the latter only ever appends.
+//     symbol table are process-wide; the latter only ever appends. The
+//     arena pool is shared too: it hands each converge an arena of its own.
 //   - A ribTable, the ribs it points to (provenance records included) and
 //     the path nodes their routes chain through are never mutated once
 //     installed.
-//     converge always builds a fresh table (copying clean ASes' rib
-//     *pointers* over) and fresh rib structs for every recomputed AS, and
-//     install replaces the per-prefix table wholesale. So the fork shares
-//     every table by reference; a mutation on either side installs a new
-//     table into its own prefix map and the other side never observes it.
+//     Every operation computes into one private table of its own — a
+//     fresh one for a full converge, a copy of the installed one for a
+//     reconverge — whose passes work on it in place, giving every
+//     recomputed AS a fresh rib and carrying clean ASes' rib *pointers*
+//     over. Nothing installed is ever written: install replaces the
+//     per-prefix table wholesale. So the fork shares every table by
+//     reference; a mutation on either side installs a new table into its
+//     own prefix map and the other side never observes it.
 //   - Announcement slices are likewise replaced wholesale by install.
 //   - Per-prefix failover-hint maps are replaced wholesale by storeHint, and
 //     the hint sets (*asBits) they hold are immutable once stored.
@@ -60,6 +64,8 @@ func (e *Engine) Fork() *Engine {
 		linkB:      e.linkB,
 		linkCities: e.linkCities,
 		linkIXP:    e.linkIXP,
+		adj:        e.adj,
+		arenas:     e.arenas,
 		routeState: st,
 		eobs:       feobs,
 		// Provenance records live on the shared ribs, so the fork shares

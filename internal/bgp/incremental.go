@@ -202,15 +202,21 @@ func (e *Engine) reconverge(prefix netip.Prefix, anns []SiteAnnouncement, old ri
 			obs.Coord{Key: "op", V: e.eobs.seq.Load() + 1})
 	}
 	limit := e.n * 3 / 4
-	cur := old
+	a := e.arenas.get()
+	defer e.arenas.put(a)
+	// One private working table for the whole operation: every pass
+	// rewrites its dirty ASes' entries in place, and nothing installed is
+	// ever written.
+	work := make(ribTable, e.n)
+	copy(work, old)
 	delta := seed
 	touched := seed.clone()
 	passes := 0
 	for delta.len() > 0 {
 		passes++
 		if touched.len() > limit || passes > e.n {
-			ribs, err := e.converge(prefix, anns, nil)
-			if err != nil {
+			ribs := make(ribTable, e.n)
+			if err := e.converge(a, prefix, anns, ribs, nil); err != nil {
 				rsp.End()
 				return nil, ReconvergeStats{}, nil, err
 			}
@@ -231,14 +237,19 @@ func (e *Engine) reconverge(prefix netip.Prefix, anns []SiteAnnouncement, old ri
 			psp = obs.StartSpan(e.eobs.tracer, e.eobs.reg, e.eobs.passTm, "bgp", "pass",
 				obs.Coord{Key: "op", V: e.eobs.seq.Load() + 1}, obs.Coord{Key: "pass", V: int64(passes)})
 		}
-		ribs, err := e.converge(prefix, anns, &convergeScope{dirty: delta, old: cur})
-		if err != nil {
+		// Save the pass's previous ribs for spill before clearing their
+		// entries for recomputation.
+		a.prev = a.prev[:0]
+		delta.forEach(func(i int) {
+			a.prev = append(a.prev, work[i])
+			work[i] = nil
+		})
+		if err := e.converge(a, prefix, anns, work, delta); err != nil {
 			psp.End()
 			rsp.End()
 			return nil, ReconvergeStats{}, nil, err
 		}
-		delta = e.spill(ribs, cur, delta)
-		cur = ribs
+		delta = e.spill(work, a.prev, delta)
 		touched.or(delta)
 		if psp.Active() {
 			psp.End(obs.Int("frontier", frontier), obs.Int("spill", int64(delta.len())))
@@ -250,60 +261,45 @@ func (e *Engine) reconverge(prefix netip.Prefix, anns []SiteAnnouncement, old ri
 	if rsp.Active() {
 		rsp.End(obs.Int("dirty", int64(st.Dirty)), obs.Int("passes", int64(st.Passes)))
 	}
-	return cur, st, touched, nil
+	return work, st, touched, nil
 }
 
 // spill returns the next worklist round: every AS outside the current round
-// to whom some changed recomputed AS now exports different offers. An empty
+// to whom some changed recomputed AS now exports different offers. prev
+// holds the round's previous ribs, in delta's ascending order. An empty
 // result means the recomputed region is export-closed and the state is
 // final. The comparison is per link and per phase — a tier-1 whose 64-route
 // class changed marginally only drags in the neighbours whose actual offers
 // differ, which is what keeps the frontier small.
-func (e *Engine) spill(ribs, old ribTable, delta *asBits) *asBits {
-	links := e.topo.Links()
+func (e *Engine) spill(ribs ribTable, prev []*rib, delta *asBits) *asBits {
 	next := newASBits(e.n)
+	k := 0
 	delta.forEach(func(i int) {
-		oldR, newR := old[i], ribs[i]
+		oldR, newR := prev[k], ribs[i]
+		k++
 		if ribEqual(oldR, newR) {
 			return
 		}
-		asn := e.byIdx[i]
-		for _, li := range e.topo.LinksOf(asn) {
-			if !e.topo.LinkEnabled(li) {
+		// Providers and peers hear the customer class (phases 1 and 2),
+		// customers the selection (phase 3). Origin self routes never
+		// export through this path: they arrive as per-site seeds.
+		oldCust, newCust := customerExport(oldR), customerExport(newR)
+		oldSel, newSel := selectedExport(oldR), selectedExport(newR)
+		for _, nl := range e.adjacent(int32(i)) {
+			ni := int(nl.nbr)
+			if !e.topo.LinkEnabled(int(nl.li)) || delta.has(ni) || next.has(ni) {
 				continue
 			}
-			l := links[li]
-			nbr, ni := l.B, int(e.linkB[li])
-			if ni == i {
-				nbr, ni = l.A, int(e.linkA[li])
+			o, n := oldCust, newCust
+			if nl.rel == FromProvider {
+				o, n = oldSel, newSel
 			}
-			if delta.has(ni) || next.has(ni) {
-				continue
-			}
-			if e.offersChanged(asn, oldR, newR, li, nbr) {
+			if !e.sameExport(o, n, nl.li) {
 				next.add(ni)
 			}
 		}
 	})
 	return next
-}
-
-// offersChanged reports whether `from` exports different offers to `nbr`
-// over link l under its old vs new rib. Origin self routes never export
-// through this path (they arrive as per-site seeds), matching converge.
-func (e *Engine) offersChanged(from topo.ASN, oldR, newR *rib, li int, nbr topo.ASN) bool {
-	l := e.topo.Links()[li]
-	switch {
-	case l.Type == topo.CustomerToProvider && l.A == from:
-		// Customer->provider climb (phase 1): export the customer class.
-		return !e.sameExport(customerExport(oldR), customerExport(newR), li)
-	case l.Type != topo.CustomerToProvider:
-		// Peering (phase 2): also the customer class.
-		return !e.sameExport(customerExport(oldR), customerExport(newR), li)
-	default:
-		// Provider->customer descent (phase 3): export the selection.
-		return !e.sameExport(selectedExport(oldR), selectedExport(newR), li)
-	}
 }
 
 // customerExport returns the route set an AS offers over climb and peering
@@ -332,7 +328,7 @@ func selectedExport(r *rib) []Route {
 // link li. Exports are derived per interconnection city from the
 // hot-potato winner alone, so comparing winners city by city avoids
 // materialising the export routes entirely.
-func (e *Engine) sameExport(oldSet, newSet []Route, li int) bool {
+func (e *Engine) sameExport(oldSet, newSet []Route, li int32) bool {
 	if len(oldSet) == 0 && len(newSet) == 0 {
 		return true
 	}
@@ -368,19 +364,10 @@ func (e *Engine) siteRefs(ribs ribTable, siteID string) *asBits {
 // seedTargets marks the neighbours that receive (or received) the
 // announcement's per-site seed routes as dirty.
 func (e *Engine) seedTargets(a SiteAnnouncement, dirty *asBits) {
-	links := e.topo.Links()
 	c := cityOf(a.City)
-	for _, li := range e.topo.LinksOf(a.Origin) {
-		l := links[li]
-		if !slices.Contains(e.linkCities[li], c) {
-			continue
-		}
-		nbr, ni := l.B, int(e.linkB[li])
-		if l.B == a.Origin {
-			nbr, ni = l.A, int(e.linkA[li])
-		}
-		if a.announcesTo(nbr) {
-			dirty.add(ni)
+	for _, nl := range e.adjacent(int32(e.asIdx[a.Origin])) {
+		if slices.Contains(e.linkCities[nl.li], c) && a.announcesTo(e.byIdx[nl.nbr]) {
+			dirty.add(int(nl.nbr))
 		}
 	}
 }

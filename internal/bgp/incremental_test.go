@@ -85,7 +85,7 @@ func ribsEqual(e *Engine, a, b ribTable) (topo.ASN, bool) {
 // bit-identical to a from-scratch converge over its current announcements.
 func requireFullMatch(t *testing.T, e *Engine, p netip.Prefix, event string) {
 	t.Helper()
-	want, err := e.converge(p, e.Announcements(p), nil)
+	want, err := e.convergeFull(p, e.Announcements(p))
 	if err != nil {
 		t.Fatalf("%s: full reference converge: %v", event, err)
 	}

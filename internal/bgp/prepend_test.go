@@ -128,3 +128,22 @@ func TestPrependSelfRouteUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// TestPrependLongerThanWorld: a path may be longer than the world has
+// ASes, because prepends repeat the origin. Announcing every site of the
+// five-AS Figure 1 world with the largest prepend converges, and the
+// provider one hop above a site holds its route at 1+MaxPrepend hops.
+func TestPrependLongerThanWorld(t *testing.T) {
+	tp, e := figure1World(t)
+	const level3, imperva topo.ASN = 3356, 19551
+	err := e.Announce(pfxGlobal, []SiteAnnouncement{
+		{Origin: imperva, Site: "iad", City: "IAD", Prepend: MaxPrepend},
+		{Origin: imperva, Site: "sin", City: "SIN", Prepend: MaxPrepend},
+	})
+	if err != nil {
+		t.Fatalf("announce with prepend %d in a %d-AS world: %v", MaxPrepend, tp.NumASes(), err)
+	}
+	if _, set, ok := e.Routes(pfxGlobal, level3); !ok || set[0].Len() != 1+MaxPrepend {
+		t.Fatalf("level3 routes %v, want the %d-hop prepended customer route", set, 1+MaxPrepend)
+	}
+}

@@ -183,7 +183,11 @@ func dropBetter(a, b Route) bool {
 }
 
 // drop records one rejected route offer for AS index i.
-func (p *provRecorder) drop(i int, r Route) { p.drops.keep(i, r) }
+func (p *provRecorder) drop(i int, r Route) {
+	if p != nil {
+		p.drops.keep(i, r)
+	}
+}
 
 // dropRoutes records a batch of rejected offers.
 func (p *provRecorder) dropRoutes(i int, routes []Route) {
@@ -248,13 +252,12 @@ func (e *Engine) buildProv(i int, rb *rib, pr *provRecorder) Provenance {
 	if !ok {
 		return Provenance{}
 	}
-	_, arb := e.capFor(e.byIdx[i])
 	p := Provenance{
 		Valid:       true,
 		WinnerClass: cls,
 		winner:      set[0],
 		AltInClass:  len(set),
-		Arbitrary:   arb,
+		Arbitrary:   e.adj.traits[i].arbitrary,
 	}
 	// Tie-break runner-up: the best same-class equal-length competitor,
 	// whether it was retained alongside the winner, capped out, or (when
@@ -379,21 +382,23 @@ func (e *Engine) Provenance(prefix netip.Prefix, asn topo.ASN) (Provenance, bool
 }
 
 // record hangs a decision record on every recomputed AS's fresh rib after a
-// converge. The records share one block sized to the recomputed ASes that
-// hold routes; clean ASes keep their ribs, and with them their records.
-func (e *Engine) record(ribs ribTable, sc *convergeScope, pr *provRecorder) {
+// converge, walking the recomputed ASes (dirty, ascending). The records
+// share one block sized to the recomputed ASes that hold routes; clean ASes
+// keep their ribs, and with them their records.
+func (e *Engine) record(ribs ribTable, dirty []int32, pr *provRecorder) {
 	held := 0
-	for i, rb := range ribs {
-		if rb != nil && sc.isDirty(i) {
+	for _, i := range dirty {
+		if ribs[i] != nil {
 			held++
 		}
 	}
 	block := make([]Provenance, 0, held)
-	for i, rb := range ribs {
-		if rb == nil || !sc.isDirty(i) {
+	for _, i := range dirty {
+		rb := ribs[i]
+		if rb == nil {
 			continue
 		}
-		if p := e.buildProv(i, rb, pr); p.Valid {
+		if p := e.buildProv(int(i), rb, pr); p.Valid {
 			block = append(block, p)
 			rb.prov = &block[len(block)-1]
 		}

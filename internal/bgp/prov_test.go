@@ -65,7 +65,7 @@ func provTablesEqual(e *Engine, a, b provTable) (topo.ASN, bool) {
 // to the one a from-scratch converge produces.
 func requireProvMatch(t *testing.T, e *Engine, event string) {
 	t.Helper()
-	want, err := e.converge(pfxGlobal, e.Announcements(pfxGlobal), nil)
+	want, err := e.convergeFull(pfxGlobal, e.Announcements(pfxGlobal))
 	if err != nil {
 		t.Fatalf("%s: full reference converge: %v", event, err)
 	}
@@ -379,4 +379,82 @@ func BenchmarkAnnounceProvenance(b *testing.B) {
 			}
 		})
 	}
+}
+
+// lateOfferWorld is a transit, a stub and a CDN that is the stub's second
+// provider. Site iad reaches the stub through the transit in two hops;
+// site fra, prepended three times, offers itself to the stub directly in
+// four.
+func lateOfferWorld(t *testing.T) (tp *topo.Topology, stub topo.ASN, iad, fra SiteAnnouncement) {
+	t.Helper()
+	tp = topo.New()
+	const (
+		transit topo.ASN = 1000
+		cdn     topo.ASN = topo.CDNBase
+	)
+	stub = 10000
+	for _, a := range []*topo.AS{
+		{ASN: transit, Name: "Transit", Tier: topo.Tier1, Home: "US", Cities: []string{"IAD", "FRA"}},
+		{ASN: stub, Name: "Stub", Tier: topo.TierStub, Home: "DE", Cities: []string{"FRA"}},
+		{ASN: cdn, Name: "CDN", Tier: topo.TierCDN, Home: "US", Cities: []string{"IAD", "FRA"}},
+	} {
+		if err := tp.AddAS(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, l := range []topo.Link{
+		{A: cdn, B: transit, Type: topo.CustomerToProvider, Cities: []string{"IAD"}},
+		{A: stub, B: transit, Type: topo.CustomerToProvider, Cities: []string{"FRA"}},
+		{A: stub, B: cdn, Type: topo.CustomerToProvider, Cities: []string{"FRA"}},
+	} {
+		if err := tp.AddLink(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tp.Freeze()
+	iad = SiteAnnouncement{Origin: cdn, Site: "iad", City: "IAD", OnlyNeighbors: []topo.ASN{transit}}
+	fra = SiteAnnouncement{Origin: cdn, Site: "fra", City: "FRA", OnlyNeighbors: []topo.ASN{stub}, Prepend: 3}
+	return tp, stub, iad, fra
+}
+
+// TestProvenanceLateProviderOffer: the stub settles on the two-hop provider
+// route while the four-hop fra seed to it is still pending, and the descent
+// stops before that seed's level is ever reached. The stub still heard the
+// seed, so its runner-up is that seed, losing on path length, after a full
+// Announce and after an incremental reconverge alike.
+func TestProvenanceLateProviderOffer(t *testing.T) {
+	tp, stub, iad, fra := lateOfferWorld(t)
+	check := func(e *Engine, label string) {
+		t.Helper()
+		p, ok := e.Provenance(pfxGlobal, stub)
+		if !ok {
+			t.Fatalf("%s: no provenance for the stub", label)
+		}
+		if p.WinnerClass != FromProvider || p.Winner().Site() != "iad" || p.Winner().Len() != 2 {
+			t.Fatalf("%s: stub selected %v, want the two-hop provider route to iad", label, p)
+		}
+		ru := p.RunnerUp()
+		if !p.HasRunnerUp || p.Step != StepPathLen || p.RunnerClass != FromProvider || ru.Site() != "fra" || ru.Len() != 4 {
+			t.Fatalf("%s: stub runner-up %v, want the four-hop fra seed losing on path length", label, p)
+		}
+	}
+
+	full := NewEngineWithConfig(tp, EngineConfig{Provenance: true})
+	if err := full.Announce(pfxGlobal, []SiteAnnouncement{iad, fra}); err != nil {
+		t.Fatal(err)
+	}
+	check(full, "announce")
+
+	incr := NewEngineWithConfig(tp, EngineConfig{Provenance: true})
+	if err := incr.Announce(pfxGlobal, []SiteAnnouncement{iad}); err != nil {
+		t.Fatal(err)
+	}
+	if err := incr.AnnounceSite(pfxGlobal, fra); err != nil {
+		t.Fatal(err)
+	}
+	if st := incr.LastReconvergeStats(); st.Full {
+		t.Fatalf("announcing fra fell back to a full recompute: %+v", st)
+	}
+	check(incr, "announce-site")
+	requireProvMatch(t, incr, "announce-site")
 }

@@ -9,8 +9,9 @@
 # BenchmarkRunCampaign (the paper's measurement campaign) — and, on the
 # memory columns only, BenchmarkSteeringRound (one round of the X3
 # steering loop), the incremental write path
-# BenchmarkIncrementalReconvergence/incremental (a site flap) and
-# .../provenance (the same with recording on), BenchmarkEngineFork/fork-trial
+# BenchmarkIncrementalReconvergence/incremental (a site flap),
+# .../provenance (the same with recording on) and .../full (the same flap
+# as two full announcements), BenchmarkEngineFork/fork-trial
 # (one steering trial: a fork plus a prepended re-announcement on it),
 # BenchmarkTrialEvaluate/delta (that trial's delta load evaluation),
 # BenchmarkServeIngestEvent (the resident server's per-event ingest) and
@@ -97,7 +98,7 @@ for bench in BenchmarkAnnounce BenchmarkTrafficSteering BenchmarkRunCampaign; do
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
 done
 
-for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkEngineFork/fork-trial BenchmarkTrialEvaluate/delta BenchmarkServeIngestEvent BenchmarkServeIngestBatch; do
+for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkIncrementalReconvergence/full BenchmarkEngineFork/fork-trial BenchmarkTrialEvaluate/delta BenchmarkServeIngestEvent BenchmarkServeIngestBatch; do
     missing "$bench" && continue
     gate "$bench" bytes_per_op  "B/op"      "$mem_threshold"
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
