@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"sort"
+	"strconv"
 
 	"anysim/internal/dnssim"
 	"anysim/internal/geo"
@@ -35,7 +36,7 @@ type Probe struct {
 }
 
 // GroupKey returns the paper's <city, AS> probe-group key.
-func (p *Probe) GroupKey() string { return fmt.Sprintf("%s|%d", p.City, p.ASN) }
+func (p *Probe) GroupKey() string { return p.City + "|" + strconv.FormatUint(uint64(p.ASN), 10) }
 
 // Area returns the paper probe area the probe is in.
 func (p *Probe) Area() geo.Area { return geo.AreaOf(p.Country) }

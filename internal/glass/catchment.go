@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"strconv"
 	"strings"
 
 	"anysim/internal/atlas"
@@ -78,14 +79,20 @@ func ExplainCatchment(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, pro
 	if rep == nil {
 		return CatchmentExplanation{}, fmt.Errorf("glass: no probe in group %q", group)
 	}
-	return explainProbe(e, dep, m.WithEngine(e), rep)
+	return explainProbe(e, dep, m.WithEngine(e), rep, group, nearestMemo{})
 }
 
-// representative returns the lowest-ID probe of a group.
+// representative returns the lowest-ID probe of a group. The key is parsed
+// once and only keys GroupKey renders match, so no probe is formatted.
 func representative(probes []*atlas.Probe, group string) *atlas.Probe {
+	city, num, ok := strings.Cut(group, "|")
+	asn, err := strconv.ParseUint(num, 10, 32)
+	if !ok || err != nil || strconv.FormatUint(asn, 10) != num {
+		return nil
+	}
 	var rep *atlas.Probe
 	for _, p := range probes {
-		if p.GroupKey() != group {
+		if p.City != city || p.ASN != topo.ASN(asn) {
 			continue
 		}
 		if rep == nil || p.ID < rep.ID {
@@ -95,14 +102,14 @@ func representative(probes []*atlas.Probe, group string) *atlas.Probe {
 	return rep
 }
 
-// explainProbe builds the catchment explanation for one probe.
-func explainProbe(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, p *atlas.Probe) (CatchmentExplanation, error) {
+// explainProbe builds the catchment explanation for one probe of group.
+func explainProbe(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, p *atlas.Probe, group string, near nearestMemo) (CatchmentExplanation, error) {
 	region, ok := dep.RegionForCountry(p.Country)
 	if !ok {
 		return CatchmentExplanation{}, fmt.Errorf("glass: %s maps no region for country %s", dep.Name, p.Country)
 	}
 	ce := CatchmentExplanation{
-		Group:   p.GroupKey(),
+		Group:   group,
 		City:    p.City,
 		ASN:     p.ASN,
 		Country: p.Country,
@@ -110,7 +117,7 @@ func explainProbe(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, p *atla
 		Region:  region.Name,
 		Prefix:  region.Prefix,
 	}
-	ce.NearestSite, ce.NearestKm = nearestAnnouncedSite(e, dep, region.Prefix, p.City)
+	ce.NearestSite, ce.NearestKm = near.get(e, dep, region.Prefix, p.City)
 	fwd, ok := m.Forward(p, region.Prefix)
 	if !ok {
 		ce.Class = NoRegionalRoute
@@ -125,6 +132,30 @@ func explainProbe(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, p *atla
 	ce.InflationMs = geo.FiberRTTMs(ce.ActualKm) - geo.FiberRTTMs(ce.NearestKm)
 	ce.Class = classify(ce)
 	return ce, nil
+}
+
+// nearestMemo memoizes nearestAnnouncedSite per (prefix, client city)
+// within one engine state: groups sharing a city share the answer.
+type nearestMemo map[nearestKey]nearestSite
+
+type nearestKey struct {
+	prefix netip.Prefix
+	city   string
+}
+
+type nearestSite struct {
+	site string
+	km   float64
+}
+
+func (nm nearestMemo) get(e *bgp.Engine, dep *cdn.Deployment, prefix netip.Prefix, city string) (string, float64) {
+	k := nearestKey{prefix, city}
+	n, ok := nm[k]
+	if !ok {
+		n.site, n.km = nearestAnnouncedSite(e, dep, prefix, city)
+		nm[k] = n
+	}
+	return n.site, n.km
 }
 
 // nearestAnnouncedSite returns the announced site of the prefix nearest to
@@ -173,7 +204,8 @@ func classify(ce CatchmentExplanation) Pathology {
 }
 
 // GroupView is one probe group's captured catchment state: the compact,
-// diffable form of a CatchmentExplanation.
+// diffable form of a CatchmentExplanation. A view is immutable once
+// captured, so captures share views and their hop chains (see CaptureFrom).
 type GroupView struct {
 	Group       string       `json:"group"`
 	Prefix      netip.Prefix `json:"prefix"`
@@ -185,6 +217,9 @@ type GroupView struct {
 	Class       Pathology    `json:"class"`
 
 	hops []Hop
+	// client is the group's AS, whose rib the view depends on even when
+	// the group is unserved and has no hops.
+	client topo.ASN
 }
 
 // PrefixSites lists the sites announcing one prefix at capture time.
@@ -208,22 +243,38 @@ type CatchmentSet struct {
 // engine fork (a what-if world) works with the shared measurer: routing
 // comes from e, measurement noise from the measurer's own seed.
 func Capture(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, probes []*atlas.Probe) (CatchmentSet, error) {
+	return CaptureFrom(e, dep, m, probes, nil, nil)
+}
+
+// CaptureFrom is Capture as a delta against base, an earlier capture of
+// baseEng with the same measurer and probes; the result is deeply equal to
+// Capture's. A group view is a pure function of the client AS's rib (its
+// forward and RTT), its hop ASes' ribs (their provenance records), the
+// announced site set of its prefix (nearest site, inflation and class) and
+// static data. So a base view is reused, hop chain included, when its
+// prefix announces the same sites on both engines and neither its client
+// nor any hop AS is in e.RibsChangedFrom(baseEng, prefix); every other
+// group is recomputed. A nil base, or one of another deployment, group
+// set, topology or provenance mode, gives a full capture.
+func CaptureFrom(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, probes []*atlas.Probe, base *CatchmentSet, baseEng *bgp.Engine) (CatchmentSet, error) {
 	m = m.WithEngine(e)
-	reps := map[string]*atlas.Probe{}
-	for _, p := range probes {
-		k := p.GroupKey()
-		if rep, ok := reps[k]; !ok || p.ID < rep.ID {
-			reps[k] = p
+	if base != nil && (baseEng == nil || base.Dep != dep.Name ||
+		baseEng.Topology() != e.Topology() || baseEng.ProvenanceEnabled() != e.ProvenanceEnabled()) {
+		base = nil
+	}
+	groups, sameGroups := groupReps(probes, base)
+	set := CatchmentSet{Dep: dep.Name, Groups: make([]GroupView, 0, len(groups)), Announced: announced(e)}
+	var d *captureDelta
+	if sameGroups {
+		d = &captureDelta{e: e, baseEng: baseEng, base: base, cur: &set, prefixes: map[netip.Prefix]prefixDelta{}}
+	}
+	near := nearestMemo{}
+	for i, g := range groups {
+		if d.reuse(i) {
+			set.Groups = append(set.Groups, base.Groups[i])
+			continue
 		}
-	}
-	keys := make([]string, 0, len(reps))
-	for k := range reps {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	set := CatchmentSet{Dep: dep.Name, Groups: make([]GroupView, 0, len(keys))}
-	for _, k := range keys {
-		ce, err := explainProbe(e, dep, m, reps[k])
+		ce, err := explainProbe(e, dep, m, g.rep, g.key, near)
 		if err != nil {
 			return CatchmentSet{}, err
 		}
@@ -237,8 +288,63 @@ func Capture(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, probes []*at
 			InflationMs: ce.InflationMs,
 			Class:       ce.Class,
 			hops:        ce.Exp.Hops,
+			client:      ce.ASN,
 		})
 	}
+	return set, nil
+}
+
+// groupRep is one probe group: its key and its lowest-ID probe.
+type groupRep struct {
+	key string
+	rep *atlas.Probe
+}
+
+// groupReps returns the probe groups sorted by key, grouping probes by
+// (city, ASN). When base covers exactly these groups it reports so and
+// takes base's keys in base's order, which is key order, so nothing is
+// formatted or sorted; otherwise each key is formatted once.
+func groupReps(probes []*atlas.Probe, base *CatchmentSet) ([]groupRep, bool) {
+	type cityAS struct {
+		city string
+		asn  topo.ASN
+	}
+	idx := map[cityAS]int{}
+	var groups []groupRep
+	for _, p := range probes {
+		k := cityAS{p.City, p.ASN}
+		i, ok := idx[k]
+		if !ok {
+			idx[k] = len(groups)
+			groups = append(groups, groupRep{rep: p})
+		} else if p.ID < groups[i].rep.ID {
+			groups[i].rep = p
+		}
+	}
+	if base != nil && len(base.Groups) == len(groups) {
+		ordered := make([]groupRep, 0, len(groups))
+		for _, v := range base.Groups {
+			city, _, _ := strings.Cut(v.Group, "|")
+			i, ok := idx[cityAS{city, v.client}]
+			if !ok {
+				break
+			}
+			ordered = append(ordered, groupRep{key: v.Group, rep: groups[i].rep})
+		}
+		if len(ordered) == len(groups) {
+			return ordered, true
+		}
+	}
+	for i := range groups {
+		groups[i].key = groups[i].rep.GroupKey()
+	}
+	slices.SortFunc(groups, func(a, b groupRep) int { return strings.Compare(a.key, b.key) })
+	return groups, false
+}
+
+// announced lists every announced prefix's sites, sorted by prefix text.
+func announced(e *bgp.Engine) []PrefixSites {
+	var out []PrefixSites
 	for _, prefix := range e.Prefixes() {
 		anns := e.Announcements(prefix)
 		if len(anns) == 0 {
@@ -249,19 +355,75 @@ func Capture(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, probes []*at
 			ps.Sites = append(ps.Sites, a.Site)
 		}
 		slices.Sort(ps.Sites)
-		set.Announced = append(set.Announced, ps)
+		out = append(out, ps)
 	}
-	slices.SortFunc(set.Announced, func(a, b PrefixSites) int { return strings.Compare(a.Prefix, b.Prefix) })
-	return set, nil
+	slices.SortFunc(out, func(a, b PrefixSites) int { return strings.Compare(a.Prefix, b.Prefix) })
+	return out
+}
+
+// captureDelta decides which base views a capture reuses. A nil delta
+// reuses none.
+type captureDelta struct {
+	e, baseEng *bgp.Engine
+	base, cur  *CatchmentSet
+	prefixes   map[netip.Prefix]prefixDelta
+}
+
+// prefixDelta is one prefix's change between the base and the capture:
+// whether its announced sites differ, and else the ASes whose rib changed,
+// ascending (dense index order is ASN order).
+type prefixDelta struct {
+	sitesChanged bool
+	changed      []topo.ASN
+}
+
+// reuse reports whether the capture can keep the base's view of group i.
+func (d *captureDelta) reuse(i int) bool {
+	if d == nil {
+		return false
+	}
+	v := &d.base.Groups[i]
+	pd, ok := d.prefixes[v.Prefix]
+	if !ok {
+		pd.sitesChanged = !slices.Equal(d.base.sitesOf(v.Prefix), d.cur.sitesOf(v.Prefix))
+		if !pd.sitesChanged {
+			t := d.e.Topology()
+			for _, j := range d.e.RibsChangedFrom(d.baseEng, v.Prefix) {
+				pd.changed = append(pd.changed, t.ASAt(j))
+			}
+		}
+		d.prefixes[v.Prefix] = pd
+	}
+	if pd.sitesChanged || pd.ribChanged(v.client) {
+		return false
+	}
+	for _, h := range v.hops {
+		if pd.ribChanged(h.ASN) {
+			return false
+		}
+	}
+	return true
+}
+
+// ribChanged reports whether asn's rib for the prefix changed.
+func (pd prefixDelta) ribChanged(asn topo.ASN) bool {
+	_, found := slices.BinarySearch(pd.changed, asn)
+	return found
+}
+
+// sitesOf returns the sites announcing a prefix at capture time, nil when
+// none does.
+func (s *CatchmentSet) sitesOf(prefix netip.Prefix) []string {
+	key := prefix.String()
+	for _, ps := range s.Announced {
+		if ps.Prefix == key {
+			return ps.Sites
+		}
+	}
+	return nil
 }
 
 // announcedSite reports whether a site announced the prefix at capture time.
 func (s *CatchmentSet) announcedSite(prefix netip.Prefix, site string) bool {
-	key := prefix.String()
-	for _, ps := range s.Announced {
-		if ps.Prefix == key {
-			return slices.Contains(ps.Sites, site)
-		}
-	}
-	return false
+	return slices.Contains(s.sitesOf(prefix), site)
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -113,4 +115,31 @@ func BenchmarkServeIngestBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(down)), "ns/event")
+}
+
+// BenchmarkServeOpsStep measures one step of the operator's loop on the
+// live twin, through the HTTP handler: POST one event of a twin-ops
+// schedule, GET /diff since the tick before it, and GET /explain for one
+// probe group. The schedule repairs every fault it opens, so it replays in
+// a cycle.
+func BenchmarkServeOpsStep(b *testing.B) {
+	s := testServer(b, 7)
+	h := s.Handler()
+	evs := twinOpsEvents(b, s, 7, 40)
+	groups := s.Model().Groups
+	serve := func(method, target, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s %s = %d: %s", method, target, rec.Code, rec.Body)
+		}
+	}
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		since := s.Current().Tick
+		serve("POST", "/events", evs[i%len(evs)].String()+"\n")
+		serve("GET", "/diff?since="+strconv.FormatInt(since, 10), "")
+		serve("GET", "/explain?group="+url.QueryEscape(groups[i%len(groups)].Key), "")
+	}
 }

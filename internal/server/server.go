@@ -128,20 +128,44 @@ type State struct {
 	Load   *traffic.LoadReport
 	Flash  map[geo.Area]float64
 
-	srv     *Server
-	capOnce sync.Once
-	capSet  glass.CatchmentSet
-	capErr  error
+	srv *Server
+	// pred is the state published just before this one, whose finished
+	// capture is the base of this state's delta capture. publishLocked
+	// clears it when it publishes the next state, and this state's capture
+	// clears it too, so no state keeps a chain of predecessors alive.
+	pred     atomic.Pointer[State]
+	capOnce  sync.Once
+	captured atomic.Pointer[capture]
+}
+
+// capture is a State's finished catchment capture.
+type capture struct {
+	set glass.CatchmentSet
+	err error
 }
 
 // Catchment returns the deployment's full captured catchment at this
-// state, computed on first use and memoized (capture walks every probe
-// group; /catchment and /diff share one capture per state).
+// state, computed on first use and memoized (/catchment and /diff share one
+// capture per state). When the predecessor's capture is already done, it is
+// a delta against that capture (glass.CaptureFrom): only the groups whose
+// routing changed are walked, and the rest share the predecessor's views.
+// Otherwise it is a full capture; it never forces or waits for another
+// state's capture.
 func (st *State) Catchment() (glass.CatchmentSet, error) {
 	st.capOnce.Do(func() {
-		st.capSet, st.capErr = glass.Capture(st.Engine, st.srv.dep, st.measurer(), st.srv.w.Platform.Retained())
+		var base *glass.CatchmentSet
+		var baseEng *bgp.Engine
+		if p := st.pred.Load(); p != nil {
+			if c := p.captured.Load(); c != nil && c.err == nil {
+				base, baseEng = &c.set, p.Engine
+			}
+		}
+		set, err := glass.CaptureFrom(st.Engine, st.srv.dep, st.measurer(), st.srv.w.Platform.Retained(), base, baseEng)
+		st.captured.Store(&capture{set: set, err: err})
+		st.pred.Store(nil)
 	})
-	return st.capSet, st.capErr
+	c := st.captured.Load()
+	return c.set, c.err
 }
 
 // measurer returns the world's measurer rebound to this state's engine
@@ -368,6 +392,10 @@ func (s *Server) publishLocked() (*State, []ts.Transition) {
 	var trs []ts.Transition
 	st.Load, trs = s.runner.Load(s.tick, st.Engine)
 	st.Bucket = st.Load.Bucket
+	if prev := s.cur.Load(); prev != nil {
+		prev.pred.Store(nil)
+		st.pred.Store(prev)
+	}
 	s.cur.Store(st)
 	s.hist = append(s.hist, st)
 	if len(s.hist) > s.cfg.History {

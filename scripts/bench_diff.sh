@@ -14,8 +14,10 @@
 # as two full announcements), BenchmarkEngineFork/fork-trial
 # (one steering trial: a fork plus a prepended re-announcement on it),
 # BenchmarkTrialEvaluate/delta (that trial's delta load evaluation),
-# BenchmarkServeIngestEvent (the resident server's per-event ingest) and
-# BenchmarkServeIngestBatch (its batch ingest of 16 link faults).
+# BenchmarkServeIngestEvent (the resident server's per-event ingest),
+# BenchmarkServeIngestBatch (its batch ingest of 16 link faults) and
+# BenchmarkServeOpsStep (one operator step: POST an event, GET /diff, GET
+# /explain).
 #
 # Two gates with different teeth, because the columns have different
 # noise floors:
@@ -98,7 +100,7 @@ for bench in BenchmarkAnnounce BenchmarkTrafficSteering BenchmarkRunCampaign; do
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
 done
 
-for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkIncrementalReconvergence/full BenchmarkEngineFork/fork-trial BenchmarkTrialEvaluate/delta BenchmarkServeIngestEvent BenchmarkServeIngestBatch; do
+for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkIncrementalReconvergence/full BenchmarkEngineFork/fork-trial BenchmarkTrialEvaluate/delta BenchmarkServeIngestEvent BenchmarkServeIngestBatch BenchmarkServeOpsStep; do
     missing "$bench" && continue
     gate "$bench" bytes_per_op  "B/op"      "$mem_threshold"
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
