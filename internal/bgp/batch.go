@@ -19,7 +19,6 @@ import (
 	"maps"
 	"net/netip"
 	"slices"
-	"strings"
 
 	"anysim/internal/obs"
 )
@@ -141,7 +140,7 @@ type prefixResult struct {
 	prefix  netip.Prefix
 	anns    []SiteAnnouncement
 	ribs    ribTable
-	touched *asBits  // failover memory for sites; nil keeps the old
+	touched *asBits  // the reconverge's footprint; nil after a full recompute
 	sites   []string // sites whose announcement changed
 }
 
@@ -151,8 +150,7 @@ type prefixResult struct {
 // state has already flipped. Per prefix:
 //
 //   - a prefix that goes dark installs an empty table, and a dark or new
-//     prefix that gets sites converges in full, as WithdrawSite and
-//     AnnounceSite do one site at a time;
+//     prefix that gets sites converges in full;
 //   - otherwise one reconverge runs, seeded with the endpoints of the
 //     flipped links and, for every site whose announcement was added,
 //     removed or changed in value, its origin, the neighbours its old and
@@ -161,6 +159,12 @@ type prefixResult struct {
 //   - a site that only moved within the announcement slice is no change:
 //     routing is a function of the announcement set (converge sorts origin
 //     self routes), so the new order is installed without reconverging.
+//
+// A reconverge's touched set becomes a site's failover memory only when
+// that site is the prefix's sole changed site; in a change to several sites
+// each keeps its old memory. The prefix's hint map is replaced, never
+// mutated, and stored sets are never mutated afterwards, so forks and
+// snapshots share both by reference.
 func (e *Engine) commit(staged map[netip.Prefix][]SiteAnnouncement, links []int) (ReconvergeStats, error) {
 	linkSeed := newASBits(e.n)
 	for _, li := range links {
@@ -178,7 +182,7 @@ func (e *Engine) commit(staged map[netip.Prefix][]SiteAnnouncement, links []int)
 		results []prefixResult
 		agg     ReconvergeStats
 	)
-	for _, p := range e.batchPrefixes(staged) {
+	for _, p := range e.batchPrefixes(staged, len(links) > 0) {
 		e.mu.RLock()
 		old, oldRibs := e.anns[p], e.ribs[p]
 		e.mu.RUnlock()
@@ -236,13 +240,10 @@ func (e *Engine) commit(staged map[netip.Prefix][]SiteAnnouncement, links []int)
 	for _, r := range results {
 		e.ribs[r.prefix] = r.ribs
 		e.anns[r.prefix] = append([]SiteAnnouncement(nil), r.anns...)
-		if r.touched != nil && len(r.sites) > 0 {
-			// Replace the hint map, never mutate it (see storeHint).
-			m := make(map[string]*asBits, len(e.hints[r.prefix])+len(r.sites))
+		if r.touched != nil && len(r.sites) == 1 {
+			m := make(map[string]*asBits, len(e.hints[r.prefix])+1)
 			maps.Copy(m, e.hints[r.prefix])
-			for _, site := range r.sites {
-				m[site] = r.touched
-			}
+			m[r.sites[0]] = r.touched
 			e.hints[r.prefix] = m
 		}
 	}
@@ -267,16 +268,20 @@ func (e *Engine) seedSite(p netip.Prefix, site string, old, next []SiteAnnouncem
 	e.mergeHint(p, site, seed)
 }
 
-// batchPrefixes returns the engine's prefixes and a batch's staged ones,
-// in Prefixes order.
-func (e *Engine) batchPrefixes(staged map[netip.Prefix][]SiteAnnouncement) []netip.Prefix {
-	out := e.Prefixes()
+// batchPrefixes returns the prefixes a commit visits, in Prefixes order:
+// every announced prefix when links flipped, since a link can move any
+// prefix's routes, and the staged ones.
+func (e *Engine) batchPrefixes(staged map[netip.Prefix][]SiteAnnouncement, linksFlipped bool) []netip.Prefix {
+	var out []netip.Prefix
+	if linksFlipped {
+		out = e.Prefixes()
+	}
 	for p := range staged {
 		if !slices.Contains(out, p) {
 			out = append(out, p)
 		}
 	}
-	slices.SortFunc(out, func(a, b netip.Prefix) int { return strings.Compare(a.String(), b.String()) })
+	slices.SortFunc(out, prefixTextCompare)
 	return out
 }
 

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/netip"
 	"slices"
-	"strings"
 	"sync"
 
 	"anysim/internal/policy"
@@ -269,7 +268,7 @@ func (e *Engine) Prefixes() []netip.Prefix {
 	for p := range e.anns {
 		out = append(out, p)
 	}
-	slices.SortFunc(out, func(a, b netip.Prefix) int { return strings.Compare(a.String(), b.String()) })
+	slices.SortFunc(out, prefixTextCompare)
 	return out
 }
 
@@ -289,12 +288,14 @@ func (e *Engine) PrefixOf(addr netip.Addr) (netip.Prefix, bool) {
 	return best, found
 }
 
-// prefixTextLess orders prefixes as Prefixes does, by their String form,
-// formatting into stack buffers.
-func prefixTextLess(a, b netip.Prefix) bool {
+// prefixTextCompare orders prefixes by their String form, formatting into
+// stack buffers: the order Prefixes lists them in.
+func prefixTextCompare(a, b netip.Prefix) int {
 	var ab, bb [64]byte
-	return bytes.Compare(a.AppendTo(ab[:0]), b.AppendTo(bb[:0])) < 0
+	return bytes.Compare(a.AppendTo(ab[:0]), b.AppendTo(bb[:0]))
 }
+
+func prefixTextLess(a, b netip.Prefix) bool { return prefixTextCompare(a, b) < 0 }
 
 // Withdraw removes all routing state for a prefix.
 func (e *Engine) Withdraw(p netip.Prefix) {

@@ -35,7 +35,7 @@ import (
 //     reference; a mutation on either side installs a new table into its
 //     own prefix map and the other side never observes it.
 //   - Announcement slices are likewise replaced wholesale by install.
-//   - Per-prefix failover-hint maps are replaced wholesale by storeHint, and
+//   - Per-prefix failover-hint maps are replaced wholesale by commit, and
 //     the hint sets (*asBits) they hold are immutable once stored.
 //
 // So copying the routing state is copying its outer maps (cloneState), the

@@ -29,14 +29,17 @@ package bgp
 // construction.
 //
 // Site withdraw/restore pairs are the dominant fault-injection workload, so
-// the engine keeps a per-(prefix, site) "failover memory": the set of ASes
-// the last withdrawal or restore of that site touched. A later operation on
-// the same site seeds its worklist from that memory, which usually reaches
-// the fixed point in a single round. Over-seeding is sound — an AS whose
-// inputs did not change recomputes to an identical rib and spills nothing.
+// the engine keeps a per-(prefix, site) "failover memory": the footprint
+// (touched set) of the last change to that prefix in which this site was
+// the only site whose announcement changed. A later operation on the same
+// site seeds its worklist from that memory, which usually reaches the fixed
+// point in a single round. A change to several sites at once leaves every
+// site's memory as it was: their union footprint is no one site's, and
+// would widen each later single-site seed. Over-seeding is sound — an AS
+// whose inputs did not change recomputes to an identical rib and spills
+// nothing.
 
 import (
-	"maps"
 	"net/netip"
 	"slices"
 
@@ -82,54 +85,24 @@ func (e *Engine) WithdrawSite(prefix netip.Prefix, siteID string) error {
 }
 
 // AnnounceSite adds or replaces a single site's announcement for a prefix
-// and incrementally reconverges routing. An unknown prefix (or one whose
-// announcements were all withdrawn) falls back to a full announcement.
+// and incrementally reconverges routing: a batch of one (see ApplyBatch).
+// An unknown prefix, or one whose announcements were all withdrawn,
+// converges in full; repeating an identical announcement changes nothing.
 func (e *Engine) AnnounceSite(prefix netip.Prefix, ann SiteAnnouncement) error {
-	e.mu.RLock()
-	anns, known := e.anns[prefix]
-	old := e.ribs[prefix]
-	e.mu.RUnlock()
-	if !known || len(anns) == 0 {
-		return e.Announce(prefix, []SiteAnnouncement{ann})
-	}
-	if err := e.validateAnn(prefix, ann); err != nil {
+	b := e.NewBatch()
+	if err := b.AnnounceSite(prefix, ann); err != nil {
 		return err
 	}
-	e.eobs.siteOps.Inc()
-	newAnns := slices.Clone(anns)
-	dirty := newASBits(e.n)
-	dirty.add(e.asIdx[ann.Origin])
-	replaced := -1
-	for i, a := range newAnns {
-		if a.Site == ann.Site {
-			replaced = i
-			break
-		}
-	}
-	if replaced >= 0 {
-		// Both the old and the new incarnation of the site shape the dirty
-		// frontier: ASes that held the old routes and neighbours seeded by
-		// either announcement city.
-		e.seedTargets(newAnns[replaced], dirty)
-		dirty.or(e.siteRefs(old, ann.Site))
-		newAnns[replaced] = ann
-	} else {
-		newAnns = append(newAnns, ann)
-	}
-	e.seedTargets(ann, dirty)
-	e.mergeHint(prefix, ann.Site, dirty)
-	ribs, st, touched, err := e.reconverge(prefix, newAnns, old, dirty)
+	st, err := e.commit(b.anns, nil)
 	if err != nil {
 		return err
 	}
-	e.install(prefix, newAnns, ribs, st)
-	e.storeHint(prefix, ann.Site, touched)
 	e.traceOp("announce-site", prefix, st)
 	return nil
 }
 
 // mergeHint widens a seed set with the failover memory of a site: the ASes
-// the last withdraw/restore of this site touched. Restoring a site whose
+// the last single-site change of this site touched. Restoring a site whose
 // withdrawal footprint is remembered then typically settles in one round.
 func (e *Engine) mergeHint(prefix netip.Prefix, siteID string, dirty *asBits) {
 	e.mu.RLock()
@@ -138,22 +111,6 @@ func (e *Engine) mergeHint(prefix netip.Prefix, siteID string, dirty *asBits) {
 	if hint != nil {
 		dirty.or(hint)
 	}
-}
-
-// storeHint records the touched set of a site operation as failover memory.
-// A nil set (full-recompute fallback) keeps whatever memory existed. The
-// prefix's hint map is replaced, never mutated, and stored sets are never
-// mutated afterwards, so forks and snapshots share both by reference.
-func (e *Engine) storeHint(prefix netip.Prefix, siteID string, touched *asBits) {
-	if touched == nil {
-		return
-	}
-	e.mu.Lock()
-	m := make(map[string]*asBits, len(e.hints[prefix])+1)
-	maps.Copy(m, e.hints[prefix])
-	m[siteID] = touched
-	e.hints[prefix] = m
-	e.mu.Unlock()
 }
 
 // ReconvergeLinks incrementally reconverges every announced prefix after

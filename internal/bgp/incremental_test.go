@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"anysim/internal/obs"
 	"anysim/internal/topo"
 )
 
@@ -273,6 +274,83 @@ func TestWithdrawLastSite(t *testing.T) {
 	}
 	if asn, ok := ribsEqual(e, before, snapshotRibs(e, pfxUS)); !ok {
 		t.Fatalf("rib for %s not restored after dark-prefix relight", asn)
+	}
+}
+
+// TestFailoverMemoryPerSite pins the failover-memory rule: a change in
+// which one site is the prefix's only changed site stores its footprint as
+// that site's memory, a change to several sites leaves every site's memory
+// as it was, and repeating an identical announcement does nothing at all.
+func TestFailoverMemoryPerSite(t *testing.T) {
+	_, e, anns := generatedCDNWorld(t, 3)
+	reg := obs.NewRegistry()
+	e.Instrument(reg, nil)
+	siteOps := reg.Counter("bgp.op.site")
+	hint := func(site string) *asBits {
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		return e.hints[pfxGlobal][site]
+	}
+	requireStored := func(site, op string) {
+		t.Helper()
+		st := e.LastReconvergeStats()
+		if st.Full || st.Dirty == 0 {
+			t.Fatalf("%s: stats %+v, want a non-empty incremental reconverge", op, st)
+		}
+		if h := hint(site); h == nil || h.len() != st.Dirty {
+			t.Fatalf("%s: %s's memory is %v, want the %d-AS touched set", op, site, h, st.Dirty)
+		}
+	}
+
+	for _, a := range anns {
+		if err := e.WithdrawSite(pfxGlobal, a.Site); err != nil {
+			t.Fatal(err)
+		}
+		requireStored(a.Site, "withdraw "+a.Site)
+		withdrawn := hint(a.Site)
+		if err := e.AnnounceSite(pfxGlobal, a); err != nil {
+			t.Fatal(err)
+		}
+		requireStored(a.Site, "restore "+a.Site)
+		if hint(a.Site) == withdrawn {
+			t.Fatalf("restoring %s kept the withdrawal's memory", a.Site)
+		}
+	}
+
+	iad, sin := hint("iad"), hint("sin")
+	b := e.NewBatch()
+	for _, a := range e.Announcements(pfxGlobal) {
+		if a.Site == "fra" {
+			continue
+		}
+		a.Prepend = 2
+		if err := b.AnnounceSite(pfxGlobal, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.ApplyBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.LastReconvergeStats(); st.Dirty == 0 {
+		t.Fatalf("two-site batch did no work: %+v", st)
+	}
+	if hint("iad") != iad || hint("sin") != sin {
+		t.Fatal("a two-site batch replaced a site's failover memory")
+	}
+
+	ops := siteOps.Value()
+	ribs := snapshotRibs(e, pfxGlobal)
+	if err := e.AnnounceSite(pfxGlobal, e.Announcements(pfxGlobal)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.LastReconvergeStats(); st != (ReconvergeStats{}) {
+		t.Fatalf("repeating an announcement reconverged: %+v", st)
+	}
+	if got := siteOps.Value(); got != ops {
+		t.Fatalf("repeating an announcement moved bgp.op.site %d -> %d", ops, got)
+	}
+	if snapshotRibs(e, pfxGlobal)[0] != ribs[0] || hint("iad") != iad {
+		t.Fatal("repeating an announcement replaced routing state or memory")
 	}
 }
 

@@ -29,8 +29,8 @@ import (
 type engineObs struct {
 	announces *obs.Counter // full Announce convergences
 	withdraws *obs.Counter // whole-prefix withdrawals
-	siteOps   *obs.Counter // AnnounceSite/WithdrawSite operations
-	linkOps   *obs.Counter // ReconvergeLinks calls
+	siteOps   *obs.Counter // sites a commit added, changed or withdrew on a lit prefix
+	linkOps   *obs.Counter // commits that flipped links
 	fulls     *obs.Counter // incremental runs that fell back to full recompute
 	forks     *obs.Counter // Fork calls
 	forkCOW   *obs.Counter // map entries shallow-copied by Fork (COW volume)

@@ -5,16 +5,13 @@ import (
 	"testing"
 )
 
-// TestDynamicsBlastRadius runs X2 once and checks the comparison is
-// non-degenerate: every fault is measured against both deployments, at
-// least one fault moves catchments in each, and the regional deployment's
-// mean blast radius is reported alongside the global one.
+// TestDynamicsBlastRadius reads X2 from the shared run and checks the
+// comparison is non-degenerate: every fault is measured against both
+// deployments, at least one fault moves catchments in each, and the
+// regional deployment's mean blast radius is reported alongside the
+// global one.
 func TestDynamicsBlastRadius(t *testing.T) {
-	ctx := testCtx(t)
-	r, err := Dynamics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := report(t, "X2")
 	data, ok := r.Data.(*DynamicsData)
 	if !ok {
 		t.Fatalf("Data is %T", r.Data)

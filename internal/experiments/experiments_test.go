@@ -30,22 +30,53 @@ func testCtx(t *testing.T) *Context {
 	return sharedCtx
 }
 
+// sharedRun is the one RunAll of this test binary over testCtx, so that
+// every test reading an experiment's report reads the same run instead of
+// running the experiment again.
+var sharedRun struct {
+	done    bool
+	reports []*Report
+	err     error
+}
+
+// runAll returns the binary's shared RunAll, running it on first use.
+func runAll(t *testing.T) []*Report {
+	t.Helper()
+	if !sharedRun.done {
+		ctx := testCtx(t)
+		sharedRun.reports, sharedRun.err = RunAll(ctx)
+		sharedRun.done = true
+	}
+	if sharedRun.err != nil {
+		t.Fatal(sharedRun.err)
+	}
+	return sharedRun.reports
+}
+
+// report returns experiment id's report from the shared RunAll.
+func report(t *testing.T, id string) *Report {
+	t.Helper()
+	for _, r := range runAll(t) {
+		if r.ID == id {
+			return r
+		}
+	}
+	t.Fatalf("RunAll produced no %s report", id)
+	return nil
+}
+
 var update = flag.Bool("update", false, "rewrite results/ and results/series from this run")
 
 // resultsDir is the published reports, relative to this package.
 const resultsDir = "../../results"
 
-// TestRunAll is the golden-results test: one RunAll over the canonical
-// world, each report compared byte for byte with its published
+// TestRunAll is the golden-results test: the shared RunAll over the
+// canonical world, each report compared byte for byte with its published
 // results/<id>.txt and each curve with results/series. Run with -update to
 // regenerate them (the same files `go run ./cmd/repro -out results -data
 // results/series` writes).
 func TestRunAll(t *testing.T) {
-	ctx := testCtx(t)
-	reports, err := RunAll(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := runAll(t)
 	if len(reports) != len(All()) {
 		t.Fatalf("got %d reports, want %d", len(reports), len(All()))
 	}
@@ -124,11 +155,7 @@ func firstDiff(published, run string) string {
 }
 
 func TestTable1MatchesPaperCounts(t *testing.T) {
-	ctx := testCtx(t)
-	rep, err := Table1(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, "T1")
 	data := rep.Data.(*Table1Data)
 	// Published columns are exact.
 	wantPub := map[string]map[geo.Area]int{
@@ -161,11 +188,7 @@ func TestTable1MatchesPaperCounts(t *testing.T) {
 }
 
 func TestTable2DataShape(t *testing.T) {
-	ctx := testCtx(t)
-	rep, err := Table2(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, "T2")
 	data := rep.Data.(*Table2Data)
 	for _, cdnName := range []string{"Edgio-3", "Edgio-4", "Imperva-6"} {
 		for _, mode := range []atlas.DNSMode{atlas.LDNS, atlas.ADNS} {
@@ -197,11 +220,7 @@ func TestTable2DataShape(t *testing.T) {
 }
 
 func TestTable3HeadlineReduction(t *testing.T) {
-	ctx := testCtx(t)
-	rep, err := Table3(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, "T3")
 	data := rep.Data.(*Table3Data)
 	for _, area := range []geo.Area{geo.NA, geo.EMEA} {
 		if data.Regional[area][90] >= data.Global[area][90] {
@@ -214,11 +233,7 @@ func TestTable3HeadlineReduction(t *testing.T) {
 }
 
 func TestFigure3Dominance(t *testing.T) {
-	ctx := testCtx(t)
-	rep, err := Figure3(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, "F3")
 	data := rep.Data.(*Figure3Data)
 	if len(data.Networks) != 4 {
 		t.Fatalf("networks = %v", data.Networks)
@@ -234,11 +249,7 @@ func TestFigure3Dominance(t *testing.T) {
 }
 
 func TestFigure4LatAmImprovement(t *testing.T) {
-	ctx := testCtx(t)
-	rep, err := Figure4(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, "F4")
 	data := rep.Data.(*Figure4Data)
 	// Edgio-4 serves LatAm from South American sites; Edgio-3 maps South
 	// America to North America. The 80th-percentile latency must drop.
@@ -258,11 +269,7 @@ func TestFigure4LatAmImprovement(t *testing.T) {
 }
 
 func TestFigure5CorrelatesRTTAndDistance(t *testing.T) {
-	ctx := testCtx(t)
-	rep, err := Figure5(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, "F5")
 	data := rep.Data.(*Figure5Data)
 	// In EMEA and NA (where regional helps), the fraction of groups with
 	// distance reduction should be of the same order as those with
@@ -275,11 +282,7 @@ func TestFigure5CorrelatesRTTAndDistance(t *testing.T) {
 }
 
 func TestFigure6Headline(t *testing.T) {
-	ctx := testCtx(t)
-	rep, err := Figure6(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, "F6")
 	data := rep.Data.(*Figure6Data)
 	if data.BestK < 3 || data.BestK > 6 {
 		t.Fatalf("best k = %d", data.BestK)
@@ -305,11 +308,7 @@ func TestFigure6Headline(t *testing.T) {
 }
 
 func TestSection54Shape(t *testing.T) {
-	ctx := testCtx(t)
-	rep, err := Section54(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, "S54")
 	data := rep.Data.(*Section54Data)
 	if data.Limited.ImprovedGroups == 0 {
 		t.Fatal("no improved groups")
@@ -326,11 +325,7 @@ func TestSection54Shape(t *testing.T) {
 }
 
 func TestFigure8Validation(t *testing.T) {
-	ctx := testCtx(t)
-	rep, err := Figure8(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, "F8")
 	data := rep.Data.(*Figure8Data)
 	if data.Pairs == 0 {
 		t.Fatal("no same-site pairs")
@@ -345,10 +340,7 @@ func TestFigure8Validation(t *testing.T) {
 
 func TestExtensionsBaselines(t *testing.T) {
 	ctx := testCtx(t)
-	rep, err := Extensions(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, "X1")
 	data := rep.Data.(*ExtensionsData)
 	// The §2.2 positioning: DailyCatch can only pick the better of its two
 	// configurations, and both it and the AnyOpt-style optimizer leave a
@@ -379,22 +371,14 @@ func TestExtensionsBaselines(t *testing.T) {
 }
 
 func TestFigure2MapsRendered(t *testing.T) {
-	ctx := testCtx(t)
-	rep, err := Figure2(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, "F2")
 	if !strings.Contains(rep.Text, "S site (announcing)") {
 		t.Error("Figure 2 report missing partition maps")
 	}
 }
 
 func TestTable6Generalisation(t *testing.T) {
-	ctx := testCtx(t)
-	rep, err := Table6(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, "T6")
 	data := rep.Data.(*Table6Data)
 	// Representative and other-hostname percentiles agree within noise for
 	// the well-populated areas.

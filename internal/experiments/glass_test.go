@@ -9,11 +9,7 @@ import (
 // TestGlassX4 checks the X4 contract: every group classified, 100% of the
 // flap's moves attributed, and the site withdrawal recognized as such.
 func TestGlassX4(t *testing.T) {
-	ctx := testCtx(t)
-	rep, err := Glass(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, "X4")
 	data := rep.Data.(*GlassData)
 	for _, set := range []glass.CatchmentSet{data.Regional, data.Global} {
 		if len(set.Groups) == 0 {

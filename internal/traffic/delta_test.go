@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"anysim/internal/bgp"
 	"anysim/internal/geo"
 	"anysim/internal/worldgen"
 )
@@ -14,7 +15,13 @@ import (
 // base report.
 func requireDeltaMatchesFull(t *testing.T, label string, base *LoadReport, tr *trialReport, full *LoadReport) {
 	t.Helper()
-	got := tr.materialise()
+	requireReportsEqual(t, label, base, tr.materialise(), full)
+}
+
+// requireReportsEqual asserts two load reports are equal bit for bit, the
+// shed cost against base included.
+func requireReportsEqual(t *testing.T, label string, base, got, full *LoadReport) {
+	t.Helper()
 	if len(got.Sites) != len(full.Sites) {
 		t.Fatalf("%s: %d sites, full evaluation has %d", label, len(got.Sites), len(full.Sites))
 	}
@@ -70,8 +77,10 @@ func resolveCheckingTrials(t *testing.T, ev *Evaluator, cfg SteeringConfig, mat 
 
 // checkForcedTrials evaluates two trials the steering walk may not reach as
 // deltas against the engine's current report: a prepend wave on every
-// region prefix (several AnnounceSite calls on one fork) and a full
-// recompute of each prefix, where every rib is fresh.
+// region prefix (several sites' announcements changed in one batch) and a
+// full recompute of each prefix, where every rib is fresh. It also holds
+// each wave's load to that of a fork given the same announcements one
+// AnnounceSite at a time.
 func checkForcedTrials(t *testing.T, ev *Evaluator, mat Matrix) {
 	t.Helper()
 	st := NewSteerer(ev, SteeringConfig{})
@@ -80,7 +89,21 @@ func checkForcedTrials(t *testing.T, ev *Evaluator, mat Matrix) {
 	for _, p := range ev.idx.prefixes {
 		f := ev.Engine.Fork()
 		if err := st.applyOn(f, &Action{Kind: ActionPrependWave, Prefix: p}); err == nil {
-			requireDeltaMatchesFull(t, "wave on "+p.String(), base, ev.evaluateTrial(f, ev.Engine, base, mat), ev.EvaluateOn(f, mat))
+			label := "wave on " + p.String()
+			full := ev.EvaluateOn(f, mat)
+			requireDeltaMatchesFull(t, label, base, ev.evaluateTrial(f, ev.Engine, base, mat), full)
+			seq := ev.Engine.Fork()
+			_, inRegion := st.regionSites(p)
+			for _, a := range seq.Announcements(p) {
+				if !inRegion[a.Site] || a.Prepend >= bgp.MaxPrepend {
+					continue
+				}
+				a.Prepend++
+				if err := seq.AnnounceSite(p, a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			requireReportsEqual(t, label+" one site at a time", base, ev.EvaluateOn(seq, mat), full)
 			waves++
 		}
 

@@ -848,7 +848,7 @@ func helpersBySpare(rep *LoadReport, anns []bgp.SiteAnnouncement, soft float64) 
 	return out
 }
 
-// applyOn pushes one action into a trial fork via incremental per-site
+// applyOn pushes one action into a trial fork via incremental
 // reconvergence, reading the current announcements from the fork itself.
 // Everything else it reads — the deployment, the topology, the steerer
 // configuration — is immutable, so concurrent trials only need disjoint
@@ -888,18 +888,18 @@ func (s *Steerer) applyOn(eng *bgp.Engine, act *Action) error {
 		if inRegion == nil {
 			return fmt.Errorf("traffic: %s has no owning region", act.Prefix)
 		}
-		// anns is the set before the wave; AnnounceSite installs a fresh
-		// slice, so ranging over it is safe.
+		// One batch: the fork reconverges the wave's net change once.
+		b := eng.NewBatch()
 		for _, a := range anns {
 			if !inRegion[a.Site] || a.Prepend >= bgp.MaxPrepend {
 				continue
 			}
 			a.Prepend++
-			if err := eng.AnnounceSite(act.Prefix, a); err != nil {
+			if err := b.AnnounceSite(act.Prefix, a); err != nil {
 				return err
 			}
 		}
-		return nil
+		return eng.ApplyBatch(b)
 	}
 	return fmt.Errorf("traffic: unknown action kind %d", act.Kind)
 }

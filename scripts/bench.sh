@@ -39,10 +39,12 @@ go test -run '^$' -benchmem -benchtime 1x -count 5 \
     -bench 'BenchmarkTrafficSteering$|BenchmarkSteeringRound$|BenchmarkDemandMatrix$' \
     . | tee -a "$raw"
 
-# One steering trial's load evaluation on the X3 crowd: a full EvaluateOn
-# of the trial fork against the delta the steering loop computes.
+# One steering trial on the X3 crowd: its routing half (a fork plus one
+# prepend, or a prepend wave, over all of the deployment's prefixes) and
+# its load evaluation (a full EvaluateOn of the trial fork against the
+# delta the steering loop computes).
 go test -run '^$' -benchmem -count 5 \
-    -bench 'BenchmarkTrialEvaluate$' \
+    -bench 'BenchmarkTrialApply$|BenchmarkTrialEvaluate$' \
     ./internal/traffic/ | tee -a "$raw"
 
 # The paper's measurement campaign on the small world: keyed-draw and

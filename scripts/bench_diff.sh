@@ -13,9 +13,12 @@
 # .../provenance (the same with recording on) and .../full (the same flap
 # as two full announcements), BenchmarkEngineFork/fork-trial
 # (one steering trial: a fork plus a prepended re-announcement on it),
-# BenchmarkTrialEvaluate/delta (that trial's delta load evaluation),
-# BenchmarkServeIngestEvent (the resident server's per-event ingest),
-# BenchmarkServeIngestBatch (its batch ingest of 16 link faults) and
+# BenchmarkTrialApply/prepend and .../wave (a steering trial's fork and
+# action on the default world: one prepend, and a prepend wave applied as
+# one batch), BenchmarkTrialEvaluate/delta (a trial's delta load
+# evaluation), BenchmarkServeIngestEvent (the resident server's
+# per-event ingest), BenchmarkServeIngestBatch (its batch ingest of 16
+# link faults) and
 # BenchmarkServeOpsStep (one operator step: POST an event, GET /diff, GET
 # /explain).
 #
@@ -100,7 +103,7 @@ for bench in BenchmarkAnnounce BenchmarkTrafficSteering BenchmarkRunCampaign; do
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
 done
 
-for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkIncrementalReconvergence/full BenchmarkEngineFork/fork-trial BenchmarkTrialEvaluate/delta BenchmarkServeIngestEvent BenchmarkServeIngestBatch BenchmarkServeOpsStep; do
+for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkIncrementalReconvergence/full BenchmarkEngineFork/fork-trial BenchmarkTrialApply/prepend BenchmarkTrialApply/wave BenchmarkTrialEvaluate/delta BenchmarkServeIngestEvent BenchmarkServeIngestBatch BenchmarkServeOpsStep; do
     missing "$bench" && continue
     gate "$bench" bytes_per_op  "B/op"      "$mem_threshold"
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
