@@ -468,12 +468,12 @@ func catchment(out io.Writer, w *worldgen.World, host string) {
 }
 
 func probe(out io.Writer, w *worldgen.World, groupKey, host string) error {
-	found := false
-	for _, p := range w.Platform.Retained() {
-		if p.GroupKey() != groupKey {
-			continue
-		}
-		found = true
+	groups := w.Platform.Groups()
+	r, found := groups.Lookup(groupKey)
+	if !found {
+		return fmt.Errorf("no probe with group key %q (format CITY|ASN, e.g. FRA|10042)", groupKey)
+	}
+	for _, p := range groups.Groups[r].Probes {
 		fmt.Fprintf(out, "probe %d: %s (%s, %s), AS%d, addr %v, access %.1f ms\n",
 			p.ID, p.City, p.Country, p.Area(), p.ASN, p.Addr, p.AccessMs)
 		for _, mode := range []atlas.DNSMode{atlas.LDNS, atlas.ADNS} {
@@ -497,9 +497,6 @@ func probe(out io.Writer, w *worldgen.World, groupKey, host string) error {
 				}
 			}
 		}
-	}
-	if !found {
-		return fmt.Errorf("no probe with group key %q (format CITY|ASN, e.g. FRA|10042)", groupKey)
 	}
 	return nil
 }

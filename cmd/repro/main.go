@@ -46,7 +46,7 @@ func main() {
 	}
 	fmt.Printf("world: %d ASes, %d links, %d probes (%d groups), built in %v\n\n",
 		w.Topo.NumASes(), len(w.Topo.Links()), len(w.Platform.Retained()),
-		len(w.Platform.GroupKeys()), time.Since(start).Round(time.Millisecond))
+		len(w.Platform.Groups().Groups), time.Since(start).Round(time.Millisecond))
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {

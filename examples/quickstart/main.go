@@ -22,7 +22,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("world: %d ASes, %d probes in %d <city,AS> groups\n\n",
-		world.Topo.NumASes(), len(world.Platform.Retained()), len(world.Platform.GroupKeys()))
+		world.Topo.NumASes(), len(world.Platform.Retained()), len(world.Platform.Groups().Groups))
 
 	// Imperva-6 is the paper's six-region deployment; Imperva-NS is the
 	// same operator's global anycast network. Measure one customer

@@ -3,7 +3,8 @@ package atlas
 import (
 	"maps"
 	"net/netip"
-	"strings"
+	"slices"
+	"strconv"
 	"testing"
 
 	"anysim/internal/bgp"
@@ -196,28 +197,157 @@ func TestTransitAddressedStubsDeterministic(t *testing.T) {
 	}
 }
 
-func TestGroupsAreCityASPairs(t *testing.T) {
-	f := newFixture(t)
-	groups := f.platform.Groups()
-	if len(groups) == 0 {
-		t.Fatal("no probe groups")
+// smallPlatform builds the probe population of the small world
+// (worldgen.SmallConfig) at a seed: its topology and population settings.
+// The content networks the small world adds host no probes.
+func smallPlatform(t *testing.T, seed int64) *Platform {
+	t.Helper()
+	tp, err := topo.Generate(topo.GenConfig{Seed: seed, NumTier1: 8, NumTier2: 90, NumStub: 1200, NumIXP: 20})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for key, probes := range groups {
-		parts := strings.Split(key, "|")
-		if len(parts) != 2 {
-			t.Fatalf("malformed group key %q", key)
-		}
-		for _, p := range probes {
-			if p.GroupKey() != key {
-				t.Errorf("probe %d in wrong group %q", p.ID, key)
-			}
+	tp.Freeze()
+	ad, err := NewAddressing(tp, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := NewPlatform(tp, ad, PopulationConfig{Seed: seed, Scale: 0.12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// malformedKeys returns non-canonical spellings of a group key: none names
+// a group.
+func malformedKeys(city string, asn topo.ASN) []string {
+	num := strconv.FormatUint(uint64(asn), 10)
+	return []string{
+		city + "|0" + num,
+		city + "|+" + num,
+		"|" + num,
+		city + "|",
+		city,
+		city + "|" + num + "|x",
+		city + "|" + strconv.FormatUint(uint64(asn)+1<<32, 10),
+	}
+}
+
+// TestGroupTable checks the platform's group table against an oracle that
+// buckets the retained probes in a map by GroupKey, sorts the keys, keeps
+// probes in retained order and takes the lowest-ID probe as representative.
+func TestGroupTable(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		pl := smallPlatform(t, seed)
+		retained := pl.Retained()
+		byKey := map[string][]*Probe{}
+		for _, p := range retained {
 			if !p.Stable || !p.ReliableGeo {
-				t.Errorf("filtered probe %d appears in groups", p.ID)
+				t.Fatalf("seed %d: filtered probe %d is retained", seed, p.ID)
+			}
+			byKey[p.GroupKey()] = append(byKey[p.GroupKey()], p)
+		}
+		keys := make([]string, 0, len(byKey))
+		for k := range byKey {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		tab := pl.Groups()
+		if len(tab.Groups) != len(keys) || len(keys) == len(retained) {
+			t.Fatalf("seed %d: %d groups, oracle %d over %d probes", seed, len(tab.Groups), len(keys), len(retained))
+		}
+		for r, k := range keys {
+			g, want := tab.Groups[r], byKey[k]
+			rep := want[0]
+			for _, p := range want {
+				if p.ID < rep.ID {
+					rep = p
+				}
+			}
+			if g.Key != k || g.City != rep.City || g.ASN != rep.ASN || g.Country != rep.Country || g.Rep != rep || !slices.Equal(g.Probes, want) {
+				t.Fatalf("seed %d: group %d = %s (%d probes, rep %d), oracle %s (%d probes, rep %d)",
+					seed, r, g.Key, len(g.Probes), g.Rep.ID, k, len(want), rep.ID)
+			}
+			if got, ok := tab.Lookup(k); !ok || got != r {
+				t.Fatalf("seed %d: Lookup(%q) = %d, %t, want %d", seed, k, got, ok, r)
+			}
+			if city, asn, ok := ParseGroupKey(k); !ok || city != g.City || asn != g.ASN {
+				t.Fatalf("seed %d: ParseGroupKey(%q) = %s, %d, %t", seed, k, city, asn, ok)
+			}
+			if got := Representative(retained, k); got != rep {
+				t.Fatalf("seed %d: Representative(%q) is not probe %d", seed, k, rep.ID)
 			}
 		}
+		for i, p := range retained {
+			if k := tab.Groups[tab.Rank(i)].Key; k != p.GroupKey() {
+				t.Fatalf("seed %d: probe %d ranked in group %s, not %s", seed, p.ID, k, p.GroupKey())
+			}
+		}
+		g := tab.Groups[0]
+		for _, bad := range malformedKeys(g.City, g.ASN) {
+			if _, ok := tab.Lookup(bad); ok {
+				t.Errorf("seed %d: Lookup(%q) found a group", seed, bad)
+			}
+			if _, _, ok := ParseGroupKey(bad); ok {
+				t.Errorf("seed %d: ParseGroupKey(%q) parsed", seed, bad)
+			}
+			if Representative(retained, bad) != nil {
+				t.Errorf("seed %d: Representative(%q) found a probe", seed, bad)
+			}
+		}
+
+		// Grouping another order keeps key order and the lowest-ID
+		// representative, and lists probes in that input order.
+		rev := slices.Clone(retained)
+		slices.Reverse(rev)
+		rt := GroupProbes(rev)
+		for r := range rt.Groups {
+			got, want := rt.Groups[r], tab.Groups[r]
+			wantProbes := slices.Clone(want.Probes)
+			slices.Reverse(wantProbes)
+			if got.Key != want.Key || got.Rep != want.Rep || !slices.Equal(got.Probes, wantProbes) {
+				t.Fatalf("seed %d: reversed input regroups %s differently", seed, want.Key)
+			}
+		}
+
+		// The platform is immutable, so both are built once.
+		if n := testing.AllocsPerRun(10, func() { _, _ = pl.Retained(), pl.Groups() }); n != 0 {
+			t.Errorf("seed %d: Retained and Groups allocate %v times per call", seed, n)
+		}
+		if again := pl.Retained(); &again[0] != &retained[0] || pl.Groups() != tab {
+			t.Errorf("seed %d: Retained or Groups rebuilt on a second call", seed)
+		}
 	}
-	if len(f.platform.GroupKeys()) != len(groups) {
-		t.Error("GroupKeys length mismatch")
+}
+
+// TestGroupTableMedians: Medians walks groups in key order ("AMS|10" sorts
+// before "AMS|9") and each group's probes in input order, skips a group
+// with no value, and reports each median with its group's rank.
+func TestGroupTableMedians(t *testing.T) {
+	at := func(id int, city string, asn topo.ASN) *Probe { return &Probe{ID: id, City: city, ASN: asn} }
+	probes := []*Probe{at(0, "FRA", 20), at(1, "AMS", 10), at(2, "FRA", 20), at(3, "AMS", 9), at(4, "AMS", 10), at(5, "FRA", 20)}
+	vals := map[int]float64{0: 7, 1: 4, 2: 1, 4: 2, 5: 3}
+	tab := GroupProbes(probes)
+	var calls []int
+	ranks, medians := tab.Medians(func(p *Probe) (float64, bool) {
+		calls = append(calls, p.ID)
+		v, ok := vals[p.ID]
+		return v, ok
+	})
+	if want := []int{1, 4, 3, 0, 2, 5}; !slices.Equal(calls, want) {
+		t.Errorf("probes visited in order %v, want %v", calls, want)
+	}
+	if want := []int{0, 2}; !slices.Equal(ranks, want) {
+		t.Errorf("ranks = %v, want %v", ranks, want)
+	}
+	if want := []float64{3, 3}; !slices.Equal(medians, want) {
+		t.Errorf("medians = %v, want %v", medians, want)
+	}
+	if tab.Groups[ranks[0]].Key != "AMS|10" || tab.Groups[ranks[1]].Key != "FRA|20" {
+		t.Errorf("ranks name groups %s and %s", tab.Groups[ranks[0]].Key, tab.Groups[ranks[1]].Key)
+	}
+	if ranks, medians := tab.Medians(func(*Probe) (float64, bool) { return 0, false }); ranks != nil || medians != nil {
+		t.Errorf("no values gave %v, %v", ranks, medians)
 	}
 }
 

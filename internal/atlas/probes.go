@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"sort"
-	"strconv"
+	"slices"
 
 	"anysim/internal/dnssim"
 	"anysim/internal/geo"
@@ -34,9 +33,6 @@ type Probe struct {
 	// AccessMs is the probe's last-mile latency contribution.
 	AccessMs float64
 }
-
-// GroupKey returns the paper's <city, AS> probe-group key.
-func (p *Probe) GroupKey() string { return p.City + "|" + strconv.FormatUint(uint64(p.ASN), 10) }
 
 // Area returns the paper probe area the probe is in.
 func (p *Probe) Area() geo.Area { return geo.AreaOf(p.Country) }
@@ -104,6 +100,9 @@ type Platform struct {
 	// TransitAddressedStubs records stub ASes using provider-assigned
 	// space, for ground-truth registration.
 	TransitAddressedStubs map[topo.ASN]string
+
+	retained []*Probe
+	groups   *GroupTable
 }
 
 // publicResolverHubs are the anycast hubs of the simulated open resolvers:
@@ -257,6 +256,13 @@ func NewPlatform(tp *topo.Topology, ad *Addressing, cfg PopulationConfig) (*Plat
 			}
 		}
 	}
+	for _, p := range pl.Probes {
+		if p.Stable && p.ReliableGeo {
+			pl.retained = append(pl.retained, p)
+		}
+	}
+	pl.retained = slices.Clip(pl.retained)
+	pl.groups = GroupProbes(pl.retained)
 	return pl, nil
 }
 
@@ -287,37 +293,12 @@ func jitterCoord(rng *rand.Rand, c geo.Coord, maxDeg float64) geo.Coord {
 }
 
 // Retained returns the probes surviving the paper's stability and geocode
-// filters.
-func (pl *Platform) Retained() []*Probe {
-	out := make([]*Probe, 0, len(pl.Probes))
-	for _, p := range pl.Probes {
-		if p.Stable && p.ReliableGeo {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+// filters, in generation order. The platform is immutable, so the list is
+// built once and shared: callers must not modify it.
+func (pl *Platform) Retained() []*Probe { return pl.retained }
 
-// Groups clusters the retained probes into the paper's <city, AS> probe
-// groups, with deterministic ordering.
-func (pl *Platform) Groups() map[string][]*Probe {
-	out := map[string][]*Probe{}
-	for _, p := range pl.Retained() {
-		out[p.GroupKey()] = append(out[p.GroupKey()], p)
-	}
-	return out
-}
-
-// GroupKeys returns the sorted group keys.
-func (pl *Platform) GroupKeys() []string {
-	groups := pl.Groups()
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+// Groups returns the retained probes' <city, AS> group table.
+func (pl *Platform) Groups() *GroupTable { return pl.groups }
 
 // RegisterTruth registers the platform's public-resolver blocks in the
 // ground truth (the rest of the plan is registered by Addressing).

@@ -184,26 +184,26 @@ type Group struct {
 }
 
 // GroupMeasurements clusters a campaign's measurements into probe groups,
-// sorted by key.
+// sorted by key, with each group's members in measurement order.
 func GroupMeasurements(res *Result) []*Group {
-	byKey := map[string]*Group{}
-	for _, mm := range res.Probes {
-		g := byKey[mm.Probe.GroupKey()]
-		if g == nil {
-			g = &Group{
-				Key:     mm.Probe.GroupKey(),
-				Area:    mm.Probe.Area(),
-				Country: mm.Probe.Country,
-			}
-			byKey[mm.Probe.GroupKey()] = g
-		}
+	probes := make([]*atlas.Probe, len(res.Probes))
+	for i, mm := range res.Probes {
+		probes[i] = mm.Probe
+	}
+	groups := atlas.GroupProbes(probes)
+	out := make([]*Group, len(groups.Groups))
+	backing := make([]Group, len(groups.Groups))
+	members := make([]*Measurement, len(res.Probes))
+	for r, g := range groups.Groups {
+		n := len(g.Probes)
+		backing[r] = Group{Key: g.Key, Area: g.Area(), Country: g.Country, Members: members[:0:n]}
+		members = members[n:]
+		out[r] = &backing[r]
+	}
+	for i, mm := range res.Probes {
+		g := out[groups.Rank(i)]
 		g.Members = append(g.Members, mm)
 	}
-	out := make([]*Group, 0, len(byKey))
-	for _, g := range byKey {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 

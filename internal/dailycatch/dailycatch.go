@@ -87,10 +87,11 @@ func Run(e *bgp.Engine, m *atlas.Measurer, dep *cdn.Deployment, probes []*atlas.
 	}
 
 	res := &Result{}
-	if res.Transit, err = measure(e, m, prefix, transitAnns, TransitOnly, probes); err != nil {
+	groups := atlas.GroupProbes(probes)
+	if res.Transit, err = measure(e, m, prefix, transitAnns, TransitOnly, groups); err != nil {
 		return nil, err
 	}
-	if res.Peers, err = measure(e, m, prefix, allAnns, AllPeers, probes); err != nil {
+	if res.Peers, err = measure(e, m, prefix, allAnns, AllPeers, groups); err != nil {
 		return nil, err
 	}
 	res.Winner = AllPeers
@@ -140,40 +141,29 @@ func containsCity(cities []string, c string) bool {
 }
 
 // measure announces the plan and records per-area group RTTs.
-func measure(e *bgp.Engine, m *atlas.Measurer, prefix netip.Prefix, anns []bgp.SiteAnnouncement, kind ConfigKind, probes []*atlas.Probe) (*Measurement, error) {
+func measure(e *bgp.Engine, m *atlas.Measurer, prefix netip.Prefix, anns []bgp.SiteAnnouncement, kind ConfigKind, groups *atlas.GroupTable) (*Measurement, error) {
 	if err := e.Announce(prefix, anns); err != nil {
 		return nil, err
 	}
 	out := &Measurement{Kind: kind, RTTs: map[geo.Area][]float64{}}
-	var pooled []float64
 	reached := 0
 	// Group medians per the paper's methodology.
-	groupVals := map[string][]float64{}
-	groupArea := map[string]geo.Area{}
-	for _, p := range probes {
+	ranks, pooled := groups.Medians(func(p *atlas.Probe) (float64, bool) {
 		fwd, ok := e.Lookup(prefix, p.ASN, p.City)
 		if !ok {
-			continue
+			return 0, false
 		}
 		reached++
-		key := p.GroupKey()
-		groupVals[key] = append(groupVals[key], m.RTT(p, fwd))
-		groupArea[key] = p.Area()
-	}
-	keys := make([]string, 0, len(groupVals))
-	for k := range groupVals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		v := stats.Median(groupVals[k])
-		out.RTTs[groupArea[k]] = append(out.RTTs[groupArea[k]], v)
-		pooled = append(pooled, v)
+		return m.RTT(p, fwd), true
+	})
+	for i, r := range ranks {
+		area := groups.Groups[r].Area()
+		out.RTTs[area] = append(out.RTTs[area], pooled[i])
 	}
 	out.MeanMs = stats.Mean(pooled)
 	out.P90Ms = stats.Percentile(pooled, 90)
-	if len(probes) > 0 {
-		out.Reachable = float64(reached) / float64(len(probes))
+	if n := groups.NumProbes(); n > 0 {
+		out.Reachable = float64(reached) / float64(n)
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package dynamics
 import (
 	"net/netip"
 
+	"anysim/internal/atlas"
 	"anysim/internal/topo"
 )
 
@@ -109,30 +110,20 @@ func (r *Runner) ProbeViews() []View {
 // either. A group counts as changed if any of its probes moved, lost, or
 // gained service.
 func (r *Runner) GroupChurn(pre, post []View) (changed, total int) {
-	type state struct {
-		served  bool
-		changed bool
-	}
-	groups := map[string]*state{}
+	groups := atlas.GroupProbes(r.Probes)
+	served := make([]bool, len(groups.Groups))
+	moved := make([]bool, len(groups.Groups))
 	for i := range pre {
-		key := r.Probes[i].GroupKey()
-		st := groups[key]
-		if st == nil {
-			st = &state{}
-			groups[key] = st
-		}
-		st.served = st.served || pre[i].OK || post[i].OK
-		if pre[i].OK != post[i].OK || pre[i].Site != post[i].Site {
-			st.changed = true
-		}
+		g := groups.Rank(i)
+		served[g] = served[g] || pre[i].OK || post[i].OK
+		moved[g] = moved[g] || pre[i].OK != post[i].OK || pre[i].Site != post[i].Site
 	}
-	for _, st := range groups {
-		if !st.served {
-			continue
-		}
-		total++
-		if st.changed {
-			changed++
+	for g := range served {
+		if served[g] {
+			total++
+			if moved[g] {
+				changed++
+			}
 		}
 	}
 	return changed, total

@@ -393,10 +393,12 @@ func (r *Runner) Run(sc *Scenario) ([]Step, error) {
 	}
 	steps := make([]Step, 0, len(sc.Events))
 	pre := r.Snapshot()
+	var groups *atlas.GroupTable
 	var preCap glass.CatchmentSet
 	if explain {
 		var err error
-		if preCap, err = glass.Capture(r.Engine, r.Dep, r.Measurer, r.Probes); err != nil {
+		groups = atlas.GroupProbes(r.Probes)
+		if preCap, err = glass.CaptureFrom(r.Engine, r.Dep, r.Measurer, groups, nil, nil); err != nil {
 			return nil, fmt.Errorf("dynamics: capture: %w", err)
 		}
 	}
@@ -421,7 +423,7 @@ func (r *Runner) Run(sc *Scenario) ([]Step, error) {
 			Stats: r.Engine.LastReconvergeStats(),
 		}
 		if explain {
-			postCap, err := glass.Capture(r.Engine, r.Dep, r.Measurer, r.Probes)
+			postCap, err := glass.CaptureFrom(r.Engine, r.Dep, r.Measurer, groups, nil, nil)
 			if err != nil {
 				ssp.End()
 				return steps, fmt.Errorf("dynamics: capture after %s: %w", ev, err)

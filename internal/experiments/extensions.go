@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 
+	"anysim/internal/atlas"
 	"anysim/internal/dailycatch"
 	"anysim/internal/siteopt"
 	"anysim/internal/stats"
@@ -100,25 +100,16 @@ func Extensions(ctx *Context) (*Report, error) {
 // pooledP90 computes the pooled probe-group p90 RTT to a prefix under the
 // currently announced configuration.
 func pooledP90(ctx *Context, prefix netip.Prefix) (float64, error) {
-	groupVals := map[string][]float64{}
-	for _, p := range ctx.World.Platform.Retained() {
-		fwd, ok := ctx.World.Engine.Lookup(prefix, p.ASN, p.City)
+	w := ctx.World
+	_, vals := w.Platform.Groups().Medians(func(p *atlas.Probe) (float64, bool) {
+		fwd, ok := w.Engine.Lookup(prefix, p.ASN, p.City)
 		if !ok {
-			continue
+			return 0, false
 		}
-		groupVals[p.GroupKey()] = append(groupVals[p.GroupKey()], ctx.World.Measurer.RTT(p, fwd))
-	}
-	if len(groupVals) == 0 {
+		return w.Measurer.RTT(p, fwd), true
+	})
+	if len(vals) == 0 {
 		return 0, fmt.Errorf("experiments: no probe reaches %v", prefix)
-	}
-	keys := make([]string, 0, len(groupVals))
-	for k := range groupVals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	vals := make([]float64, 0, len(keys))
-	for _, k := range keys {
-		vals = append(vals, stats.Median(groupVals[k]))
 	}
 	return stats.Percentile(vals, 90), nil
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"strconv"
-	"strings"
 
 	"anysim/internal/atlas"
 	"anysim/internal/bgp"
@@ -210,9 +208,8 @@ func metroOffloadRun(ctx *Context, dep *cdn.Deployment, pol *policy.Policy, prob
 		if !g.Served {
 			continue
 		}
-		city, asnStr, _ := strings.Cut(g.Group, "|")
-		asn, err := strconv.Atoi(asnStr)
-		if err != nil || !offloaded[offloadKey{g.Prefix, topo.ASN(asn)}] {
+		city, asn, ok := atlas.ParseGroupKey(g.Group)
+		if !ok || !offloaded[offloadKey{g.Prefix, asn}] {
 			continue
 		}
 		run.Offloaded++

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"strconv"
 	"strings"
 
 	"anysim/internal/atlas"
@@ -71,35 +70,17 @@ type CatchmentExplanation struct {
 	Exp Explanation `json:"exp"`
 }
 
-// ExplainCatchment maps a <city,AS> probe group (key "CITY|ASN") of a
-// deployment to its serving site with per-hop justification and a pathology
-// class. Probes are the platform's retained population.
+// ExplainCatchment maps a <city,AS> probe group (key "CITY|ASN", as
+// atlas.GroupKey renders it) of a deployment to its serving site with
+// per-hop justification and a pathology class. Probes are the platform's
+// retained population; the group's representative is found by a scan that
+// allocates nothing (atlas.Representative).
 func ExplainCatchment(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, probes []*atlas.Probe, group string) (CatchmentExplanation, error) {
-	rep := representative(probes, group)
+	rep := atlas.Representative(probes, group)
 	if rep == nil {
 		return CatchmentExplanation{}, fmt.Errorf("glass: no probe in group %q", group)
 	}
 	return explainProbe(e, dep, m.WithEngine(e), rep, group, nearestMemo{})
-}
-
-// representative returns the lowest-ID probe of a group. The key is parsed
-// once and only keys GroupKey renders match, so no probe is formatted.
-func representative(probes []*atlas.Probe, group string) *atlas.Probe {
-	city, num, ok := strings.Cut(group, "|")
-	asn, err := strconv.ParseUint(num, 10, 32)
-	if !ok || err != nil || strconv.FormatUint(asn, 10) != num {
-		return nil
-	}
-	var rep *atlas.Probe
-	for _, p := range probes {
-		if p.City != city || p.ASN != topo.ASN(asn) {
-			continue
-		}
-		if rep == nil || p.ID < rep.ID {
-			rep = p
-		}
-	}
-	return rep
 }
 
 // explainProbe builds the catchment explanation for one probe of group.
@@ -243,38 +224,42 @@ type CatchmentSet struct {
 // engine fork (a what-if world) works with the shared measurer: routing
 // comes from e, measurement noise from the measurer's own seed.
 func Capture(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, probes []*atlas.Probe) (CatchmentSet, error) {
-	return CaptureFrom(e, dep, m, probes, nil, nil)
+	return CaptureFrom(e, dep, m, atlas.GroupProbes(probes), nil, nil)
 }
 
-// CaptureFrom is Capture as a delta against base, an earlier capture of
-// baseEng with the same measurer and probes; the result is deeply equal to
-// Capture's. A group view is a pure function of the client AS's rib (its
-// forward and RTT), its hop ASes' ribs (their provenance records), the
-// announced site set of its prefix (nearest site, inflation and class) and
-// static data. So a base view is reused, hop chain included, when its
-// prefix announces the same sites on both engines and neither its client
-// nor any hop AS is in e.RibsChangedFrom(baseEng, prefix); every other
-// group is recomputed. A nil base, or one of another deployment, group
-// set, topology or provenance mode, gives a full capture.
-func CaptureFrom(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, probes []*atlas.Probe, base *CatchmentSet, baseEng *bgp.Engine) (CatchmentSet, error) {
+// CaptureFrom is Capture of the groups of a probe-group table (the
+// platform's is atlas.Platform.Groups), as a delta against base, an earlier
+// capture of baseEng with the same measurer; the result is deeply equal to
+// Capture's of the table's probes. A group view is a pure function of the
+// client AS's rib (its forward and RTT), its hop ASes' ribs (their
+// provenance records), the announced site set of its prefix (nearest site,
+// inflation and class) and static data. So a base view is reused, hop
+// chain included, when its prefix announces the same sites on both engines
+// and neither its client nor any hop AS is in e.RibsChangedFrom(baseEng,
+// prefix); every other group is recomputed. The base is used only when it
+// has the table's group keys in the table's order; a nil base, or one of
+// another deployment, group set, topology or provenance mode, gives a full
+// capture.
+func CaptureFrom(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, groups *atlas.GroupTable, base *CatchmentSet, baseEng *bgp.Engine) (CatchmentSet, error) {
 	m = m.WithEngine(e)
 	if base != nil && (baseEng == nil || base.Dep != dep.Name ||
-		baseEng.Topology() != e.Topology() || baseEng.ProvenanceEnabled() != e.ProvenanceEnabled()) {
+		baseEng.Topology() != e.Topology() || baseEng.ProvenanceEnabled() != e.ProvenanceEnabled() ||
+		!slices.EqualFunc(base.Groups, groups.Groups, func(v GroupView, g atlas.Group) bool { return v.Group == g.Key })) {
 		base = nil
 	}
-	groups, sameGroups := groupReps(probes, base)
-	set := CatchmentSet{Dep: dep.Name, Groups: make([]GroupView, 0, len(groups)), Announced: announced(e)}
+	set := CatchmentSet{Dep: dep.Name, Groups: make([]GroupView, 0, len(groups.Groups)), Announced: announced(e)}
 	var d *captureDelta
-	if sameGroups {
+	if base != nil {
 		d = &captureDelta{e: e, baseEng: baseEng, base: base, cur: &set, prefixes: map[netip.Prefix]prefixDelta{}}
 	}
 	near := nearestMemo{}
-	for i, g := range groups {
+	for i := range groups.Groups {
 		if d.reuse(i) {
 			set.Groups = append(set.Groups, base.Groups[i])
 			continue
 		}
-		ce, err := explainProbe(e, dep, m, g.rep, g.key, near)
+		g := &groups.Groups[i]
+		ce, err := explainProbe(e, dep, m, g.Rep, g.Key, near)
 		if err != nil {
 			return CatchmentSet{}, err
 		}
@@ -292,54 +277,6 @@ func CaptureFrom(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, probes [
 		})
 	}
 	return set, nil
-}
-
-// groupRep is one probe group: its key and its lowest-ID probe.
-type groupRep struct {
-	key string
-	rep *atlas.Probe
-}
-
-// groupReps returns the probe groups sorted by key, grouping probes by
-// (city, ASN). When base covers exactly these groups it reports so and
-// takes base's keys in base's order, which is key order, so nothing is
-// formatted or sorted; otherwise each key is formatted once.
-func groupReps(probes []*atlas.Probe, base *CatchmentSet) ([]groupRep, bool) {
-	type cityAS struct {
-		city string
-		asn  topo.ASN
-	}
-	idx := map[cityAS]int{}
-	var groups []groupRep
-	for _, p := range probes {
-		k := cityAS{p.City, p.ASN}
-		i, ok := idx[k]
-		if !ok {
-			idx[k] = len(groups)
-			groups = append(groups, groupRep{rep: p})
-		} else if p.ID < groups[i].rep.ID {
-			groups[i].rep = p
-		}
-	}
-	if base != nil && len(base.Groups) == len(groups) {
-		ordered := make([]groupRep, 0, len(groups))
-		for _, v := range base.Groups {
-			city, _, _ := strings.Cut(v.Group, "|")
-			i, ok := idx[cityAS{city, v.client}]
-			if !ok {
-				break
-			}
-			ordered = append(ordered, groupRep{key: v.Group, rep: groups[i].rep})
-		}
-		if len(ordered) == len(groups) {
-			return ordered, true
-		}
-	}
-	for i := range groups {
-		groups[i].key = groups[i].rep.GroupKey()
-	}
-	slices.SortFunc(groups, func(a, b groupRep) int { return strings.Compare(a.key, b.key) })
-	return groups, false
 }
 
 // announced lists every announced prefix's sites, sorted by prefix text.

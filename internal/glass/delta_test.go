@@ -2,6 +2,7 @@ package glass
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"anysim/internal/bgp"
@@ -46,7 +47,7 @@ func TestCaptureFromSameEngineReusesAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CaptureFrom(w.Engine, dep, w.Measurer, probes, &full, w.Engine)
+	got, err := CaptureFrom(w.Engine, dep, w.Measurer, w.Platform.Groups(), &full, w.Engine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestCaptureFromPrependedSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CaptureFrom(fork, dep, w.Measurer, probes, &base, w.Engine)
+	got, err := CaptureFrom(fork, dep, w.Measurer, w.Platform.Groups(), &base, w.Engine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestCaptureFromSiteSetChange(t *testing.T) {
 			base.Announced[i].Sites = ps.Sites[1:]
 		}
 	}
-	got, err := CaptureFrom(w.Engine, dep, w.Measurer, probes, &base, w.Engine)
+	got, err := CaptureFrom(w.Engine, dep, w.Measurer, w.Platform.Groups(), &base, w.Engine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +137,8 @@ func TestCaptureFromSiteSetChange(t *testing.T) {
 }
 
 // TestCaptureFromFallsBack: a base that cannot describe this capture's
-// groups (another deployment, another group count) gives a full capture,
-// not an error and not a wrong reuse.
+// groups (another deployment, another group count, one group key changed)
+// gives a full capture, not an error and not a wrong reuse.
 func TestCaptureFromFallsBack(t *testing.T) {
 	w := provWorld(t, 5)
 	dep, probes := w.Imperva.IM6, w.Platform.Retained()
@@ -151,8 +152,14 @@ func TestCaptureFromFallsBack(t *testing.T) {
 	}
 	short := full
 	short.Groups = full.Groups[1:]
-	for name, base := range map[string]CatchmentSet{"other deployment": other, "fewer groups": short} {
-		got, err := CaptureFrom(w.Engine, dep, w.Measurer, probes, &base, w.Engine)
+	// Same length, but one key names another AS of the same city: the base
+	// no longer has the table's keys in the table's order.
+	renamed := full
+	renamed.Groups = slices.Clone(full.Groups)
+	renamed.Groups[len(renamed.Groups)/2].Group += "0"
+	bases := map[string]CatchmentSet{"other deployment": other, "fewer groups": short, "one key changed": renamed}
+	for name, base := range bases {
+		got, err := CaptureFrom(w.Engine, dep, w.Measurer, w.Platform.Groups(), &base, w.Engine)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -2,6 +2,7 @@ package glass
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -135,6 +136,25 @@ func TestCaptureDeterministic(t *testing.T) {
 	}
 	if e1.Text() != e2.Text() {
 		t.Fatal("explanations of identical worlds differ")
+	}
+
+	// Only the canonical spelling of a group key names the group.
+	p := w1.Platform.Retained()[0]
+	num := strconv.FormatUint(uint64(p.ASN), 10)
+	if _, err := ExplainCatchment(w1.Engine, w1.Imperva.IM6, w1.Measurer, w1.Platform.Retained(), p.City+"|"+num); err != nil {
+		t.Fatalf("canonical key: %v", err)
+	}
+	for _, key := range []string{
+		p.City + "|0" + num,
+		p.City + "|+" + num,
+		"|" + num,
+		p.City + "|",
+		p.City + "|" + num + "|x",
+		p.City + "|" + strconv.FormatUint(uint64(p.ASN)+1<<32, 10),
+	} {
+		if _, err := ExplainCatchment(w1.Engine, w1.Imperva.IM6, w1.Measurer, w1.Platform.Retained(), key); err == nil {
+			t.Errorf("non-canonical key %q explained a group", key)
+		}
 	}
 }
 

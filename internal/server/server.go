@@ -146,7 +146,8 @@ type capture struct {
 
 // Catchment returns the deployment's full captured catchment at this
 // state, computed on first use and memoized (/catchment and /diff share one
-// capture per state). When the predecessor's capture is already done, it is
+// capture per state). It captures the groups of the platform's group table
+// (atlas.Platform.Groups), which the world builds once. When the predecessor's capture is already done, it is
 // a delta against that capture (glass.CaptureFrom): only the groups whose
 // routing changed are walked, and the rest share the predecessor's views.
 // Otherwise it is a full capture; it never forces or waits for another
@@ -160,7 +161,7 @@ func (st *State) Catchment() (glass.CatchmentSet, error) {
 				base, baseEng = &c.set, p.Engine
 			}
 		}
-		set, err := glass.CaptureFrom(st.Engine, st.srv.dep, st.measurer(), st.srv.w.Platform.Retained(), base, baseEng)
+		set, err := glass.CaptureFrom(st.Engine, st.srv.dep, st.measurer(), st.srv.w.Platform.Groups(), base, baseEng)
 		st.captured.Store(&capture{set: set, err: err})
 		st.pred.Store(nil)
 	})

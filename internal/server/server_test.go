@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -224,6 +226,24 @@ func TestServeErrorPaths(t *testing.T) {
 	}
 	if rec = do(t, h, "GET", "/explain?group=NOPE|1", ""); rec.Code != http.StatusNotFound {
 		t.Errorf("explain unknown group = %d, want 404", rec.Code)
+	}
+	// Only the canonical spelling of a group key names the group.
+	p := s.w.Platform.Retained()[0]
+	num := strconv.FormatUint(uint64(p.ASN), 10)
+	if rec = do(t, h, "GET", "/explain?group="+url.QueryEscape(p.City+"|"+num), ""); rec.Code != http.StatusOK {
+		t.Errorf("explain canonical key = %d, want 200", rec.Code)
+	}
+	for _, key := range []string{
+		p.City + "|0" + num,
+		p.City + "|+" + num,
+		"|" + num,
+		p.City + "|",
+		p.City + "|" + num + "|x",
+		p.City + "|" + strconv.FormatUint(uint64(p.ASN)+1<<32, 10),
+	} {
+		if rec = do(t, h, "GET", "/explain?group="+url.QueryEscape(key), ""); rec.Code != http.StatusNotFound {
+			t.Errorf("explain non-canonical key %q = %d, want 404", key, rec.Code)
+		}
 	}
 	if rec = do(t, h, "GET", "/diff?since=x", ""); rec.Code != http.StatusBadRequest {
 		t.Errorf("diff bad since = %d, want 400", rec.Code)

@@ -61,6 +61,7 @@ func Optimize(e *bgp.Engine, m *atlas.Measurer, dep *cdn.Deployment, probes []*a
 		remaining[s.ID] = s
 	}
 
+	groups := atlas.GroupProbes(probes)
 	res := &Result{BestMeanMs: -1}
 	var chosen []cdn.Site
 	stale := 0
@@ -74,7 +75,7 @@ func Optimize(e *bgp.Engine, m *atlas.Measurer, dep *cdn.Deployment, probes []*a
 		sort.Strings(ids)
 		bestID, bestMean := "", -1.0
 		for _, id := range ids {
-			mean, err := measureSet(e, m, dep, append(chosen, remaining[id]), probes)
+			mean, err := measureSet(e, m, dep, append(chosen, remaining[id]), groups)
 			if err != nil {
 				return nil, err
 			}
@@ -105,7 +106,7 @@ func Optimize(e *bgp.Engine, m *atlas.Measurer, dep *cdn.Deployment, probes []*a
 	for _, id := range res.Best {
 		bestSites = append(bestSites, bySiteID[id])
 	}
-	if _, err := measureSet(e, m, dep, bestSites, probes); err != nil {
+	if _, err := measureSet(e, m, dep, bestSites, groups); err != nil {
 		return nil, err
 	}
 	res.Announcements++
@@ -114,7 +115,7 @@ func Optimize(e *bgp.Engine, m *atlas.Measurer, dep *cdn.Deployment, probes []*a
 
 // measureSet announces the deployment's global prefix from the given sites
 // and returns the mean probe-group latency.
-func measureSet(e *bgp.Engine, m *atlas.Measurer, dep *cdn.Deployment, sites []cdn.Site, probes []*atlas.Probe) (float64, error) {
+func measureSet(e *bgp.Engine, m *atlas.Measurer, dep *cdn.Deployment, sites []cdn.Site, groups *atlas.GroupTable) (float64, error) {
 	anns := make([]bgp.SiteAnnouncement, 0, len(sites))
 	for _, s := range sites {
 		anns = append(anns, bgp.SiteAnnouncement{Origin: dep.ASN, Site: s.ID, City: s.City})
@@ -123,22 +124,12 @@ func measureSet(e *bgp.Engine, m *atlas.Measurer, dep *cdn.Deployment, sites []c
 	if err := e.Announce(p, anns); err != nil {
 		return 0, err
 	}
-	groupVals := map[string][]float64{}
-	for _, probe := range probes {
+	_, vals := groups.Medians(func(probe *atlas.Probe) (float64, bool) {
 		fwd, ok := e.Lookup(p, probe.ASN, probe.City)
 		if !ok {
-			continue
+			return 0, false
 		}
-		groupVals[probe.GroupKey()] = append(groupVals[probe.GroupKey()], m.RTT(probe, fwd))
-	}
-	keys := make([]string, 0, len(groupVals))
-	for k := range groupVals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	vals := make([]float64, 0, len(keys))
-	for _, k := range keys {
-		vals = append(vals, stats.Median(groupVals[k]))
-	}
+		return m.RTT(probe, fwd), true
+	})
 	return stats.Mean(vals), nil
 }

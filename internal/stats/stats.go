@@ -1,7 +1,8 @@
 // Package stats provides the statistical helpers the paper's analyses rely
-// on: empirical CDFs, percentiles, medians, and <city,AS> probe-group
+// on: empirical CDFs, percentiles, medians, and table rendering. Probe-group
 // aggregation (the paper reports all CDFs, percentages, and percentiles over
-// probe groups rather than individual probes, §3.1).
+// <city,AS> probe groups rather than individual probes, §3.1) lives with the
+// group table in package atlas.
 package stats
 
 import (
@@ -131,40 +132,6 @@ func (c *CDF) Points(n int) []Point {
 
 // Point is an (x, y) sample of a distribution curve.
 type Point struct{ X, Y float64 }
-
-// GroupMedians aggregates per-member values into group medians: the paper's
-// <city,AS> probe-group statistic. Keys identify groups; each group's
-// representative value is the median of its members' values. The result maps
-// group key to median.
-func GroupMedians(keys []string, values []float64) map[string]float64 {
-	if len(keys) != len(values) {
-		panic("stats: GroupMedians called with mismatched slice lengths")
-	}
-	grouped := make(map[string][]float64)
-	for i, k := range keys {
-		grouped[k] = append(grouped[k], values[i])
-	}
-	out := make(map[string]float64, len(grouped))
-	for k, vs := range grouped {
-		out[k] = Median(vs)
-	}
-	return out
-}
-
-// Values extracts the values of a map in key-sorted order, giving
-// deterministic downstream statistics.
-func Values(m map[string]float64) []float64 {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]float64, 0, len(m))
-	for _, k := range keys {
-		out = append(out, m[k])
-	}
-	return out
-}
 
 // Table renders a simple aligned text table: a header row followed by data
 // rows. It is used by the experiment harness to print paper-style tables.

@@ -164,35 +164,6 @@ func TestCDFPoints(t *testing.T) {
 	}
 }
 
-func TestGroupMedians(t *testing.T) {
-	keys := []string{"a", "a", "b", "b", "b"}
-	vals := []float64{1, 3, 10, 20, 30}
-	m := GroupMedians(keys, vals)
-	if m["a"] != 2 || m["b"] != 20 {
-		t.Errorf("GroupMedians = %v", m)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("GroupMedians should panic on mismatched lengths")
-		}
-	}()
-	GroupMedians([]string{"a"}, nil)
-}
-
-func TestValuesDeterministic(t *testing.T) {
-	m := map[string]float64{"z": 26, "a": 1, "m": 13}
-	got := Values(m)
-	want := []float64{1, 13, 26}
-	if len(got) != 3 {
-		t.Fatalf("Values len = %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Values[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tb := &Table{Header: []string{"Region", "RTT"}}
 	tb.AddRow("EMEA", "45.0")

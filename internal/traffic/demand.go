@@ -110,38 +110,34 @@ type Model struct {
 // AS> group proxies a larger client population behind it).
 func NewModel(pl *atlas.Platform, cfg DemandConfig) *Model {
 	cfg = cfg.withDefaults()
-	groups := pl.Groups()
-	keys := pl.GroupKeys()
+	groups := pl.Groups().Groups
 
 	// A seeded permutation assigns each group its popularity rank: rank r
-	// contributes 1/(r+1)^s. Shuffling a sorted key list keeps the model
-	// fully determined by (platform, seed).
+	// contributes 1/(r+1)^s. Shuffling the groups' key order keeps the
+	// model fully determined by (platform, seed).
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	ranked := append([]string(nil), keys...)
+	ranked := make([]int, len(groups)) // ranked[r] is the group of popularity rank r
+	for i := range ranked {
+		ranked[i] = i
+	}
 	rng.Shuffle(len(ranked), func(i, j int) { ranked[i], ranked[j] = ranked[j], ranked[i] })
-	rank := make(map[string]int, len(ranked))
-	for r, k := range ranked {
-		rank[k] = r
+	weights := make([]float64, len(groups))
+	for r, i := range ranked {
+		weights[i] = math.Pow(float64(r+1), -cfg.ZipfS) * float64(len(groups[i].Probes))
 	}
 
-	m := &Model{cfg: cfg}
-	weights := make([]float64, 0, len(keys))
+	m := &Model{cfg: cfg, Groups: make([]GroupDemand, 0, len(groups))}
 	areaSum := map[geo.Area]float64{}
-	for _, k := range keys {
-		probes := groups[k]
-		p := probes[0]
+	for i, grp := range groups {
 		g := GroupDemand{
-			Key:     k,
-			City:    p.City,
-			ASN:     p.ASN,
-			Country: p.Country,
-			Area:    geo.AreaOf(p.Country),
-			Lon:     geo.MustCity(p.City).Coord.Lon,
+			Key:     grp.Key,
+			City:    grp.City,
+			ASN:     grp.ASN,
+			Country: grp.Country,
+			Area:    grp.Area(),
+			Lon:     geo.MustCity(grp.City).Coord.Lon,
 		}
-		w := math.Pow(float64(rank[k]+1), -cfg.ZipfS)
-		w *= float64(len(probes))
-		weights = append(weights, w)
-		areaSum[g.Area] += w
+		areaSum[g.Area] += weights[i]
 		m.Groups = append(m.Groups, g)
 	}
 	// Truncate the Zipf head per area: clamp any group above MaxGroupShare

@@ -52,7 +52,7 @@ func TestDemandModelDeterminism(t *testing.T) {
 func TestDemandModelShape(t *testing.T) {
 	w := smallWorld(t)
 	m := NewModel(w.Platform, DemandConfig{Seed: 1})
-	if got, want := len(m.Groups), len(w.Platform.GroupKeys()); got != want {
+	if got, want := len(m.Groups), len(w.Platform.Groups().Groups); got != want {
 		t.Fatalf("model has %d groups; platform has %d", got, want)
 	}
 	if math.Abs(m.TotalBase()-1e6) > 1 {
