@@ -12,7 +12,10 @@ package core
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 
 	"anysim/internal/atlas"
 	"anysim/internal/bgp"
@@ -102,10 +105,17 @@ func (m *Measurement) DistanceKm(mode atlas.DNSMode) (float64, bool) {
 }
 
 // Result is a campaign outcome: one hostname measured from every probe.
+//
+// A result is grouped once: the first GroupMeasurements call (directly or
+// through any analysis) fixes its probe groups, so Probes must be complete
+// before then and must not change afterwards.
 type Result struct {
 	Deployment *cdn.Deployment
 	Host       string
 	Probes     []*Measurement
+
+	grouped sync.Once
+	groups  []*Group
 }
 
 // CampaignConfig tunes what a campaign measures.
@@ -183,28 +193,45 @@ type Group struct {
 	Members []*Measurement
 }
 
-// GroupMeasurements clusters a campaign's measurements into probe groups,
-// sorted by key, with each group's members in measurement order.
+// GroupMeasurements returns the result's probe groups, sorted by key, with
+// each group's members in measurement order. The grouping is computed on the
+// first call and every later call, from any goroutine, returns the same
+// slice; the groups are shared and read-only.
 func GroupMeasurements(res *Result) []*Group {
-	probes := make([]*atlas.Probe, len(res.Probes))
-	for i, mm := range res.Probes {
+	res.grouped.Do(func() { res.groups = groupMeasurements(res.Probes) })
+	return res.groups
+}
+
+func groupMeasurements(ms []*Measurement) []*Group {
+	probes := make([]*atlas.Probe, len(ms))
+	for i, mm := range ms {
 		probes[i] = mm.Probe
 	}
 	groups := atlas.GroupProbes(probes)
 	out := make([]*Group, len(groups.Groups))
 	backing := make([]Group, len(groups.Groups))
-	members := make([]*Measurement, len(res.Probes))
+	members := make([]*Measurement, len(ms))
 	for r, g := range groups.Groups {
 		n := len(g.Probes)
 		backing[r] = Group{Key: g.Key, Area: g.Area(), Country: g.Country, Members: members[:0:n]}
 		members = members[n:]
 		out[r] = &backing[r]
 	}
-	for i, mm := range res.Probes {
+	for i, mm := range ms {
 		g := out[groups.Rank(i)]
 		g.Members = append(g.Members, mm)
 	}
 	return out
+}
+
+// findGroup returns the group with the key among key-sorted groups, as
+// GroupMeasurements returns them.
+func findGroup(groups []*Group, key string) (*Group, bool) {
+	i, ok := slices.BinarySearchFunc(groups, key, func(g *Group, k string) int { return strings.Compare(g.Key, k) })
+	if !ok {
+		return nil, false
+	}
+	return groups[i], true
 }
 
 // median over the members' values produced by f; ok is false when no member
@@ -240,14 +267,6 @@ func (g *Group) Delta(mode atlas.DNSMode) (float64, bool) {
 // Distance returns the group's (median) distance to its catchment site.
 func (g *Group) Distance(mode atlas.DNSMode) (float64, bool) {
 	return g.median(func(m *Measurement) (float64, bool) { return m.DistanceKm(mode) })
-}
-
-// RTTToVIP returns the group's (median) RTT to a specific VIP.
-func (g *Group) RTTToVIP(vip netip.Addr) (float64, bool) {
-	return g.median(func(m *Measurement) (float64, bool) {
-		rtt, ok := m.RTT[vip]
-		return rtt, ok
-	})
 }
 
 // RegionCorrect reports whether the majority of the group's probes received

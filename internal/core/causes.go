@@ -67,22 +67,15 @@ func (b *CauseBreakdown) Fraction(c Cause) float64 {
 // peering-type override at an IXP outside this set is counted as hidden
 // (and reported as unknown), reproducing the paper's visibility limit.
 func ClassifyCauses(eng *bgp.Engine, regRes, globRes *Result, cmp *Comparison, mode atlas.DNSMode, publishedFeeds map[string]bool) *CauseBreakdown {
-	regGroups := groupIndex(regRes)
-	globGroups := groupIndex(globRes)
+	regGroups, globGroups := GroupMeasurements(regRes), GroupMeasurements(globRes)
 	out := &CauseBreakdown{Counts: map[Cause]int{}}
 
 	for _, pair := range cmp.Pairs {
 		if RTTClassOf(pair) != BetterRTT {
 			continue
 		}
-		gr, okR := regGroups[pair.Key]
-		gg, okG := globGroups[pair.Key]
-		if !okR || !okG {
-			continue
-		}
-		fwdR, okR2 := representativeForward(gr, mode)
-		fwdG, okG2 := representativeForward(gg, mode)
-		if !okR2 || !okG2 {
+		fwdR, fwdG, ok := pairForwards(regGroups, globGroups, pair.Key, mode)
+		if !ok {
 			continue
 		}
 		out.ImprovedGroups++
@@ -95,12 +88,18 @@ func ClassifyCauses(eng *bgp.Engine, regRes, globRes *Result, cmp *Comparison, m
 	return out
 }
 
-func groupIndex(res *Result) map[string]*Group {
-	out := map[string]*Group{}
-	for _, g := range GroupMeasurements(res) {
-		out[g.Key] = g
+// pairForwards returns the representative forwarding decisions of the
+// group with the key in the regional and the global grouping; ok is false
+// when either grouping lacks the group or its group has none.
+func pairForwards(regGroups, globGroups []*Group, key string, mode atlas.DNSMode) (fwdR, fwdG bgp.Forward, ok bool) {
+	gr, okR := findGroup(regGroups, key)
+	gg, okG := findGroup(globGroups, key)
+	if !okR || !okG {
+		return fwdR, fwdG, false
 	}
-	return out
+	fwdR, okR = representativeForward(gr, mode)
+	fwdG, okG = representativeForward(gg, mode)
+	return fwdR, fwdG, okR && okG
 }
 
 // representativeForward returns the first member's forwarding decision for
@@ -179,8 +178,7 @@ type CauseExample struct {
 // wanted cause, with full path evidence, ordered by latency reduction
 // (largest first).
 func FindCauseExamples(eng *bgp.Engine, regRes, globRes *Result, cmp *Comparison, mode atlas.DNSMode, want Cause, publishedFeeds map[string]bool, limit int) []CauseExample {
-	regGroups := groupIndex(regRes)
-	globGroups := groupIndex(globRes)
+	regGroups, globGroups := GroupMeasurements(regRes), GroupMeasurements(globRes)
 	var out []CauseExample
 	pairs := append([]GroupPair(nil), cmp.Pairs...)
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].DeltaRTT() < pairs[j].DeltaRTT() })
@@ -191,14 +189,8 @@ func FindCauseExamples(eng *bgp.Engine, regRes, globRes *Result, cmp *Comparison
 		if RTTClassOf(pair) != BetterRTT {
 			continue
 		}
-		gr, okR := regGroups[pair.Key]
-		gg, okG := globGroups[pair.Key]
-		if !okR || !okG {
-			continue
-		}
-		fwdR, okR2 := representativeForward(gr, mode)
-		fwdG, okG2 := representativeForward(gg, mode)
-		if !okR2 || !okG2 {
+		fwdR, fwdG, ok := pairForwards(regGroups, globGroups, pair.Key, mode)
+		if !ok {
 			continue
 		}
 		cause, _, detail := classifyPairDetail(eng, fwdR, fwdG, publishedFeeds)

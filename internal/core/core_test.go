@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"anysim/internal/atlas"
@@ -114,6 +116,48 @@ func TestGroupsPartitionMeasurements(t *testing.T) {
 	if total != len(im6.Probes) {
 		t.Errorf("groups cover %d of %d measurements", total, len(im6.Probes))
 	}
+
+	// A result is grouped once: later calls return the same slice and
+	// allocate nothing.
+	if again := GroupMeasurements(im6); len(again) != len(groups) || &again[0] != &groups[0] {
+		t.Error("second GroupMeasurements returned a different grouping")
+	}
+	if n := testing.AllocsPerRun(10, func() { GroupMeasurements(im6) }); n != 0 {
+		t.Errorf("repeated GroupMeasurements allocates %v times", n)
+	}
+	// Concurrent first calls on a fresh result share one grouping.
+	fresh := &Result{Deployment: im6.Deployment, Host: im6.Host, Probes: im6.Probes}
+	var got [2][]*Group
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = GroupMeasurements(fresh)
+		}()
+	}
+	wg.Wait()
+	if len(got[0]) != len(groups) || len(got[1]) != len(groups) || &got[0][0] != &got[1][0] {
+		t.Error("concurrent GroupMeasurements calls returned different groupings")
+	}
+}
+
+// dropEveryThirdGroup returns a result over res's measurements without
+// those of every third group, and the dropped group keys.
+func dropEveryThirdGroup(res *Result) (*Result, map[string]bool) {
+	dropped := map[string]bool{}
+	for i, g := range GroupMeasurements(res) {
+		if i%3 == 0 {
+			dropped[g.Key] = true
+		}
+	}
+	sub := &Result{Deployment: res.Deployment, Host: res.Host}
+	for _, m := range res.Probes {
+		if !dropped[m.Probe.GroupKey()] {
+			sub.Probes = append(sub.Probes, m)
+		}
+	}
+	return sub, dropped
 }
 
 func TestTable2Shape(t *testing.T) {
@@ -207,6 +251,23 @@ func TestCompareRegionalGlobal(t *testing.T) {
 	}
 	if cmp.Filter.Total != cmp.Filter.Retained+cmp.Filter.NoPHop+cmp.Filter.NonOverlapSite+cmp.Filter.NonOverlapPeer {
 		t.Errorf("filter accounting inconsistent: %+v", cmp.Filter)
+	}
+
+	// Campaigns over different probe lists join by group key: without a
+	// third of the global groups, the pairs are the full comparison's
+	// minus the dropped groups'.
+	nsSub, dropped := dropEveryThirdGroup(ns)
+	var want []GroupPair
+	for _, p := range cmp.Pairs {
+		if !dropped[p.Key] {
+			want = append(want, p)
+		}
+	}
+	if len(want) == len(cmp.Pairs) {
+		t.Fatal("dropping groups removed no pair")
+	}
+	if sub := CompareRegionalGlobal(im6, nsSub, atlas.LDNS, overlap); !reflect.DeepEqual(sub.Pairs, want) {
+		t.Errorf("subset comparison has %d pairs, want the full comparison's %d minus the dropped groups' (%d)", len(sub.Pairs), len(cmp.Pairs), len(want))
 	}
 
 	// The headline claim: regional anycast cuts tail latency in NA and
@@ -321,5 +382,17 @@ func TestClassifyCauses(t *testing.T) {
 	}
 	if bHidden.PeeringTypeHidden != b.Counts[CausePeeringType] {
 		t.Errorf("hidden count %d != visible peering-type count %d", bHidden.PeeringTypeHidden, b.Counts[CausePeeringType])
+	}
+
+	// Groups are looked up by key, so a global campaign over fewer probes
+	// classifies its own comparison as the full campaign does.
+	nsSub, _ := dropEveryThirdGroup(ns)
+	cmpSub := CompareRegionalGlobal(im6, nsSub, atlas.LDNS, overlap)
+	bSub := ClassifyCauses(w.Engine, im6, nsSub, cmpSub, atlas.LDNS, allFeeds)
+	if bSub.ImprovedGroups == 0 {
+		t.Fatal("no improved groups in the subset comparison")
+	}
+	if bFull := ClassifyCauses(w.Engine, im6, ns, cmpSub, atlas.LDNS, allFeeds); !reflect.DeepEqual(bSub, bFull) {
+		t.Errorf("subset breakdown %+v != full-campaign breakdown %+v", bSub, bFull)
 	}
 }

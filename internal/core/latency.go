@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"anysim/internal/atlas"
 	"anysim/internal/cdn"
@@ -14,26 +13,22 @@ import (
 // LatencyCDFs returns per-area CDFs of group RTTs to the DNS-returned VIP
 // (Figure 4, first row).
 func LatencyCDFs(res *Result, mode atlas.DNSMode) map[geo.Area]*stats.CDF {
-	vals := map[geo.Area][]float64{}
-	for _, g := range GroupMeasurements(res) {
-		if rtt, ok := g.RTT(mode); ok {
-			vals[g.Area] = append(vals[g.Area], rtt)
-		}
-	}
-	out := map[geo.Area]*stats.CDF{}
-	for area, v := range vals {
-		out[area] = stats.NewCDF(v)
-	}
-	return out
+	return areaCDFs(res, func(g *Group) (float64, bool) { return g.RTT(mode) })
 }
 
 // DistanceCDFs returns per-area CDFs of group distances to the catchment
 // site (Figure 4, second row).
 func DistanceCDFs(res *Result, mode atlas.DNSMode) map[geo.Area]*stats.CDF {
+	return areaCDFs(res, func(g *Group) (float64, bool) { return g.Distance(mode) })
+}
+
+// areaCDFs returns per-area CDFs of the group values val yields, skipping
+// groups without one.
+func areaCDFs(res *Result, val func(*Group) (float64, bool)) map[geo.Area]*stats.CDF {
 	vals := map[geo.Area][]float64{}
 	for _, g := range GroupMeasurements(res) {
-		if d, ok := g.Distance(mode); ok {
-			vals[g.Area] = append(vals[g.Area], d)
+		if v, ok := val(g); ok {
+			vals[g.Area] = append(vals[g.Area], v)
 		}
 	}
 	out := map[geo.Area]*stats.CDF{}
@@ -167,7 +162,7 @@ func (f FilterStats) RetainedFraction() float64 {
 
 // Comparison is the outcome of the §5.3 regional-vs-global study.
 type Comparison struct {
-	Pairs  []GroupPair
+	Pairs  []GroupPair // in group-key order
 	Filter FilterStats
 }
 
@@ -177,13 +172,10 @@ type Comparison struct {
 // sites must exist in both networks, and (3) the final handoff peer must be
 // announced to by both networks at that site.
 func CompareRegionalGlobal(regRes, globRes *Result, mode atlas.DNSMode, overlap *OverlapSpec) *Comparison {
-	globGroups := map[string]*Group{}
-	for _, g := range GroupMeasurements(globRes) {
-		globGroups[g.Key] = g
-	}
+	globGroups := GroupMeasurements(globRes)
 	cmp := &Comparison{}
 	for _, gr := range GroupMeasurements(regRes) {
-		gg, ok := globGroups[gr.Key]
+		gg, ok := findGroup(globGroups, gr.Key)
 		if !ok {
 			continue
 		}
@@ -228,7 +220,6 @@ func CompareRegionalGlobal(regRes, globRes *Result, mode atlas.DNSMode, overlap 
 			SiteReg: siteR, SiteGlob: siteG,
 		})
 	}
-	sort.Slice(cmp.Pairs, func(i, j int) bool { return cmp.Pairs[i].Key < cmp.Pairs[j].Key })
 	return cmp
 }
 

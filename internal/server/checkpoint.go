@@ -178,7 +178,7 @@ func (s *Server) restore(cp *Checkpoint) error {
 	if err := s.w.Engine.RestoreState(cp.Routing); err != nil {
 		return fmt.Errorf("server: restore routing: %w", err)
 	}
-	s.eval = traffic.NewEvaluatorWithCaps(s.w.Engine, s.dep, s.model, s.cfg.Capacity, cp.Caps)
+	s.eval = traffic.NewEvaluatorWithCaps(s.w.Engine, s.dep, s.model, traffic.CapacityConfig{}, cp.Caps)
 	s.newRunner()
 	areas := make([]string, 0, len(cp.Flash))
 	for a := range cp.Flash {

@@ -47,10 +47,6 @@ type Config struct {
 	// Dep is the deployment the server fronts (events and queries are
 	// scoped to it).
 	Dep *cdn.Deployment
-	// Demand and Capacity shape the load model; zero values take the
-	// package defaults (Demand.Seed defaults to the world seed).
-	Demand   traffic.DemandConfig
-	Capacity traffic.CapacityConfig
 	// History bounds the retained state ring; DefaultHistory when 0.
 	History int
 	// Series configures the time-series flight recorder: every published
@@ -190,12 +186,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.History == 0 {
 		cfg.History = DefaultHistory
 	}
-	dcfg := cfg.Demand
-	if dcfg.Seed == 0 {
-		dcfg.Seed = w.Config.Seed
-	}
 	s := &Server{cfg: cfg, w: w, dep: cfg.Dep}
-	s.model = traffic.NewModel(w.Platform, dcfg)
+	s.model = traffic.NewModel(w.Platform, traffic.DemandConfig{Seed: w.Config.Seed})
 
 	reg, tr := w.Config.Metrics, w.Config.Tracer
 	s.tsdb = ts.New(cfg.Series)
@@ -232,7 +224,7 @@ func New(cfg Config) (*Server, error) {
 
 	// Fresh start: capacities derive from the baseline diurnal peak, so the
 	// evaluator must be built before any event perturbs the catchments.
-	s.eval = traffic.NewEvaluator(w.Engine, s.dep, s.model, cfg.Capacity)
+	s.eval = traffic.NewEvaluator(w.Engine, s.dep, s.model, traffic.CapacityConfig{})
 	s.eval.Instrument(reg)
 	s.newRunner()
 	s.mu.Lock()

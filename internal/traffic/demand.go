@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"anysim/internal/atlas"
 	"anysim/internal/geo"
@@ -302,23 +301,4 @@ func (m *Model) PeakBucket(area geo.Area) int {
 		}
 	}
 	return best
-}
-
-// TopGroups returns the n highest-demand groups of a matrix, for reports.
-func TopGroups(mat Matrix, n int) []string {
-	keys := make([]string, 0, len(mat.Rates))
-	for k := range mat.Rates {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		ri, rj := mat.Rates[keys[i]], mat.Rates[keys[j]]
-		if ri != rj {
-			return ri > rj
-		}
-		return keys[i] < keys[j]
-	})
-	if n > len(keys) {
-		n = len(keys)
-	}
-	return keys[:n]
 }

@@ -48,9 +48,10 @@ go test -run '^$' -benchmem -count 5 \
     ./internal/traffic/ | tee -a "$raw"
 
 # The paper's measurement campaign on the small world: keyed-draw and
-# prefix-lookup cost per probe, with deterministic allocs/bytes.
+# prefix-lookup cost per probe, with deterministic allocs/bytes; and its
+# analysis (grouping plus Table 2 per DNS mode).
 go test -run '^$' -benchmem -count 5 \
-    -bench 'BenchmarkRunCampaign$' \
+    -bench 'BenchmarkRunCampaign$|BenchmarkAnalyzeCampaign$' \
     ./internal/core/ | tee -a "$raw"
 
 # The resident server: full ingest path (reconverge + re-evaluate + publish)

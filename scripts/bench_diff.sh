@@ -18,9 +18,10 @@
 # one batch), BenchmarkTrialEvaluate/delta (a trial's delta load
 # evaluation), BenchmarkServeIngestEvent (the resident server's
 # per-event ingest), BenchmarkServeIngestBatch (its batch ingest of 16
-# link faults) and
+# link faults),
 # BenchmarkServeOpsStep (one operator step: POST an event, GET /diff, GET
-# /explain).
+# /explain) and BenchmarkAnalyzeCampaign (a campaign's grouping and
+# Table 2 analysis).
 #
 # Two gates with different teeth, because the columns have different
 # noise floors:
@@ -103,7 +104,7 @@ for bench in BenchmarkAnnounce BenchmarkTrafficSteering BenchmarkRunCampaign; do
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
 done
 
-for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkIncrementalReconvergence/full BenchmarkEngineFork/fork-trial BenchmarkTrialApply/prepend BenchmarkTrialApply/wave BenchmarkTrialEvaluate/delta BenchmarkServeIngestEvent BenchmarkServeIngestBatch BenchmarkServeOpsStep; do
+for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkIncrementalReconvergence/full BenchmarkEngineFork/fork-trial BenchmarkTrialApply/prepend BenchmarkTrialApply/wave BenchmarkTrialEvaluate/delta BenchmarkServeIngestEvent BenchmarkServeIngestBatch BenchmarkServeOpsStep BenchmarkAnalyzeCampaign; do
     missing "$bench" && continue
     gate "$bench" bytes_per_op  "B/op"      "$mem_threshold"
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
