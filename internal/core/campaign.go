@@ -13,7 +13,6 @@ package core
 import (
 	"net/netip"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -234,10 +233,15 @@ func findGroup(groups []*Group, key string) (*Group, bool) {
 	return groups[i], true
 }
 
+// groupBuf is the stack buffer length of the per-group reductions: a group
+// with more values than this spills to the heap.
+const groupBuf = 16
+
 // median over the members' values produced by f; ok is false when no member
 // has a value.
 func (g *Group) median(f func(*Measurement) (float64, bool)) (float64, bool) {
-	var vals []float64
+	var buf [groupBuf]float64
+	vals := buf[:0]
 	for _, m := range g.Members {
 		if v, ok := f(m); ok {
 			vals = append(vals, v)
@@ -246,7 +250,7 @@ func (g *Group) median(f func(*Measurement) (float64, bool)) (float64, bool) {
 	if len(vals) == 0 {
 		return 0, false
 	}
-	sort.Float64s(vals)
+	slices.Sort(vals)
 	n := len(vals)
 	if n%2 == 1 {
 		return vals[n/2], true
@@ -293,23 +297,26 @@ func (g *Group) RegionCorrect(mode atlas.DNSMode, dep *cdn.Deployment) bool {
 	return total > 0 && correct*2 >= total
 }
 
-// Site returns the group's majority catchment site for the mode.
+// Site returns the group's majority catchment site for the mode; a tie
+// goes to the lexicographically least site.
 func (g *Group) Site(mode atlas.DNSMode) (string, bool) {
-	counts := map[string]int{}
+	var buf [groupBuf]string
+	sites := buf[:0]
 	for _, m := range g.Members {
 		if s, ok := m.CatchmentSite(mode); ok {
-			counts[s]++
+			sites = append(sites, s)
 		}
 	}
-	best, n := "", 0
-	keys := make([]string, 0, len(counts))
-	for s := range counts {
-		keys = append(keys, s)
-	}
-	sort.Strings(keys)
-	for _, s := range keys {
-		if counts[s] > n {
-			best, n = s, counts[s]
+	slices.Sort(sites)
+	best, n, run := "", 0, 0
+	for i, s := range sites {
+		if i > 0 && s == sites[i-1] {
+			run++
+		} else {
+			run = 1
+		}
+		if run > n {
+			best, n = s, run
 		}
 	}
 	return best, best != ""

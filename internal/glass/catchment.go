@@ -80,14 +80,20 @@ func ExplainCatchment(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, pro
 	if rep == nil {
 		return CatchmentExplanation{}, fmt.Errorf("glass: no probe in group %q", group)
 	}
-	return explainProbe(e, dep, m.WithEngine(e), rep, group, nearestMemo{})
+	ce, fwd, _, err := explainProbe(e, dep, m.WithEngine(e), rep, group, nearestMemo{})
+	if ce.Served {
+		ce.Exp = explainForward(e, fwd, rep.ASN, rep.City)
+	}
+	return ce, err
 }
 
-// explainProbe builds the catchment explanation for one probe of group.
-func explainProbe(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, p *atlas.Probe, group string, near nearestMemo) (CatchmentExplanation, error) {
+// explainProbe builds the catchment explanation of one probe of group, all
+// but its rendered hop chain (ce.Exp), and returns with it the probe's
+// forward and that forward's hop records, both empty when it is unserved.
+func explainProbe(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, p *atlas.Probe, group string, near nearestMemo) (CatchmentExplanation, bgp.Forward, []hop, error) {
 	region, ok := dep.RegionForCountry(p.Country)
 	if !ok {
-		return CatchmentExplanation{}, fmt.Errorf("glass: %s maps no region for country %s", dep.Name, p.Country)
+		return CatchmentExplanation{}, bgp.Forward{}, nil, fmt.Errorf("glass: %s maps no region for country %s", dep.Name, p.Country)
 	}
 	ce := CatchmentExplanation{
 		Group:   group,
@@ -102,17 +108,17 @@ func explainProbe(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, p *atla
 	fwd, ok := m.Forward(p, region.Prefix)
 	if !ok {
 		ce.Class = NoRegionalRoute
-		return ce, nil
+		return ce, bgp.Forward{}, nil, nil
 	}
 	ce.Served = true
 	ce.Site = fwd.Site
 	ce.SiteCity = fwd.SiteCity()
 	ce.RTTMs = m.RTT(p, fwd)
 	ce.ActualKm = fwd.DistKm
-	ce.Exp = explainForward(e, fwd, p.ASN, p.City)
+	hops := hopRecords(e, fwd, p.City)
 	ce.InflationMs = geo.FiberRTTMs(ce.ActualKm) - geo.FiberRTTMs(ce.NearestKm)
-	ce.Class = classify(ce)
-	return ce, nil
+	ce.Class = classify(ce.InflationMs, hops)
+	return ce, fwd, hops, nil
 }
 
 // nearestMemo memoizes nearestAnnouncedSite per (prefix, client city)
@@ -162,19 +168,15 @@ func nearestAnnouncedSite(e *bgp.Engine, dep *cdn.Deployment, prefix netip.Prefi
 // policy steps mean policy-over-geography, tie-breaks mean hot-potato
 // egress, and no such hop means the closer site is simply unreachable from
 // this path (no-regional-route).
-func classify(ce CatchmentExplanation) Pathology {
-	if ce.InflationMs <= InflationThresholdMs {
+func classify(inflationMs float64, hops []hop) Pathology {
+	if inflationMs <= InflationThresholdMs {
 		return Efficient
 	}
-	for _, h := range ce.Exp.Hops {
-		p, ok := h.Prov()
-		if !ok || !p.HasRunnerUp {
+	for _, h := range hops {
+		if !h.runnerCloser {
 			continue
 		}
-		if kmBetween(ce.City, p.RunnerUp().SiteCity()) >= kmBetween(ce.City, ce.SiteCity) {
-			continue
-		}
-		switch p.Step {
+		switch h.step {
 		case bgp.StepLocalPref, bgp.StepPathLen, bgp.StepCommunity:
 			return PolicyOverGeography
 		case bgp.StepTieBreak:
@@ -185,8 +187,10 @@ func classify(ce CatchmentExplanation) Pathology {
 }
 
 // GroupView is one probe group's captured catchment state: the compact,
-// diffable form of a CatchmentExplanation. A view is immutable once
-// captured, so captures share views and their hop chains (see CaptureFrom).
+// diffable form of a CatchmentExplanation. Its hops are records, not
+// rendered Hops: only the explain queries render a chain. A view is
+// immutable once captured, so captures share views and their hop records
+// (see CaptureFrom).
 type GroupView struct {
 	Group       string       `json:"group"`
 	Prefix      netip.Prefix `json:"prefix"`
@@ -197,7 +201,7 @@ type GroupView struct {
 	InflationMs float64      `json:"inflation_ms"`
 	Class       Pathology    `json:"class"`
 
-	hops []Hop
+	hops []hop
 	// client is the group's AS, whose rib the view depends on even when
 	// the group is unserved and has no hops.
 	client topo.ASN
@@ -259,7 +263,7 @@ func CaptureFrom(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, groups *
 			continue
 		}
 		g := &groups.Groups[i]
-		ce, err := explainProbe(e, dep, m, g.Rep, g.Key, near)
+		ce, _, hops, err := explainProbe(e, dep, m, g.Rep, g.Key, near)
 		if err != nil {
 			return CatchmentSet{}, err
 		}
@@ -272,7 +276,7 @@ func CaptureFrom(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, groups *
 			RTTMs:       ce.RTTMs,
 			InflationMs: ce.InflationMs,
 			Class:       ce.Class,
-			hops:        ce.Exp.Hops,
+			hops:        hops,
 			client:      ce.ASN,
 		})
 	}
@@ -335,7 +339,7 @@ func (d *captureDelta) reuse(i int) bool {
 		return false
 	}
 	for _, h := range v.hops {
-		if pd.ribChanged(h.ASN) {
+		if pd.ribChanged(h.asn) {
 			return false
 		}
 	}

@@ -135,24 +135,21 @@ func attribute(before, after *CatchmentSet, b, a *GroupView) (MoveCause, topo.AS
 	// name the step.
 	pivot := min(len(b.hops), len(a.hops)) - 1
 	for k := 1; k < len(b.hops) && k < len(a.hops); k++ {
-		if b.hops[k].ASN != a.hops[k].ASN {
+		if b.hops[k].asn != a.hops[k].asn {
 			pivot = k - 1
 			break
 		}
 	}
 	hb, ha := b.hops[pivot], a.hops[pivot]
-	pb, okB := hb.Prov()
-	pa, okA := ha.Prov()
 	// A community-dropped runner-up on exactly one side means the policy
 	// filter itself is what changed at the pivot.
-	bPol := okB && pb.Valid && pb.HasRunnerUp && pb.Step == bgp.StepCommunity
-	aPol := okA && pa.Valid && pa.HasRunnerUp && pa.Step == bgp.StepCommunity
+	bPol := hb.valid && hb.hasRunnerUp && hb.step == bgp.StepCommunity
+	aPol := ha.valid && ha.hasRunnerUp && ha.step == bgp.StepCommunity
 	if bPol != aPol {
-		return CausePolicyFilter, hb.ASN
+		return CausePolicyFilter, hb.asn
 	}
-	if okB && okA && pb.Valid && pa.Valid &&
-		pb.WinnerClass == pa.WinnerClass && pb.Winner().Len() == pa.Winner().Len() {
-		return CauseTieBreakShift, hb.ASN
+	if hb.valid && ha.valid && hb.winnerClass == ha.winnerClass && hb.winnerLen == ha.winnerLen {
+		return CauseTieBreakShift, hb.asn
 	}
-	return CausePolicyShift, hb.ASN
+	return CausePolicyShift, hb.asn
 }

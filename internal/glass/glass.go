@@ -30,7 +30,8 @@ import (
 )
 
 // Hop is one AS on the forwarding path, with the decision record that put
-// the next hop behind it.
+// the next hop behind it, rendered for an explanation (the /explain body).
+// Captured views keep the compact hop record instead.
 type Hop struct {
 	// ASN is the AS making this hop's forwarding decision.
 	ASN topo.ASN `json:"asn"`
@@ -53,12 +54,52 @@ type Hop struct {
 	RunnerSite     string `json:"runner_site,omitempty"`
 	RunnerSiteCity string `json:"runner_site_city,omitempty"`
 	RunnerPathLen  int    `json:"runner_path_len,omitempty"`
-
-	prov bgp.Provenance
 }
 
-// Prov returns the hop's raw provenance record.
-func (h Hop) Prov() (bgp.Provenance, bool) { return h.prov, h.HasProv }
+// hop is a captured view's record of one AS on the forwarding path: the AS
+// and the decision facts that classify, attribute and the delta reuse rule
+// read. It holds no pointer, so a view's hop slice is never scanned by the
+// GC. An AS without a provenance record holds the zero facts, which every
+// reader treats as no record.
+type hop struct {
+	asn topo.ASN
+	// winnerLen is the selected route's AS-path length.
+	winnerLen   uint16
+	step        bgp.DecisionStep
+	winnerClass bgp.RelClass
+	valid       bool
+	hasRunnerUp bool
+	// runnerCloser reports that the runner-up's site is strictly closer
+	// (great-circle) to the client city than the serving site.
+	runnerCloser bool
+}
+
+// hopRecords returns the hop records of a resolved forward from a client
+// city, one per AS of fwd.Path.
+func hopRecords(e *bgp.Engine, fwd bgp.Forward, city string) []hop {
+	client := geo.MustCity(city).Coord
+	servingKm := geo.DistanceKm(client, geo.MustCity(fwd.SiteCity()).Coord)
+	// Neighbouring hops often lose the same runner-up site: keep the last
+	// answer.
+	runnerCity, closer := "", false
+	hops := make([]hop, len(fwd.Path))
+	for i, asn := range fwd.Path {
+		h := hop{asn: asn}
+		if p, ok := e.Provenance(fwd.Prefix, asn); ok {
+			h.winnerLen = uint16(p.Winner().Len())
+			h.step, h.winnerClass, h.valid = p.Step, p.WinnerClass, p.Valid
+			if p.HasRunnerUp {
+				if c := p.RunnerUp().SiteCity(); c != runnerCity {
+					runnerCity = c
+					closer = geo.DistanceKm(client, geo.MustCity(c).Coord) < servingKm
+				}
+				h.hasRunnerUp, h.runnerCloser = true, closer
+			}
+		}
+		hops[i] = h
+	}
+	return hops
+}
 
 // Explanation is the decision chain answering "why does this AS reach this
 // site": the forwarding path with each hop's provenance attached.
@@ -96,7 +137,8 @@ func ExplainFrom(e *bgp.Engine, asn topo.ASN, city string, prefix netip.Prefix) 
 	return explainForward(e, fwd, asn, city), nil
 }
 
-// explainForward builds the hop chain for an already-resolved forward.
+// explainForward renders the hop chain of an already-resolved forward; only
+// the explain queries (Explain, ExplainFrom, ExplainCatchment) call it.
 // Forward.Path includes the client AS at index 0 and Forward.Cities[i] is
 // where Path[i] hands to Path[i+1] (the site city at the end), so hop i
 // enters at Cities[i-1] (the vantage city for i = 0) and leaves at
@@ -123,7 +165,6 @@ func explainForward(e *bgp.Engine, fwd bgp.Forward, asn topo.ASN, city string) E
 		h := Hop{ASN: hopAS, Entry: entry, Handoff: handoff}
 		if p, ok := e.Provenance(fwd.Prefix, hopAS); ok {
 			h.HasProv = true
-			h.prov = p
 			h.Step = p.Step.String()
 			h.WinnerClass = p.WinnerClass.String()
 			h.AltInClass = p.AltInClass

@@ -2,16 +2,18 @@ package glass
 
 import (
 	"bytes"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"anysim/internal/obs"
 	"anysim/internal/worldgen"
 )
 
 // provWorld builds a reduced-scale world with provenance recording on.
-func provWorld(t *testing.T, seed int64) *worldgen.World {
+func provWorld(t testing.TB, seed int64) *worldgen.World {
 	t.Helper()
 	cfg := worldgen.SmallConfig(seed)
 	cfg.Provenance = true
@@ -70,7 +72,8 @@ func TestExplainChain(t *testing.T) {
 }
 
 // TestCaptureClassifiesEveryGroup: every served group gets a pathology
-// class, and inefficient groups are never classified Efficient.
+// class, inefficient groups are never classified Efficient, and
+// ExplainCatchment agrees with the captured view of every group.
 func TestCaptureClassifiesEveryGroup(t *testing.T) {
 	w := provWorld(t, 5)
 	set, err := Capture(w.Engine, w.Imperva.IM6, w.Measurer, w.Platform.Retained())
@@ -96,8 +99,41 @@ func TestCaptureClassifiesEveryGroup(t *testing.T) {
 	if byClass[Efficient] == 0 {
 		t.Fatal("no group classified efficient")
 	}
+	// The explain query classifies from the same hop records as the
+	// capture, so it must agree with every view.
+	for _, g := range set.Groups {
+		ce, err := ExplainCatchment(w.Engine, w.Imperva.IM6, w.Measurer, w.Platform.Retained(), g.Group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ce.Served != g.Served || ce.Site != g.Site || ce.RTTMs != g.RTTMs || ce.InflationMs != g.InflationMs || ce.Class != g.Class {
+			t.Fatalf("%s: explained %v %q %.3f ms %.3f ms %s, captured %v %q %.3f ms %.3f ms %s", g.Group,
+				ce.Served, ce.Site, ce.RTTMs, ce.InflationMs, ce.Class, g.Served, g.Site, g.RTTMs, g.InflationMs, g.Class)
+		}
+	}
 	if byClass[PolicyOverGeography]+byClass[HotPotatoEgress]+byClass[NoRegionalRoute] == 0 {
 		t.Fatal("no inefficiency found — the paper's pathologies should appear in the small world")
+	}
+}
+
+// TestHopRecordCompact pins a view's per-hop record at 16 bytes or less
+// and free of pointers, so the hop slices the retained captures hold are
+// small and never scanned by the GC.
+func TestHopRecordCompact(t *testing.T) {
+	f, ok := reflect.TypeOf(GroupView{}).FieldByName("hops")
+	if !ok || f.Type != reflect.TypeOf([]hop(nil)) {
+		t.Fatalf("GroupView.hops is %v, want []hop", f.Type)
+	}
+	if got := unsafe.Sizeof(hop{}); got > 16 {
+		t.Fatalf("sizeof(hop) = %d bytes, want <= 16", got)
+	}
+	// Bool through Complex128 are the scalar kinds: no field may be a
+	// string, slice, map, pointer, interface or composite.
+	ty := reflect.TypeOf(hop{})
+	for i := 0; i < ty.NumField(); i++ {
+		if f := ty.Field(i); f.Type.Kind() < reflect.Bool || f.Type.Kind() > reflect.Complex128 {
+			t.Fatalf("hop.%s (%v) is not a scalar", f.Name, f.Type)
+		}
 	}
 }
 

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -274,5 +278,46 @@ func TestCaptureConcurrentWithIngest(t *testing.T) {
 	}
 	if captured < 2 {
 		t.Fatalf("only %d states were captured during ingest", captured)
+	}
+}
+
+// TestGlassBodiesGolden pins the looking glass's answers, not just the
+// delta capture's agreement with the full one. Through the HTTP handler it
+// runs a seed-1 twin-ops schedule, and after every event it reads
+// /catchment, /diff since the tick before the event, and /explain for
+// three groups: one that cycles through every pathology class, one served
+// by hot-potato egress and one with no regional route. The sha256 of every
+// body in order must equal a digest recorded before catchment views
+// stopped storing rendered hops.
+func TestGlassBodiesGolden(t *testing.T) {
+	const want = "f9017309a5f86bc3a76291e834fcf589ca0f53145ff56e8c2406269c8cc5f3cc"
+	s := testServer(t, 1)
+	evs := twinOpsEvents(t, s, 1, 90)
+	if len(evs) < 150 {
+		t.Fatalf("schedule has %d events, want >= 150", len(evs))
+	}
+	h := s.Handler()
+	sum := sha256.New()
+	serve := func(method, target, body string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+		if rec.Code != 200 {
+			t.Fatalf("%s %s = %d: %s", method, target, rec.Code, rec.Body)
+		}
+		sum.Write(rec.Body.Bytes())
+	}
+	groups := []string{"DUB|10398", "BNA|10698", "DKR|10228"}
+	for _, ev := range evs {
+		since := s.Current().Tick
+		serve("POST", "/events", ev.String()+"\n")
+		serve("GET", "/catchment", "")
+		serve("GET", "/diff?since="+strconv.FormatInt(since, 10), "")
+		for _, g := range groups {
+			serve("GET", "/explain?group="+url.QueryEscape(g), "")
+		}
+	}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != want {
+		t.Fatalf("glass bodies digest %s, want %s", got, want)
 	}
 }

@@ -238,8 +238,6 @@ func New(cfg Config) (*Server, error) {
 // recorder, so it needs s.eval and s.tsdb in place.
 func (s *Server) newRunner() {
 	s.runner = dynamics.NewRunner(s.w.Engine, s.dep)
-	s.runner.Measurer = s.w.Measurer
-	s.runner.Probes = s.w.Platform.Retained()
 	s.runner.Eval = s.eval
 	s.runner.Series = s.tsdb
 }

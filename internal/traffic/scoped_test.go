@@ -20,7 +20,7 @@ func TestScopedAnnounceApply(t *testing.T) {
 	e := w.Engine.Fork()
 	e.SetPolicy(scopedPolicy)
 	m := NewModel(w.Platform, DemandConfig{Seed: 1})
-	st := NewSteerer(NewEvaluator(e, w.Imperva.IM6, m, CapacityConfig{}), SteeringConfig{AllowScoped: true})
+	st := NewSteerer(NewEvaluator(e, w.Imperva.IM6, m, CapacityConfig{}), SteeringConfig{})
 
 	p := w.Imperva.IM6.Regions[0].Prefix
 	anns := e.Announcements(p)
@@ -62,7 +62,7 @@ func TestScopedAnnounceApply(t *testing.T) {
 }
 
 // TestScopedSteeringDeterminism mirrors the parallel-walk determinism test
-// with the scoped-announce knob enabled on a policy-bearing fork: the JSONL
+// on a policy-bearing fork, where scoped announcements are offered: the JSONL
 // steering trace and the chosen actions must be byte-identical at Workers
 // 1, 2, and GOMAXPROCS.
 func TestScopedSteeringDeterminism(t *testing.T) {
@@ -84,7 +84,6 @@ func TestScopedSteeringDeterminism(t *testing.T) {
 		st := NewSteerer(ev, SteeringConfig{
 			AllowSelective:     true,
 			AllowCrossAnnounce: true,
-			AllowScoped:        true,
 			Workers:            workers,
 			Tracer:             obs.NewTracer(&trace),
 		})

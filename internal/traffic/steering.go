@@ -106,10 +106,6 @@ type SteeringConfig struct {
 	// meaningful for regional deployments: with a single global prefix
 	// every site already announces it.
 	AllowCrossAnnounce bool
-	// AllowScoped enables community-scoped announcements ("this prefix,
-	// but not to peers in metro X"). Candidates are only generated when
-	// the evaluator's engine has a policy layer configured.
-	AllowScoped bool
 	// Workers bounds the candidate-trial worker pool: each round's
 	// candidates are applied and evaluated concurrently on per-candidate
 	// engine forks. 0 means GOMAXPROCS. Results are bit-identical at any
@@ -616,8 +612,9 @@ func (s *Steerer) knobCands(rep *LoadReport, over SiteLoad) []*Action {
 	// the site's own-metro peer sessions, so the local peering catchment
 	// spills to transit (and often to a sibling site) while every other
 	// peer keeps its direct route. Offered before transit-only because it
-	// sheds a strict subset of what that knob sheds.
-	if s.cfg.AllowScoped && announced && s.Eval.Engine.Policy() != nil {
+	// sheds a strict subset of what that knob sheds, and only when the
+	// evaluator's engine has a policy layer to honour the community.
+	if announced && s.Eval.Engine.Policy() != nil {
 		if scope, err := policy.NoPeerMetro(ann.City); err == nil && !hasCommunity(ann.Communities, scope) {
 			cands = append(cands, &Action{
 				Kind: ActionScopedAnnounce, Prefix: p, Site: over.Site, Target: over.Site,

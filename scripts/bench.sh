@@ -54,6 +54,12 @@ go test -run '^$' -benchmem -count 5 \
     -bench 'BenchmarkRunCampaign$|BenchmarkAnalyzeCampaign$' \
     ./internal/core/ | tee -a "$raw"
 
+# The looking glass: a full small-world catchment capture, and a delta
+# capture of a fork after one link fault against the base capture.
+go test -run '^$' -benchmem -count 5 \
+    -bench 'BenchmarkCapture$' \
+    ./internal/glass/ | tee -a "$raw"
+
 # The resident server: full ingest path (reconverge + re-evaluate + publish)
 # with the query-ns/op column reporting snapshot-read latency, the
 # decoder-fronted stream path POST /events takes, batch ingest of bodies

@@ -20,8 +20,9 @@
 # per-event ingest), BenchmarkServeIngestBatch (its batch ingest of 16
 # link faults),
 # BenchmarkServeOpsStep (one operator step: POST an event, GET /diff, GET
-# /explain) and BenchmarkAnalyzeCampaign (a campaign's grouping and
-# Table 2 analysis).
+# /explain), BenchmarkAnalyzeCampaign (a campaign's grouping and
+# Table 2 analysis) and BenchmarkCapture/full and .../delta (a full
+# catchment capture, and a delta capture after one link fault).
 #
 # Two gates with different teeth, because the columns have different
 # noise floors:
@@ -104,7 +105,7 @@ for bench in BenchmarkAnnounce BenchmarkTrafficSteering BenchmarkRunCampaign; do
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
 done
 
-for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkIncrementalReconvergence/full BenchmarkEngineFork/fork-trial BenchmarkTrialApply/prepend BenchmarkTrialApply/wave BenchmarkTrialEvaluate/delta BenchmarkServeIngestEvent BenchmarkServeIngestBatch BenchmarkServeOpsStep BenchmarkAnalyzeCampaign; do
+for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkIncrementalReconvergence/full BenchmarkEngineFork/fork-trial BenchmarkTrialApply/prepend BenchmarkTrialApply/wave BenchmarkTrialEvaluate/delta BenchmarkServeIngestEvent BenchmarkServeIngestBatch BenchmarkServeOpsStep BenchmarkAnalyzeCampaign BenchmarkCapture/full BenchmarkCapture/delta; do
     missing "$bench" && continue
     gate "$bench" bytes_per_op  "B/op"      "$mem_threshold"
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
