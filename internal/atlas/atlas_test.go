@@ -386,9 +386,9 @@ func TestRTTLowerBoundedByGeography(t *testing.T) {
 			continue
 		}
 		rtt := f.measurer.RTT(p, fwd)
-		site := geo.MustCity(fwd.SiteCity())
-		probeCity := geo.MustCity(p.City)
-		minRTT := geo.FiberRTTMs(geo.DistanceKm(probeCity.Coord, site.Coord))
+		site, _ := geo.CityIDOf(fwd.SiteCity())
+		probeCity, _ := geo.CityIDOf(p.City)
+		minRTT := geo.FiberRTTMs(geo.KmBetween(probeCity, site))
 		if rtt < minRTT-0.01 {
 			t.Errorf("probe %d RTT %.2f below speed-of-light bound %.2f", p.ID, rtt, minRTT)
 		}

@@ -175,12 +175,12 @@ func (m *Measurer) Traceroute(p *Probe, addr netip.Addr) (*Trace, bool) {
 	totalRTT := m.RTT(p, fwd)
 
 	// City waypoints along the path: probe city, each handoff, site city.
-	waypoints := append([]string{p.City}, fwd.Cities...)
-	cum := make([]float64, len(waypoints))
-	for i := 1; i < len(waypoints); i++ {
-		a := geo.MustCity(waypoints[i-1])
-		b := geo.MustCity(waypoints[i])
-		cum[i] = cum[i-1] + geo.DistanceKm(a.Coord, b.Coord)
+	cum := make([]float64, 1+len(fwd.Cities))
+	prev, _ := geo.CityIDOf(p.City)
+	for i, c := range fwd.Cities {
+		cur, _ := geo.CityIDOf(c)
+		cum[i+1] = cum[i] + geo.KmBetween(prev, cur)
+		prev = cur
 	}
 	total := cum[len(cum)-1]
 	rttAt := func(km float64, hopIdx int) float64 {

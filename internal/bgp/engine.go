@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 
+	"anysim/internal/geo"
 	"anysim/internal/policy"
 	"anysim/internal/topo"
 )
@@ -44,7 +45,7 @@ type Engine struct {
 	asIdx        map[topo.ASN]int
 	byIdx        []topo.ASN
 	linkA, linkB []int32
-	linkCities   [][]cityID
+	linkCities   [][]geo.CityID
 	linkIXP      []symbol
 	// adj is the dense per-AS view converge reads instead of scanning
 	// LinksOf and looking ASes up; arenas holds converge's idle working
@@ -154,12 +155,12 @@ func NewEngine(t *topo.Topology) *Engine {
 	links := t.Links()
 	la := make([]int32, len(links))
 	lb := make([]int32, len(links))
-	lc := make([][]cityID, len(links))
+	lc := make([][]geo.CityID, len(links))
 	lx := make([]symbol, len(links))
 	for i, l := range links {
 		la[i] = int32(asIdx[l.A])
 		lb[i] = int32(asIdx[l.B])
-		lc[i] = make([]cityID, len(l.Cities))
+		lc[i] = make([]geo.CityID, len(l.Cities))
 		for j, c := range l.Cities {
 			lc[i][j] = cityOf(c)
 		}
@@ -1017,25 +1018,25 @@ func (e *Engine) exportTo(s *nodeSlab, dst []offer, to int32, from topo.ASN, set
 }
 
 // exportAt is the route from exports for traffic entering it at city c.
-func exportAt(s *nodeSlab, from topo.ASN, set []Route, c cityID, rel RelClass) Route {
+func exportAt(s *nodeSlab, from topo.ASN, set []Route, c geo.CityID, rel RelClass) Route {
 	r, _ := hotPotato(set, c)
 	nr := r.prepend(s, from, c)
 	nr.Rel = rel
-	nr.DownKm = km(c, r.handoff()) + r.DownKm
+	nr.DownKm = geo.KmBetween(c, r.handoff()) + r.DownKm
 	return nr
 }
 
 // hotPotato picks the route whose handoff city is nearest to the entry
 // city, breaking ties deterministically by downstream distance, handoff
 // city, then site.
-func hotPotato(set []Route, entry cityID) (Route, bool) {
+func hotPotato(set []Route, entry geo.CityID) (Route, bool) {
 	if len(set) == 0 {
 		return Route{}, false
 	}
 	best := 0
-	bestKm := km(entry, set[0].handoff())
+	bestKm := geo.KmBetween(entry, set[0].handoff())
 	for i := 1; i < len(set); i++ {
-		d := km(entry, set[i].handoff())
+		d := geo.KmBetween(entry, set[i].handoff())
 		if less(d, set[i], bestKm, set[best]) {
 			best, bestKm = i, d
 		}
@@ -1280,7 +1281,7 @@ func (e *Engine) lookup(prefix netip.Prefix, asn topo.ASN, city string) (Route, 
 	}
 	c := cityOf(city)
 	r, _ := hotPotato(set, c)
-	return r, cls, km(c, r.handoff()) + r.DownKm, true
+	return r, cls, geo.KmBetween(c, r.handoff()) + r.DownKm, true
 }
 
 // Routes returns the full selected route set for (prefix, asn), most

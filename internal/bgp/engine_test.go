@@ -533,9 +533,9 @@ func TestGeneratedWorldInvariants(t *testing.T) {
 		}
 
 		// Distance is at least the straight line from client to site.
-		probe := geo.MustCity(city)
-		site := geo.MustCity(fwd.SiteCity())
-		if direct := geo.DistanceKm(probe.Coord, site.Coord); fwd.DistKm < direct-1 {
+		probe, _ := geo.CityIDOf(city)
+		site, _ := geo.CityIDOf(fwd.SiteCity())
+		if direct := geo.KmBetween(probe, site); fwd.DistKm < direct-1 {
 			t.Fatalf("%s: path distance %.0f km below direct %.0f km", asn, fwd.DistKm, direct)
 		}
 	}

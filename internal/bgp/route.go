@@ -89,7 +89,7 @@ func classify(l topo.Link, recv topo.ASN) RelClass {
 // chain is an immutable linked list of (AS, city) nodes, so an export
 // prepends one node to the exporter's chain instead of copying two slices,
 // and every route derived from the same selection shares its tail. Cities
-// are ids into geo.Cities(), sites and IXPs ids into a process-wide intern
+// are geo.CityIDs, sites and IXPs ids into a process-wide intern
 // table; the string forms are materialised only by the accessor methods
 // (and by Lookup's Forward), the boundary where names leave the engine.
 // The struct is 40 bytes; two of its five words hold pointers the GC
@@ -130,7 +130,7 @@ type Route struct {
 type pathNode struct {
 	next *pathNode
 	asn  topo.ASN
-	city cityID
+	city geo.CityID
 }
 
 // Origin returns the origin AS of the route.
@@ -144,10 +144,13 @@ func (r Route) Len() int { return int(r.plen) }
 func (r Route) Handoff() string { return r.path.city.String() }
 
 // handoff is Handoff's dense id.
-func (r Route) handoff() cityID { return r.path.city }
+func (r Route) handoff() geo.CityID { return r.path.city }
 
 // SiteCity returns the city of the catchment site.
 func (r Route) SiteCity() string { return r.last().city.String() }
+
+// SiteCityID is SiteCity's geo id.
+func (r Route) SiteCityID() geo.CityID { return r.last().city }
 
 // Site returns the identity of the announcing anycast site.
 func (r Route) Site() string { return r.site.String() }
@@ -190,7 +193,7 @@ func (r Route) String() string {
 
 // prepend returns the route as exported by AS from at city c: one node
 // pushed onto the shared chain, everything else carried over.
-func (r Route) prepend(s *nodeSlab, from topo.ASN, c cityID) Route {
+func (r Route) prepend(s *nodeSlab, from topo.ASN, c geo.CityID) Route {
 	if r.plen == math.MaxUint16 {
 		panic("bgp: AS path longer than 65535 hops")
 	}
@@ -244,7 +247,7 @@ type nodeSlab struct{ buf []pathNode }
 
 // push allocates a node from the slab. Chunks double from 32 up to 1024
 // nodes, so a small incremental pass does not reserve a large block.
-func (s *nodeSlab) push(asn topo.ASN, c cityID, next *pathNode) *pathNode {
+func (s *nodeSlab) push(asn topo.ASN, c geo.CityID, next *pathNode) *pathNode {
 	if len(s.buf) == cap(s.buf) {
 		s.buf = make([]pathNode, 0, min(max(2*cap(s.buf), 32), 1024))
 	}
@@ -252,56 +255,16 @@ func (s *nodeSlab) push(asn topo.ASN, c cityID, next *pathNode) *pathNode {
 	return &s.buf[len(s.buf)-1]
 }
 
-// cityID is a city's rank in geo.Cities(), which is sorted by IATA code, so
-// comparing ids orders cities exactly as comparing their codes does.
-type cityID uint16
-
-var (
-	cityNames = func() []string {
-		cs := geo.Cities()
-		out := make([]string, len(cs))
-		for i, c := range cs {
-			out[i] = c.IATA
-		}
-		return out
-	}()
-	cityIDs = func() map[string]cityID {
-		m := make(map[string]cityID, len(cityNames))
-		for i, c := range cityNames {
-			m[c] = cityID(i)
-		}
-		return m
-	}()
-	// cityKm holds the great-circle distance of every city pair, flat:
-	// cityKm[a*len(cityNames)+b].
-	cityKm = func() []float64 {
-		cs := geo.Cities()
-		out := make([]float64, len(cs)*len(cs))
-		for i := range cs {
-			for j := range cs {
-				out[i*len(cs)+j] = geo.DistanceKm(cs[i].Coord, cs[j].Coord)
-			}
-		}
-		return out
-	}()
-)
-
-// String returns the city's IATA code.
-func (c cityID) String() string { return cityNames[c] }
-
 // cityOf returns a city's id, panicking on a city the geo registry does not
 // know: topologies validate every city at build time and announcements
 // only use their origin's cities, so an unknown city is a caller's bug.
-func cityOf(name string) cityID {
-	c, ok := cityIDs[name]
+func cityOf(name string) geo.CityID {
+	c, ok := geo.CityIDOf(name)
 	if !ok {
 		panic(fmt.Sprintf("bgp: unknown city %q", name))
 	}
 	return c
 }
-
-// km returns the distance between two cities.
-func km(a, b cityID) float64 { return cityKm[int(a)*len(cityNames)+int(b)] }
 
 // symbol is an interned site or IXP name; noSymbol stands for "".
 type symbol uint32

@@ -175,12 +175,15 @@ func Attach(tp *topo.Topology, asn topo.ASN, name, home string, cities []string,
 // of their own transit links interconnecting within carrierHomeKm of it.
 func regionalCarriers(tp *topo.Topology, t2s []topo.ASN, city string) []topo.ASN {
 	const carrierHomeKm = 2500.0
-	site := geo.MustCity(city)
+	site, _ := geo.CityIDOf(city)
 	var out []topo.ASN
 	for _, p := range t2s {
 		as := tp.MustAS(p)
 		homes := geo.CitiesIn(as.Home)
-		if len(homes) == 0 || geo.DistanceKm(homes[0].Coord, site.Coord) > carrierHomeKm {
+		if len(homes) == 0 {
+			continue
+		}
+		if home, _ := geo.CityIDOf(homes[0].IATA); geo.KmBetween(home, site) > carrierHomeKm {
 			continue
 		}
 		// The carrier's upstream transit must land near the site.
@@ -191,7 +194,7 @@ func regionalCarriers(tp *topo.Topology, t2s []topo.ASN, city string) []topo.ASN
 				continue
 			}
 			for _, c := range l.Cities {
-				if geo.DistanceKm(geo.MustCity(c).Coord, site.Coord) <= carrierHomeKm {
+				if id, _ := geo.CityIDOf(c); geo.KmBetween(id, site) <= carrierHomeKm {
 					nearTransit = true
 					break
 				}

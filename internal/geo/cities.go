@@ -2,7 +2,9 @@ package geo
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strings"
 )
 
 // City is a metropolitan area known to the simulator. Cities are identified
@@ -27,10 +29,11 @@ func (c City) String() string {
 	return fmt.Sprintf("%s (%s, %s)", c.IATA, c.Name, c.Country)
 }
 
-// cities is the embedded city registry. Coordinates are city centroids to
-// roughly 0.01 degrees, which is far finer than any distance threshold the
-// reproduction uses (the smallest is the 1.5 ms / 150 km RTT-range rule).
-var cities = []City{
+// cities is the embedded city registry, sorted by IATA code once at init.
+// Coordinates are city centroids to roughly 0.01 degrees, which is far finer
+// than any distance threshold the reproduction uses (the smallest is the
+// 1.5 ms / 150 km RTT-range rule).
+var cities = sortedByIATA([]City{
 	// United States.
 	{IATA: "NYC", Name: "New York", Country: "US", Coord: Coord{40.71, -74.01}},
 	{IATA: "WAS", Name: "Washington D.C.", Country: "US", Coord: Coord{38.91, -77.04}},
@@ -254,19 +257,33 @@ var cities = []City{
 	{IATA: "AKL", Name: "Auckland", Country: "NZ", Coord: Coord{-36.85, 174.76}},
 	{IATA: "WLG", Name: "Wellington", Country: "NZ", Coord: Coord{-41.29, 174.78}},
 	{IATA: "NAN", Name: "Nadi", Country: "FJ", Coord: Coord{-17.76, 177.44}},
+})
+
+func sortedByIATA(list []City) []City {
+	slices.SortFunc(list, func(a, b City) int { return strings.Compare(a.IATA, b.IATA) })
+	return list
 }
+
+// CityID is a city's rank in Cities(), which is sorted by IATA code, so
+// comparing ids orders cities exactly as comparing their codes does.
+type CityID uint16
+
+// String returns the city's IATA code.
+func (c CityID) String() string { return cities[c].IATA }
 
 // City indexes are package variable initializers so Go's dependency ordering
 // runs them after the country indexes they validate against.
 var (
-	citiesByIATA    = buildCityIndex()
+	cityIDs         = buildCityIndex()
 	citiesByCountry = buildCityCountryIndex()
-	sortedCityCodes = buildCityCodes()
+	// cityKm holds the great-circle distance of every city pair, flat:
+	// cityKm[a*len(cities)+b].
+	cityKm = buildCityKm()
 )
 
-func buildCityIndex() map[string]City {
-	idx := make(map[string]City, len(cities))
-	for _, c := range cities {
+func buildCityIndex() map[string]CityID {
+	idx := make(map[string]CityID, len(cities))
+	for i, c := range cities {
 		if _, dup := idx[c.IATA]; dup {
 			panic("geo: duplicate city IATA code " + c.IATA)
 		}
@@ -276,7 +293,7 @@ func buildCityIndex() map[string]City {
 		if !c.Coord.Valid() {
 			panic("geo: city " + c.IATA + " has invalid coordinates")
 		}
-		idx[c.IATA] = c
+		idx[c.IATA] = CityID(i)
 	}
 	return idx
 }
@@ -289,25 +306,45 @@ func buildCityCountryIndex() map[string][]City {
 	return idx
 }
 
-func buildCityCodes() []string {
-	codes := make([]string, 0, len(citiesByIATA))
-	for code := range citiesByIATA {
-		codes = append(codes, code)
+func buildCityKm() []float64 {
+	out := make([]float64, len(cities)*len(cities))
+	for i, a := range cities {
+		for j, b := range cities {
+			out[i*len(cities)+j] = DistanceKm(a.Coord, b.Coord)
+		}
 	}
-	sort.Strings(codes)
-	return codes
+	return out
 }
+
+// CityIDOf returns the id of the city with the given IATA code. For an
+// unknown code it returns an id no city has, on which String and KmBetween
+// panic, so a caller holding a registry code may drop ok and still fail
+// loudly on a bad one, as MustCity does.
+func CityIDOf(code string) (CityID, bool) {
+	id, ok := cityIDs[code]
+	if !ok {
+		return math.MaxUint16, false
+	}
+	return id, true
+}
+
+// KmBetween returns the great-circle distance between two cities: exactly
+// DistanceKm of their coordinates, read from a table built at init.
+func KmBetween(a, b CityID) float64 { return cityKm[int(a)*len(cities)+int(b)] }
 
 // CityByIATA looks up a city by its IATA code.
 func CityByIATA(code string) (City, bool) {
-	c, ok := citiesByIATA[code]
-	return c, ok
+	id, ok := cityIDs[code]
+	if !ok {
+		return City{}, false
+	}
+	return cities[id], true
 }
 
 // MustCity returns the city for the IATA code or panics. It is intended for
 // embedded datasets whose codes are validated at init time.
 func MustCity(code string) City {
-	c, ok := citiesByIATA[code]
+	c, ok := CityByIATA(code)
 	if !ok {
 		panic("geo: unknown city IATA code " + code)
 	}
@@ -315,47 +352,29 @@ func MustCity(code string) City {
 }
 
 // Cities returns all cities ordered by IATA code.
-func Cities() []City {
-	out := make([]City, 0, len(sortedCityCodes))
-	for _, code := range sortedCityCodes {
-		out = append(out, citiesByIATA[code])
-	}
-	return out
-}
+func Cities() []City { return slices.Clone(cities) }
 
 // CitiesIn returns the cities in the given country, ordered by IATA code.
-func CitiesIn(countryCode string) []City {
-	list := append([]City(nil), citiesByCountry[countryCode]...)
-	sort.Slice(list, func(i, j int) bool { return list[i].IATA < list[j].IATA })
-	return list
-}
+func CitiesIn(countryCode string) []City { return slices.Clone(citiesByCountry[countryCode]) }
 
 // NearestCity returns the city closest to the coordinate, and the distance
 // to it in kilometres. It returns ok=false only if the registry is empty.
-func NearestCity(c Coord) (City, float64, bool) {
-	var (
-		best     City
-		bestDist = -1.0
-	)
-	for _, code := range sortedCityCodes {
-		city := citiesByIATA[code]
-		d := DistanceKm(c, city.Coord)
-		if bestDist < 0 || d < bestDist {
-			best, bestDist = city, d
-		}
-	}
-	return best, bestDist, bestDist >= 0
-}
+func NearestCity(c Coord) (City, float64, bool) { return nearest(cities, c) }
 
 // NearestCityIn returns the city in the given country closest to the
 // coordinate, following the paper's rule of mapping a probe to the closest
 // airport within the same country (§3.1).
 func NearestCityIn(countryCode string, c Coord) (City, float64, bool) {
+	return nearest(citiesByCountry[countryCode], c)
+}
+
+// nearest returns the first of the cities closest to the coordinate.
+func nearest(list []City, c Coord) (City, float64, bool) {
 	var (
 		best     City
 		bestDist = -1.0
 	)
-	for _, city := range citiesByCountry[countryCode] {
+	for _, city := range list {
 		d := DistanceKm(c, city.Coord)
 		if bestDist < 0 || d < bestDist {
 			best, bestDist = city, d

@@ -2,6 +2,8 @@ package geo
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -161,6 +163,37 @@ func TestCityRegistry(t *testing.T) {
 	for _, a := range Areas {
 		if counts[a] < 10 {
 			t.Errorf("area %v has only %d cities", a, counts[a])
+		}
+	}
+	// Ids are ranks in Cities(), which is in IATA order, so ids compare as
+	// codes do; code -> id -> code round-trips.
+	for i, c := range all {
+		if i > 0 && all[i-1].IATA >= c.IATA {
+			t.Fatalf("city %d %s does not sort after %s", i, c.IATA, all[i-1].IATA)
+		}
+		id, ok := CityIDOf(c.IATA)
+		if !ok || id != CityID(i) || id.String() != c.IATA {
+			t.Fatalf("CityIDOf(%s) = %d, %v; want %d", c.IATA, id, ok, i)
+		}
+	}
+	if id, ok := CityIDOf("XXX"); ok || int(id) < len(all) {
+		t.Fatalf("CityIDOf(XXX) = %d, %v; want an id no city has", id, ok)
+	}
+	// The table holds DistanceKm of every ordered pair, bit for bit, in
+	// either argument order.
+	for i, a := range all {
+		for j, b := range all {
+			got := math.Float64bits(KmBetween(CityID(i), CityID(j)))
+			if got != math.Float64bits(DistanceKm(a.Coord, b.Coord)) || got != math.Float64bits(DistanceKm(b.Coord, a.Coord)) {
+				t.Fatalf("KmBetween(%s, %s) = %v; DistanceKm %v / %v", a.IATA, b.IATA, KmBetween(CityID(i), CityID(j)), DistanceKm(a.Coord, b.Coord), DistanceKm(b.Coord, a.Coord))
+			}
+		}
+	}
+	// CitiesIn does not sort: its lists are cut from the sorted registry.
+	for _, cc := range CountryCodes() {
+		in := CitiesIn(cc)
+		if !slices.IsSortedFunc(in, func(a, b City) int { return strings.Compare(a.IATA, b.IATA) }) {
+			t.Fatalf("CitiesIn(%s) is not in IATA order", cc)
 		}
 	}
 }

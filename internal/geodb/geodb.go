@@ -249,11 +249,12 @@ func neighborCountries(cc string) []string {
 	if v, ok := neighborCache[cc]; ok {
 		return v
 	}
-	home := geo.CitiesIn(cc)
-	if len(home) == 0 {
+	homes := geo.CitiesIn(cc)
+	if len(homes) == 0 {
 		neighborCache[cc] = nil
 		return nil
 	}
+	home, _ := geo.CityIDOf(homes[0].IATA)
 	type cand struct {
 		cc string
 		km float64
@@ -267,7 +268,8 @@ func neighborCountries(cc string) []string {
 		if len(cities) == 0 {
 			continue
 		}
-		cands = append(cands, cand{other, geo.DistanceKm(home[0].Coord, cities[0].Coord)})
+		rep, _ := geo.CityIDOf(cities[0].IATA)
+		cands = append(cands, cand{other, geo.KmBetween(home, rep)})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].km != cands[j].km {

@@ -104,7 +104,8 @@ func explainProbe(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, p *atla
 		Region:  region.Name,
 		Prefix:  region.Prefix,
 	}
-	ce.NearestSite, ce.NearestKm = near.get(e, dep, region.Prefix, p.City)
+	client, _ := geo.CityIDOf(p.City)
+	ce.NearestSite, ce.NearestKm = near.get(e, dep, region.Prefix, client)
 	fwd, ok := m.Forward(p, region.Prefix)
 	if !ok {
 		ce.Class = NoRegionalRoute
@@ -115,7 +116,7 @@ func explainProbe(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, p *atla
 	ce.SiteCity = fwd.SiteCity()
 	ce.RTTMs = m.RTT(p, fwd)
 	ce.ActualKm = fwd.DistKm
-	hops := hopRecords(e, fwd, p.City)
+	hops := hopRecords(e, fwd, client)
 	ce.InflationMs = geo.FiberRTTMs(ce.ActualKm) - geo.FiberRTTMs(ce.NearestKm)
 	ce.Class = classify(ce.InflationMs, hops)
 	return ce, fwd, hops, nil
@@ -127,7 +128,7 @@ type nearestMemo map[nearestKey]nearestSite
 
 type nearestKey struct {
 	prefix netip.Prefix
-	city   string
+	city   geo.CityID
 }
 
 type nearestSite struct {
@@ -135,7 +136,7 @@ type nearestSite struct {
 	km   float64
 }
 
-func (nm nearestMemo) get(e *bgp.Engine, dep *cdn.Deployment, prefix netip.Prefix, city string) (string, float64) {
+func (nm nearestMemo) get(e *bgp.Engine, dep *cdn.Deployment, prefix netip.Prefix, city geo.CityID) (string, float64) {
 	k := nearestKey{prefix, city}
 	n, ok := nm[k]
 	if !ok {
@@ -147,14 +148,15 @@ func (nm nearestMemo) get(e *bgp.Engine, dep *cdn.Deployment, prefix netip.Prefi
 
 // nearestAnnouncedSite returns the announced site of the prefix nearest to
 // the client city (great-circle), with deterministic site-ID tie-break.
-func nearestAnnouncedSite(e *bgp.Engine, dep *cdn.Deployment, prefix netip.Prefix, city string) (string, float64) {
+func nearestAnnouncedSite(e *bgp.Engine, dep *cdn.Deployment, prefix netip.Prefix, city geo.CityID) (string, float64) {
 	bestSite, bestKm := "", 0.0
 	for _, a := range e.Announcements(prefix) {
 		s, ok := dep.SiteByID(a.Site)
 		if !ok {
 			continue
 		}
-		d := kmBetween(city, s.City)
+		sc, _ := geo.CityIDOf(s.City)
+		d := geo.KmBetween(city, sc)
 		if bestSite == "" || d < bestKm || (d == bestKm && a.Site < bestSite) {
 			bestSite, bestKm = a.Site, d
 		}

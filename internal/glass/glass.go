@@ -76,12 +76,10 @@ type hop struct {
 
 // hopRecords returns the hop records of a resolved forward from a client
 // city, one per AS of fwd.Path.
-func hopRecords(e *bgp.Engine, fwd bgp.Forward, city string) []hop {
-	client := geo.MustCity(city).Coord
-	servingKm := geo.DistanceKm(client, geo.MustCity(fwd.SiteCity()).Coord)
-	// Neighbouring hops often lose the same runner-up site: keep the last
-	// answer.
-	runnerCity, closer := "", false
+func hopRecords(e *bgp.Engine, fwd bgp.Forward, client geo.CityID) []hop {
+	// Forward's cities are strings; its site city is the one looked up.
+	serving, _ := geo.CityIDOf(fwd.SiteCity())
+	servingKm := geo.KmBetween(client, serving)
 	hops := make([]hop, len(fwd.Path))
 	for i, asn := range fwd.Path {
 		h := hop{asn: asn}
@@ -89,11 +87,8 @@ func hopRecords(e *bgp.Engine, fwd bgp.Forward, city string) []hop {
 			h.winnerLen = uint16(p.Winner().Len())
 			h.step, h.winnerClass, h.valid = p.Step, p.WinnerClass, p.Valid
 			if p.HasRunnerUp {
-				if c := p.RunnerUp().SiteCity(); c != runnerCity {
-					runnerCity = c
-					closer = geo.DistanceKm(client, geo.MustCity(c).Coord) < servingKm
-				}
-				h.hasRunnerUp, h.runnerCloser = true, closer
+				h.hasRunnerUp = true
+				h.runnerCloser = geo.KmBetween(client, p.RunnerUp().SiteCityID()) < servingKm
 			}
 		}
 		hops[i] = h
@@ -180,9 +175,4 @@ func explainForward(e *bgp.Engine, fwd bgp.Forward, asn topo.ASN, city string) E
 		exp.Hops = append(exp.Hops, h)
 	}
 	return exp
-}
-
-// kmBetween returns the great-circle distance between two IATA cities.
-func kmBetween(a, b string) float64 {
-	return geo.DistanceKm(geo.MustCity(a).Coord, geo.MustCity(b).Coord)
 }

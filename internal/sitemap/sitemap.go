@@ -256,17 +256,17 @@ func resolvePHop(obs *PHopObservation, published []string, cfg Config) *Resoluti
 
 // nearestSite maps a resolved city to the closest published site city.
 func nearestSite(city string, published []string) string {
-	c, ok := geo.CityByIATA(city)
+	c, ok := geo.CityIDOf(city)
 	if !ok {
 		return ""
 	}
 	best, bestDist := "", -1.0
 	for _, s := range published {
-		sc, ok := geo.CityByIATA(s)
+		sc, ok := geo.CityIDOf(s)
 		if !ok {
 			continue
 		}
-		d := geo.DistanceKm(c.Coord, sc.Coord)
+		d := geo.KmBetween(c, sc)
 		if bestDist < 0 || d < bestDist {
 			best, bestDist = s, d
 		}

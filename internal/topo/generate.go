@@ -385,8 +385,10 @@ func (g *generator) compactFootprint(pool []geo.City, n int) []string {
 		km   float64
 	}
 	dists := make([]cd, 0, len(pool))
+	from, _ := geo.CityIDOf(seed.IATA)
 	for _, c := range pool {
-		dists = append(dists, cd{c.IATA, geo.DistanceKm(seed.Coord, c.Coord)})
+		to, _ := geo.CityIDOf(c.IATA)
+		dists = append(dists, cd{c.IATA, geo.KmBetween(from, to)})
 	}
 	sort.Slice(dists, func(i, j int) bool {
 		if dists[i].km != dists[j].km {

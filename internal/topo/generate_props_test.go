@@ -65,11 +65,10 @@ func TestCompactFootprints(t *testing.T) {
 			continue // international extension: exempt
 		}
 		var maxKm float64
-		anchor := geo.MustCity(a.Cities[0]).Coord
+		anchor, _ := geo.CityIDOf(a.Cities[0])
 		for _, c := range a.Cities {
-			if d := geo.DistanceKm(anchor, geo.MustCity(c).Coord); d > maxKm {
-				maxKm = d
-			}
+			id, _ := geo.CityIDOf(c)
+			maxKm = max(maxKm, geo.KmBetween(anchor, id))
 		}
 		if maxKm > 12000 {
 			t.Errorf("%s footprint spread %f km exceeds continental scale: %v", asn, maxKm, a.Cities)

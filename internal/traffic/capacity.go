@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"anysim/internal/atlas"
 	"anysim/internal/bgp"
 	"anysim/internal/cdn"
 	"anysim/internal/geo"
@@ -108,7 +109,7 @@ type Assignment struct {
 // LoadReport is the catchment × demand product for one matrix.
 type LoadReport struct {
 	Bucket int
-	Sites  []SiteLoad // sorted by site ID
+	Sites  []SiteLoad // in Deployment.Sites order
 	// Assignments holds where each probe group's demand went, indexed by
 	// the group's rank in Model.Groups. A zero Site marks a group with no
 	// demand or no route.
@@ -256,9 +257,9 @@ func (ev *Evaluator) Instrument(reg *obs.Registry) {
 	}
 }
 
-// rttInflation mirrors the measurement model's great-circle-to-fiber path
-// stretch (atlas.Model.Inflation's default).
-const rttInflation = 1.25
+// rttInflation is the measurement model's great-circle-to-fiber path
+// stretch, read from its default so the stretch is set in one place.
+var rttInflation = atlas.DefaultLatencyModel().Inflation
 
 // NewEvaluator derives site capacities against the engine's current
 // (baseline) routing state and returns an evaluator: each site gets

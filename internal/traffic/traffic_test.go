@@ -254,6 +254,11 @@ func TestLoadReportDense(t *testing.T) {
 	if math.Abs(unserved-rep.Unserved) > 1e-9*mat.Total {
 		t.Fatalf("unserved groups carry %v; report says %v", unserved, rep.Unserved)
 	}
+	for i, s := range ev.Dep.Sites {
+		if rep.Sites[i].Site != s.ID {
+			t.Fatalf("report site %d is %s; deployment site %d is %s", i, rep.Sites[i].Site, i, s.ID)
+		}
+	}
 }
 
 func TestSteeringResolvesFlashCrowd(t *testing.T) {

@@ -59,9 +59,9 @@ func TestAllPrefixInvariants(t *testing.T) {
 					t.Fatalf("%s/%s: path not valley-free: %v", dep.Name, region.Name, fwd.Path)
 				}
 				// Forwarding distance is at least the straight line.
-				pc := geo.MustCity(city)
-				sc := geo.MustCity(fwd.SiteCity())
-				if direct := geo.DistanceKm(pc.Coord, sc.Coord); fwd.DistKm < direct-1 {
+				pc, _ := geo.CityIDOf(city)
+				sc, _ := geo.CityIDOf(fwd.SiteCity())
+				if direct := geo.KmBetween(pc, sc); fwd.DistKm < direct-1 {
 					t.Fatalf("%s/%s: path distance %.0f below direct %.0f", dep.Name, region.Name, fwd.DistKm, direct)
 				}
 			}
