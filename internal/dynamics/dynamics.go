@@ -158,6 +158,11 @@ type Runner struct {
 	siteAnns map[string]map[netip.Prefix]bgp.SiteAnnouncement // site ID -> prefix -> announcement
 	flash    map[geo.Area]float64                             // active flash-crowd factors
 
+	// baseEng and baseRep are the last Load's engine and report, the base
+	// of the next Load's delta evaluation (traffic.Evaluator.EvaluateFrom).
+	baseEng *bgp.Engine
+	baseRep *traffic.LoadReport
+
 	dobs runnerObs
 }
 
@@ -454,8 +459,16 @@ func (r *Runner) Run(sc *Scenario) ([]Step, error) {
 // Series records nothing. The server's publish path and a scenario run
 // both call it, so a served replay and a scenario run of the same events
 // record identical load series.
+//
+// The load is evaluated as a delta against the previous Load's, so it
+// costs what the routing between the two changed. The runner's own engine
+// keeps changing, so it is no base: Load evaluates a fork of it instead.
 func (r *Runner) Load(tick int64, eng *bgp.Engine) (*traffic.LoadReport, []ts.Transition) {
-	rep := r.Eval.EvaluateOn(eng, r.Eval.Model.Demand(tick, r.flash))
+	if eng == r.Engine {
+		eng = eng.Fork()
+	}
+	rep := r.Eval.EvaluateFrom(eng, r.Eval.Model.Demand(tick, r.flash), r.baseRep, r.baseEng)
+	r.baseEng, r.baseRep = eng, rep
 	r.Series.SampleLoad(tick, r.Eval.Model, rep, r.Eval.Config().SoftUtil)
 	return rep, r.Series.Eval(tick)
 }

@@ -20,6 +20,9 @@ package ts
 //	churn.lost               probe groups that lost service, summed per tick
 
 import (
+	"slices"
+	"sort"
+
 	"anysim/internal/geo"
 	"anysim/internal/stats"
 	"anysim/internal/traffic"
@@ -32,6 +35,9 @@ import (
 // latency penalty (pass Evaluator.Config().SoftUtil). Safe to call several
 // times per tick; the last report wins. Follow with Eval to advance the SLO
 // lifecycles.
+//
+// The series are resolved once per site list (see loadSeries) and recorded
+// under one lock; the samples are those of one Observe per series.
 func (db *DB) SampleLoad(tick int64, m *traffic.Model, rep *traffic.LoadReport, softUtil float64) {
 	if db == nil || rep == nil {
 		return
@@ -40,8 +46,15 @@ func (db *DB) SampleLoad(tick int64, m *traffic.Model, rep *traffic.LoadReport, 
 	for _, sl := range rep.Sites {
 		total += sl.Demand
 	}
+	n := 0
+	record := func(s *Series, v float64) {
+		s.record(tick, v, false)
+		n++
+	}
+	db.mu.Lock()
+	ls := db.loadSeriesLocked(rep.Sites)
 	overloads := 0
-	for _, sl := range rep.Sites {
+	for i, sl := range rep.Sites {
 		ov := 0.0
 		if sl.Overloaded() {
 			ov = 1
@@ -51,34 +64,92 @@ func (db *DB) SampleLoad(tick int64, m *traffic.Model, rep *traffic.LoadReport, 
 		if total > 0 {
 			share = sl.Demand / total
 		}
-		db.Observe(tick, "site.util{site="+sl.Site+"}", sl.Utilization())
-		db.Observe(tick, "site.demand{site="+sl.Site+"}", sl.Demand)
-		db.Observe(tick, "site.share{site="+sl.Site+"}", share)
-		db.Observe(tick, "site.overload{site="+sl.Site+"}", ov)
+		ss := &ls.site[i]
+		record(ss[0], sl.Utilization())
+		record(ss[1], sl.Demand)
+		record(ss[2], share)
+		record(ss[3], ov)
 	}
-	db.Observe(tick, "load.max_util", rep.MaxUtilization())
-	db.Observe(tick, "load.unserved", rep.Unserved)
-	db.Observe(tick, "load.overloads", float64(overloads))
-	if m == nil {
-		return
-	}
-	// Assignments are indexed by group rank in m.Groups.
-	byArea := map[geo.Area][]float64{}
-	for i, a := range rep.Assignments {
-		if a.Site == "" {
-			continue
+	record(ls.maxUtil, rep.MaxUtilization())
+	record(ls.unserved, rep.Unserved)
+	record(ls.overloads, float64(overloads))
+	if m != nil {
+		// Assignments are indexed by group rank in m.Groups.
+		for a := range ls.vals {
+			ls.vals[a] = ls.vals[a][:0]
 		}
-		area := m.Groups[i].Area
-		byArea[area] = append(byArea[area], rep.EffectiveRTTMs(i, softUtil))
+		for i, a := range rep.Assignments {
+			if a.Site == "" {
+				continue
+			}
+			area := m.Groups[i].Area
+			ls.vals[area] = append(ls.vals[area], rep.EffectiveRTTMs(i, softUtil))
+		}
+		for _, a := range geo.Areas {
+			vs := ls.vals[a]
+			if len(vs) == 0 {
+				continue
+			}
+			sort.Float64s(vs)
+			lat := ls.latency(db, a)
+			record(lat[0], stats.PercentileSorted(vs, 50))
+			record(lat[1], stats.PercentileSorted(vs, 90))
+		}
 	}
+	db.mu.Unlock()
+	db.o.samples.Add(int64(n))
+}
+
+// loadSeries is SampleLoad's series resolved for one site list: each
+// site's four series by site rank, the aggregate series, and each area's
+// latency percentiles by area, which are created once the area has values.
+type loadSeries struct {
+	sites                        []string     // the site list resolved for
+	site                         [][4]*Series // util, demand, share, overload
+	maxUtil, unserved, overloads *Series
+	lat                          [][2]*Series // by area: p50, p90; nil until first recorded
+	vals                         [][]float64  // by area: the sort buffer of its served groups' RTTs
+}
+
+// loadSeriesLocked returns SampleLoad's series for a report's site list,
+// resolving them again when the list is not the last one's. Caller holds
+// db.mu.
+func (db *DB) loadSeriesLocked(sites []traffic.SiteLoad) *loadSeries {
+	if ls := db.load; ls != nil && slices.EqualFunc(ls.sites, sites, func(id string, sl traffic.SiteLoad) bool { return id == sl.Site }) {
+		return ls
+	}
+	ls := &loadSeries{
+		sites:     make([]string, len(sites)),
+		site:      make([][4]*Series, len(sites)),
+		maxUtil:   db.seriesLocked("load.max_util"),
+		unserved:  db.seriesLocked("load.unserved"),
+		overloads: db.seriesLocked("load.overloads"),
+	}
+	for i, sl := range sites {
+		ls.sites[i] = sl.Site
+		for k, kind := range [4]string{"util", "demand", "share", "overload"} {
+			ls.site[i][k] = db.seriesLocked("site." + kind + "{site=" + sl.Site + "}")
+		}
+	}
+	nAreas := 0
 	for _, a := range geo.Areas {
-		vs := byArea[a]
-		if len(vs) == 0 {
-			continue
-		}
-		db.Observe(tick, "region.latency.p50{region="+a.String()+"}", stats.Percentile(vs, 50))
-		db.Observe(tick, "region.latency.p90{region="+a.String()+"}", stats.Percentile(vs, 90))
+		nAreas = max(nAreas, int(a)+1)
 	}
+	ls.lat, ls.vals = make([][2]*Series, nAreas), make([][]float64, nAreas)
+	db.load = ls
+	return ls
+}
+
+// latency returns an area's latency percentile series, creating them on
+// first use. Caller holds db.mu.
+func (ls *loadSeries) latency(db *DB, a geo.Area) [2]*Series {
+	if ls.lat[a][0] == nil {
+		ls.lat[a] = [2]*Series{
+			db.seriesLocked("region.latency.p50{region=" + a.String() + "}"),
+			db.seriesLocked("region.latency.p90{region=" + a.String() + "}"),
+		}
+	}
+	return ls.lat[a]
 }
 
 // SampleReconverge accumulates one routing event's reconvergence cost onto

@@ -141,6 +141,7 @@ type DB struct {
 	series   map[string]*Series
 	rules    []*ruleState
 	history  []Transition
+	load     *loadSeries // SampleLoad's series for the last site list
 
 	o dbObs
 }
@@ -214,14 +215,21 @@ func (db *DB) Add(tick int64, name string, v float64) {
 
 func (db *DB) record(tick int64, name string, v float64, accumulate bool) {
 	db.mu.Lock()
+	db.seriesLocked(name).record(tick, v, accumulate)
+	db.mu.Unlock()
+	db.o.samples.Inc()
+}
+
+// seriesLocked returns the named series, creating it empty on first use.
+// Series are never removed, so the pointer stays the series' handle.
+// Caller holds db.mu.
+func (db *DB) seriesLocked(name string) *Series {
 	s := db.series[name]
 	if s == nil {
 		s = newSeries(db.capacity)
 		db.series[name] = s
 	}
-	s.record(tick, v, accumulate)
-	db.mu.Unlock()
-	db.o.samples.Inc()
+	return s
 }
 
 // Names returns the recorded series names in sorted order.

@@ -63,6 +63,20 @@ func BenchmarkServeIngestEvent(b *testing.B) {
 	b.ReportMetric(float64(time.Since(t0).Nanoseconds())/queries, "query-ns/op")
 }
 
+// BenchmarkServeAdvance measures one publish with no routing change: each
+// op is AdvanceTo(tick+1), which re-rates demand into the next time bucket,
+// forks the engine, evaluates the load, samples it into the flight
+// recorder and advances the SLO rules.
+func BenchmarkServeAdvance(b *testing.B) {
+	s := testServer(b, 7)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.AdvanceTo(s.Current().Tick + 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkServeIngestStream measures ingest through the event decoder —
 // the POST /events path — amortized over a 16-event flap stream.
 func BenchmarkServeIngestStream(b *testing.B) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -76,5 +77,64 @@ at 8 reannounce %[1]s
 		if len(want) != 8 || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s:\nserver %v\nrunner %v", name, got, want)
 		}
+	}
+}
+
+// TestPublishDeltaMatchesFull holds every published load, which Runner.Load
+// evaluates as a delta against the load published before it, to a full
+// evaluation of the same state: EvaluateOn of the state's fork on the
+// tick's demand. Over 500 seeded events of every kind — site, link and IXP
+// faults with their repairs, re-announcement flaps and flash crowds —
+// ingested one at a time and in 16-event bodies, with clock advances that
+// move demand into other time buckets in between.
+func TestPublishDeltaMatchesFull(t *testing.T) {
+	s := testServer(t, 7)
+	sc, err := dynamics.Generate(dynamics.GenConfig{
+		Seed: 7, Faults: 300,
+		PSite: 0.25, PLink: 0.3, PIXP: 0.1, PCrowd: 0.2, PFlap: 0.15,
+	}, s.w.Topo, s.dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := sc.Events
+	kinds := map[dynamics.Kind]int{}
+	for _, ev := range evs {
+		kinds[ev.Kind]++
+	}
+	if len(evs) < 500 || len(kinds) != 9 {
+		t.Fatalf("%d events of %d kinds; want at least 500 of all 9", len(evs), len(kinds))
+	}
+	check := func(st *State) {
+		t.Helper()
+		want := s.eval.EvaluateOn(st.Engine, s.model.Demand(st.Tick, st.Flash))
+		if !reflect.DeepEqual(st.Load, want) {
+			t.Fatalf("state %d (tick %d, flash %v): published load differs from a full evaluation", st.Seq, st.Tick, st.Flash)
+		}
+	}
+	check(s.Current())
+	rng := rand.New(rand.NewSource(7))
+	buckets := map[int]bool{}
+	for i := 0; i < len(evs); {
+		n := 1
+		if rng.Intn(2) == 0 {
+			n = 16
+		}
+		body := evs[i:min(i+n, len(evs))]
+		i += len(body)
+		if _, err := s.ApplyBatch(body); err != nil {
+			t.Fatal(err)
+		}
+		check(s.Current())
+		if rng.Intn(3) == 0 {
+			st, err := s.AdvanceTo(s.Current().Tick + 1 + int64(rng.Intn(3)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(st)
+			buckets[st.Bucket] = true
+		}
+	}
+	if len(buckets) < s.model.Buckets() {
+		t.Fatalf("clock advances reached %d of %d buckets", len(buckets), s.model.Buckets())
 	}
 }

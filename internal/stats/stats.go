@@ -16,7 +16,15 @@ import (
 // linear interpolation between closest ranks. It returns NaN for an empty
 // input.
 func Percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
+	sorted := append([]float64(nil), values...)
+	sort.Float64s(sorted)
+	return PercentileSorted(sorted, p)
+}
+
+// PercentileSorted is Percentile of values already sorted ascending, which
+// it neither copies nor sorts. It returns NaN for an empty input.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
 		return math.NaN()
 	}
 	if p < 0 {
@@ -25,8 +33,6 @@ func Percentile(values []float64, p float64) float64 {
 	if p > 100 {
 		p = 100
 	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
 	if len(sorted) == 1 {
 		return sorted[0]
 	}

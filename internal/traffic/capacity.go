@@ -117,7 +117,8 @@ type LoadReport struct {
 	// Unserved is demand from groups with no route to their prefix.
 	Unserved float64
 
-	siteIdx map[string]int
+	// idx is the group index of the evaluator that computed the report.
+	idx *groupIndex
 	// siteOf is each group's index into Sites, by rank in Model.Groups, or
 	// rankIdle / rankUnserved for a group no site serves.
 	siteOf []int32
@@ -131,7 +132,7 @@ const (
 
 // SiteLoadByID returns one site's load.
 func (r *LoadReport) SiteLoadByID(id string) (SiteLoad, bool) {
-	i, ok := r.siteIdx[id]
+	i, ok := r.idx.siteIdx[id]
 	if !ok {
 		return SiteLoad{}, false
 	}
@@ -353,12 +354,47 @@ func (ev *Evaluator) EvaluateOn(eng *bgp.Engine, mat Matrix) *LoadReport {
 	return rep
 }
 
-// trialDelta is what a trial evaluation reads besides its fork: base, the
-// report of the fork's parent on the same matrix, and the groups whose AS
-// holds a different rib for their prefix on the fork than on the parent.
-type trialDelta struct {
+// EvaluateFrom computes the same report as EvaluateOn(eng, mat), as a delta
+// against base: this evaluator's report on baseEng, an engine over the same
+// topology that nothing mutates any more (a fork). Only the groups whose
+// rib differs between the two engines are looked up again (see
+// bgp.Engine.RibsChangedFrom); every other group keeps base's site and RTT
+// and takes its rate from mat. The chunks run on the calling goroutine: a
+// delta looks up too few groups to pay for the pool's handoffs. With no
+// base, or a base another evaluator computed, it evaluates in full.
+func (ev *Evaluator) EvaluateFrom(eng *bgp.Engine, mat Matrix, base *LoadReport, baseEng *bgp.Engine) *LoadReport {
+	if base == nil || baseEng == nil || base.idx != &ev.idx {
+		return ev.EvaluateOn(eng, mat)
+	}
+	rep, _ := ev.evaluate(eng, mat, &evalDelta{base: base, dirty: ev.changedGroups(eng, baseEng)})
+	return rep
+}
+
+// evalDelta is what a delta evaluation reads besides its engine: base, the
+// evaluator's full report on the base engine, and the groups whose AS
+// holds a different rib for their prefix than on the base engine. A trial
+// delta leaves the report's assignments unset and collects the groups it
+// looked up instead (see trialReport).
+type evalDelta struct {
 	base  *LoadReport
 	dirty []bool // by group rank
+	trial bool
+}
+
+// changedGroups marks, by group rank, the groups whose AS holds a
+// different rib for the group's prefix on eng than on base.
+func (ev *Evaluator) changedGroups(eng, base *bgp.Engine) []bool {
+	dirty := make([]bool, len(ev.Model.Groups))
+	for pi, p := range ev.idx.prefixes {
+		for _, ai := range eng.RibsChangedFrom(base, p) {
+			for _, gi := range ev.idx.byAS[ai] {
+				if ev.idx.pfx[gi] == int32(pi) {
+					dirty[gi] = true
+				}
+			}
+		}
+	}
+	return dirty
 }
 
 // trialReport is a steering trial's load report kept as a delta: the site
@@ -372,23 +408,11 @@ type trialReport struct {
 }
 
 // evaluateTrial computes the load report of a steering trial: mat on fork,
-// a fork of parent, whose report on mat is base. Only the groups whose rib
-// the fork changed are looked up again (see bgp.Engine.RibsChangedFrom);
-// every other group takes its rate and site from base. Every group still
-// passes through the same chunks in the same order as in EvaluateOn, so
-// the site sums and Unserved are bit-identical to EvaluateOn(fork, mat).
+// a fork of parent, whose report on mat is base. It is EvaluateFrom's
+// delta, kept as a delta until materialised: on base's own matrix, every
+// group the trial does not look up again holds base's assignment.
 func (ev *Evaluator) evaluateTrial(fork, parent *bgp.Engine, base *LoadReport, mat Matrix) *trialReport {
-	d := &trialDelta{base: base, dirty: make([]bool, len(ev.Model.Groups))}
-	for pi, p := range ev.idx.prefixes {
-		for _, ai := range fork.RibsChangedFrom(parent, p) {
-			for _, gi := range ev.idx.byAS[ai] {
-				if ev.idx.pfx[gi] == int32(pi) {
-					d.dirty[gi] = true
-				}
-			}
-		}
-	}
-	rep, parts := ev.evaluate(fork, mat, d)
+	rep, parts := ev.evaluate(fork, mat, &evalDelta{base: base, dirty: ev.changedGroups(fork, parent), trial: true})
 	t := &trialReport{rep: rep, base: base}
 	for _, p := range parts {
 		t.changed = append(t.changed, p.changed...)
@@ -407,19 +431,23 @@ func (t *trialReport) materialise() *LoadReport {
 	return t.rep
 }
 
-// evaluate is the one evaluation loop behind EvaluateOn and
-// evaluateTrial. With d nil it fills the report's assignments; with a
-// trial delta it leaves them unset and returns the chunk partials, whose
-// changed lists hold the re-looked-up groups.
-func (ev *Evaluator) evaluate(eng *bgp.Engine, mat Matrix, d *trialDelta) (*LoadReport, []evalPartial) {
+// evaluate is the one evaluation loop behind EvaluateOn, EvaluateFrom and
+// evaluateTrial. With d nil it evaluates every group over the worker pool;
+// with a delta it runs the chunks inline. It fills the report's
+// assignments unless d is a trial delta, whose looked-up groups are in the
+// returned chunk partials' changed lists.
+func (ev *Evaluator) evaluate(eng *bgp.Engine, mat Matrix, d *evalDelta) (*LoadReport, []evalPartial) {
+	groups := ev.Model.Groups
+	if len(mat.rates) != len(groups) {
+		panic(fmt.Sprintf("traffic: a matrix of %d groups for a model of %d", len(mat.rates), len(groups)))
+	}
 	ev.tobs.reports.Inc()
 	var t0 time.Time
 	if ev.tobs.totalNs != nil {
 		t0 = time.Now()
 	}
-	groups := ev.Model.Groups
-	rep := &LoadReport{Bucket: mat.Bucket, siteIdx: ev.idx.siteIdx}
-	if d == nil {
+	rep := &LoadReport{Bucket: mat.Bucket, idx: &ev.idx}
+	if d == nil || !d.trial {
 		rep.Assignments = make([]Assignment, len(groups))
 		rep.siteOf = make([]int32, len(groups))
 	}
@@ -456,7 +484,11 @@ func (ev *Evaluator) evaluate(eng *bgp.Engine, mat Matrix, d *trialDelta) (*Load
 			ev.tobs.chunkNs.Observe(time.Since(c0).Nanoseconds())
 		}
 	}
-	forEach(ev.Workers, nc, chunk)
+	workers := ev.Workers
+	if d != nil {
+		workers = 1
+	}
+	forEach(workers, nc, chunk)
 	// Merge partials in chunk order — the deterministic reduction.
 	for _, p := range parts {
 		for i := range rep.Sites {
@@ -507,30 +539,30 @@ func forEach(workers, n int, fn func(i int)) {
 }
 
 // evalChunk accumulates the probe groups of ranks [lo, hi) into p, left to
-// right. On the full path (d nil) it looks every group up and writes its
-// assignment and site rank into rep. On the trial path it looks up only the
-// groups d marks dirty, plus any the base report left unserved (base keeps
-// no rate for them), and records their results in p; every other group
-// adds the rate and site base recorded for it.
-func (ev *Evaluator) evalChunk(eng *bgp.Engine, mat Matrix, lo, hi int, rep *LoadReport, d *trialDelta, p *evalPartial) {
+// right. Without a delta it looks every group up. With one, a group d does
+// not mark keeps its base result where that needs no lookup (see keep),
+// and every other group is looked up; on a trial, those results are
+// recorded in p. Unless d is a trial, every group's assignment and site
+// rank go into rep.
+func (ev *Evaluator) evalChunk(eng *bgp.Engine, mat Matrix, lo, hi int, rep *LoadReport, d *evalDelta, p *evalPartial) {
 	for gi := lo; gi < hi; gi++ {
 		var (
 			site int32
 			rate float64
+			a    Assignment
+			kept bool
 		)
-		if d != nil && !d.dirty[gi] && d.base.siteOf[gi] != rankUnserved {
-			site = d.base.siteOf[gi]
-			if site >= 0 {
-				rate = d.base.Assignments[gi].Rate
-			}
-		} else {
-			var a Assignment
+		if d != nil && !d.dirty[gi] {
+			site, rate, a, kept = d.keep(gi, mat.rates[gi])
+		}
+		if !kept {
 			site, rate, a = ev.evalGroup(eng, mat, gi)
-			if d == nil {
-				rep.Assignments[gi], rep.siteOf[gi] = a, site
-			} else {
+			if d != nil && d.trial {
 				p.changed = append(p.changed, groupResult{group: int32(gi), site: site, a: a})
 			}
+		}
+		if rep.Assignments != nil {
+			rep.Assignments[gi], rep.siteOf[gi] = a, site
 		}
 		switch {
 		case site >= 0:
@@ -542,12 +574,29 @@ func (ev *Evaluator) evalChunk(eng *bgp.Engine, mat Matrix, lo, hi int, rep *Loa
 	}
 }
 
+// keep returns, without a lookup, the result at its new rate of the group
+// of rank gi, whose rib the delta left unchanged: idle at rate 0, else the
+// base's site and RTT. It reports false for a group the base left idle or
+// unserved, since the base holds no site for those.
+func (d *evalDelta) keep(gi int, rate float64) (int32, float64, Assignment, bool) {
+	if rate == 0 {
+		return rankIdle, 0, Assignment{}, true
+	}
+	site := d.base.siteOf[gi]
+	if site < 0 {
+		return 0, 0, Assignment{}, false
+	}
+	a := d.base.Assignments[gi]
+	a.Rate = rate
+	return site, rate, a, true
+}
+
 // evalGroup looks up where the group of rank gi sends its demand on eng:
 // its site rank, or rankIdle / rankUnserved, its rate, and for a served
 // group its assignment.
 func (ev *Evaluator) evalGroup(eng *bgp.Engine, mat Matrix, gi int) (int32, float64, Assignment) {
 	g := &ev.Model.Groups[gi]
-	rate := mat.Rates[g.Key]
+	rate := mat.rates[gi]
 	if rate == 0 {
 		return rankIdle, 0, Assignment{}
 	}

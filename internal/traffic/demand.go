@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"anysim/internal/atlas"
 	"anysim/internal/geo"
@@ -101,6 +102,7 @@ type Model struct {
 	cfg    DemandConfig
 	Groups []GroupDemand // sorted by Key
 	total  float64
+	mats   []Matrix // one per time bucket, built once by NewModel
 }
 
 // NewModel builds the demand model for a platform's retained probe groups.
@@ -196,6 +198,15 @@ func NewModel(pl *atlas.Platform, cfg DemandConfig) *Model {
 		g.Base = cfg.TotalRate * share * weights[i] / areaSum[g.Area]
 		m.total += g.Base
 	}
+	m.mats = make([]Matrix, cfg.Buckets)
+	for b := range m.mats {
+		// The bucket's midpoint UTC hour drives each group's diurnal phase.
+		utcHour := (float64(b) + 0.5) * 24 / float64(cfg.Buckets)
+		m.mats[b] = m.newMatrix(b, func(i int) float64 {
+			g := &m.Groups[i]
+			return g.Base * m.diurnal(g.Lon, utcHour)
+		})
+	}
 	return m
 }
 
@@ -213,75 +224,79 @@ func (m *Model) diurnal(lon, utcHour float64) float64 {
 	return 1 + m.cfg.DiurnalAmp*math.Cos(2*math.Pi*(localHour-m.cfg.PeakHour)/24)
 }
 
-// Matrix is one time bucket's demand: request rate per probe group.
+// Matrix is one time bucket's demand: request rate per probe group. A
+// matrix comes from its model (Matrix, Demand, FlashCrowd) and is
+// read-only: a model hands the same bucket matrix, maps included, to every
+// caller, so writing into Rates would change the demand of every later
+// evaluation of that bucket.
 type Matrix struct {
 	Bucket int
-	Rates  map[string]float64
+	Rates  map[string]float64 // by group key; read-only
 	Total  float64
+	// rates holds the same rates by group rank in Model.Groups, the form
+	// the evaluator reads.
+	rates []float64
 }
 
-// Matrix computes the demand matrix for one time bucket (0 <= bucket <
-// Buckets()); the bucket's midpoint UTC hour drives each group's diurnal
-// phase.
+// newMatrix returns a fresh matrix of a bucket whose group of rank i has
+// rate rate(i). Total sums in group order.
+func (m *Model) newMatrix(bucket int, rate func(i int) float64) Matrix {
+	out := Matrix{Bucket: bucket, Rates: make(map[string]float64, len(m.Groups)), rates: make([]float64, len(m.Groups))}
+	for i, g := range m.Groups {
+		r := rate(i)
+		out.Rates[g.Key] = r
+		out.rates[i] = r
+		out.Total += r
+	}
+	return out
+}
+
+// Matrix returns the demand matrix of one time bucket (0 <= bucket <
+// Buckets()), built once by NewModel and shared read-only.
 func (m *Model) Matrix(bucket int) Matrix {
 	if bucket < 0 || bucket >= m.cfg.Buckets {
 		panic(fmt.Sprintf("traffic: bucket %d outside [0,%d)", bucket, m.cfg.Buckets))
 	}
-	utcHour := (float64(bucket) + 0.5) * 24 / float64(m.cfg.Buckets)
-	out := Matrix{Bucket: bucket, Rates: make(map[string]float64, len(m.Groups))}
-	for _, g := range m.Groups {
-		r := g.Base * m.diurnal(g.Lon, utcHour)
-		out.Rates[g.Key] = r
-		out.Total += r
-	}
-	return out
+	return m.mats[bucket]
 }
 
-// Matrices computes the full day of demand matrices.
-func (m *Model) Matrices() []Matrix {
-	out := make([]Matrix, m.cfg.Buckets)
-	for b := range out {
-		out[b] = m.Matrix(b)
-	}
-	return out
-}
+// Matrices returns the full day of demand matrices.
+func (m *Model) Matrices() []Matrix { return slices.Clone(m.mats) }
 
-// FlashCrowd returns a copy of mat with every group in the given area
+// FlashCrowd returns a new matrix: mat with every group in the given area
 // scaled by factor, modelling a regional flash crowd (factor > 1) or
-// brown-out (factor < 1). Total sums in group order, as Matrix does.
+// brown-out (factor < 1). mat is left as it is. Total sums in group order,
+// as Matrix does.
 func (m *Model) FlashCrowd(mat Matrix, area geo.Area, factor float64) Matrix {
-	out := Matrix{Bucket: mat.Bucket, Rates: make(map[string]float64, len(mat.Rates))}
-	for _, g := range m.Groups {
+	return m.newMatrix(mat.Bucket, func(i int) float64 {
+		g := &m.Groups[i]
 		r := mat.Rates[g.Key]
 		if g.Area == area {
 			r *= factor
 		}
-		out.Rates[g.Key] = r
-		out.Total += r
-	}
-	return out
+		return r
+	})
 }
 
 // Demand is the demand of a simulated tick: the matrix of the tick's time
 // bucket (tick mod Buckets()) with the given flash-crowd factors folded in.
-// Every group lies in one area, so each rate is scaled at most once and the
-// result does not depend on the map's order; it equals folding FlashCrowd
-// over the areas one by one.
+// Without a flash crowd it is the bucket's shared matrix; with one it is a
+// new matrix, and the bucket's stays as it is. Every group lies in one
+// area, so each rate is scaled at most once and the result does not depend
+// on the map's order; it equals folding FlashCrowd over the areas one by
+// one.
 func (m *Model) Demand(tick int64, flash map[geo.Area]float64) Matrix {
 	mat := m.Matrix(int(tick % int64(m.cfg.Buckets)))
 	if len(flash) == 0 {
 		return mat
 	}
-	mat.Total = 0
-	for _, g := range m.Groups {
-		r := mat.Rates[g.Key]
-		if f, ok := flash[g.Area]; ok {
+	return m.newMatrix(mat.Bucket, func(i int) float64 {
+		r := mat.rates[i]
+		if f, ok := flash[m.Groups[i].Area]; ok {
 			r *= f
-			mat.Rates[g.Key] = r
 		}
-		mat.Total += r
-	}
-	return mat
+		return r
+	})
 }
 
 // PeakBucket returns the time bucket where an area's aggregate demand is
@@ -289,11 +304,11 @@ func (m *Model) Demand(tick int64, flash map[geo.Area]float64) Matrix {
 func (m *Model) PeakBucket(area geo.Area) int {
 	best, bestRate := 0, -1.0
 	for b := 0; b < m.cfg.Buckets; b++ {
-		mat := m.Matrix(b)
+		rates := m.mats[b].rates
 		rate := 0.0
-		for _, g := range m.Groups {
+		for i, g := range m.Groups {
 			if g.Area == area {
-				rate += mat.Rates[g.Key]
+				rate += rates[i]
 			}
 		}
 		if rate > bestRate {

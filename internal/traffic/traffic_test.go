@@ -1,7 +1,11 @@
 package traffic
 
 import (
+	"fmt"
+	"maps"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"anysim/internal/bgp"
@@ -171,6 +175,50 @@ func TestDemandFoldsFlashCrowds(t *testing.T) {
 	}
 	if base := m.Demand(tick, nil); base.Total != m.Matrix(2).Total {
 		t.Fatalf("Demand without flash crowds: total %v; want %v", base.Total, m.Matrix(2).Total)
+	}
+}
+
+// TestMatrixContract pins what the evaluator and the shared bucket matrices
+// rest on. For Matrix, Demand and FlashCrowd, every rank-indexed rate
+// equals the Rates entry of its group bit for bit, and Total sums the rates
+// in group order. A flash Demand or FlashCrowd builds a new matrix: the
+// bucket matrices the model hands out stay as they were.
+func TestMatrixContract(t *testing.T) {
+	w := smallWorld(t)
+	m := NewModel(w.Platform, DemandConfig{Seed: 1})
+	before := make([]Matrix, m.Buckets())
+	for b := range before {
+		mat := m.Matrix(b)
+		before[b] = Matrix{Bucket: mat.Bucket, Rates: maps.Clone(mat.Rates), Total: mat.Total, rates: slices.Clone(mat.rates)}
+	}
+	check := func(label string, mat Matrix) {
+		t.Helper()
+		if len(mat.rates) != len(m.Groups) || len(mat.Rates) != len(m.Groups) {
+			t.Fatalf("%s: %d rates and %d Rates for %d groups", label, len(mat.rates), len(mat.Rates), len(m.Groups))
+		}
+		total := 0.0
+		for i, g := range m.Groups {
+			if r := mat.Rates[g.Key]; math.Float64bits(mat.rates[i]) != math.Float64bits(r) {
+				t.Fatalf("%s: group %s has rate %v by rank, %v by key", label, g.Key, mat.rates[i], r)
+			}
+			total += mat.Rates[g.Key]
+		}
+		if math.Float64bits(mat.Total) != math.Float64bits(total) {
+			t.Fatalf("%s: Total %v; the rates sum to %v in group order", label, mat.Total, total)
+		}
+	}
+	flash := map[geo.Area]float64{geo.EMEA: 3, geo.LatAm: 0.5}
+	for b := 0; b < m.Buckets(); b++ {
+		tick := int64(b + m.Buckets())
+		check(fmt.Sprintf("Matrix(%d)", b), m.Matrix(b))
+		check(fmt.Sprintf("Demand(%d)", tick), m.Demand(tick, flash))
+		check(fmt.Sprintf("Demand(%d) without flash", tick), m.Demand(tick, nil))
+		check(fmt.Sprintf("FlashCrowd(Matrix(%d))", b), m.FlashCrowd(m.Matrix(b), geo.APAC, 2))
+	}
+	for b, want := range before {
+		if got := m.Matrix(b); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Matrix(%d) changed after flash Demand and FlashCrowd calls", b)
+		}
 	}
 }
 

@@ -63,10 +63,11 @@ go test -run '^$' -benchmem -count 5 \
 # The resident server: full ingest path (reconverge + re-evaluate + publish)
 # with the query-ns/op column reporting snapshot-read latency, the
 # decoder-fronted stream path POST /events takes, batch ingest of bodies
-# whose events do not cancel, and one step of the operator's loop (POST
-# one event, GET /diff, GET /explain) through the HTTP handler.
+# whose events do not cancel, a publish with no routing change (a clock
+# advance), and one step of the operator's loop (POST one event, GET
+# /diff, GET /explain) through the HTTP handler.
 go test -run '^$' -benchmem -count 5 \
-    -bench 'BenchmarkServeIngestEvent$|BenchmarkServeIngestStream$|BenchmarkServeIngestBatch$|BenchmarkServeOpsStep$' \
+    -bench 'BenchmarkServeIngestEvent$|BenchmarkServeIngestStream$|BenchmarkServeIngestBatch$|BenchmarkServeAdvance$|BenchmarkServeOpsStep$' \
     ./internal/server/ | tee -a "$raw"
 
 awk '

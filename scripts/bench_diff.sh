@@ -18,7 +18,8 @@
 # one batch), BenchmarkTrialEvaluate/delta (a trial's delta load
 # evaluation), BenchmarkServeIngestEvent (the resident server's
 # per-event ingest), BenchmarkServeIngestBatch (its batch ingest of 16
-# link faults),
+# link faults), BenchmarkServeAdvance (one publish with no routing change:
+# a clock advance into the next demand bucket),
 # BenchmarkServeOpsStep (one operator step: POST an event, GET /diff, GET
 # /explain), BenchmarkAnalyzeCampaign (a campaign's grouping and
 # Table 2 analysis) and BenchmarkCapture/full and .../delta (a full
@@ -44,10 +45,21 @@
 #
 # With fewer than two archives there is nothing to compare; that is a
 # success, so fresh checkouts and CI on new branches pass.
+#
+# A threshold that is not a non-negative number (say, an archive name
+# passed by mistake) is a usage error, exit 2: it would otherwise turn
+# every gate off.
 set -eu
 
 time_threshold="${1:-25}"
 mem_threshold="${2:-10}"
+for thr in "$time_threshold" "$mem_threshold"; do
+    if ! printf '%s\n' "$thr" | grep -Eq '^([0-9]+\.?[0-9]*|\.[0-9]+)$'; then
+        echo "usage: scripts/bench_diff.sh [time_threshold_pct] [mem_threshold_pct]" >&2
+        echo "bench_diff: threshold \"$thr\" is not a non-negative number" >&2
+        exit 2
+    fi
+done
 cd "$(dirname "$0")/.."
 
 archives=$(ls BENCH_*.json 2>/dev/null | grep -E '^BENCH_[0-9]+\.json$' | sort -t_ -k2 -n || true)
@@ -105,7 +117,7 @@ for bench in BenchmarkAnnounce BenchmarkTrafficSteering BenchmarkRunCampaign; do
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
 done
 
-for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkIncrementalReconvergence/full BenchmarkEngineFork/fork-trial BenchmarkTrialApply/prepend BenchmarkTrialApply/wave BenchmarkTrialEvaluate/delta BenchmarkServeIngestEvent BenchmarkServeIngestBatch BenchmarkServeOpsStep BenchmarkAnalyzeCampaign BenchmarkCapture/full BenchmarkCapture/delta; do
+for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkIncrementalReconvergence/full BenchmarkEngineFork/fork-trial BenchmarkTrialApply/prepend BenchmarkTrialApply/wave BenchmarkTrialEvaluate/delta BenchmarkServeIngestEvent BenchmarkServeIngestBatch BenchmarkServeAdvance BenchmarkServeOpsStep BenchmarkAnalyzeCampaign BenchmarkCapture/full BenchmarkCapture/delta; do
     missing "$bench" && continue
     gate "$bench" bytes_per_op  "B/op"      "$mem_threshold"
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
