@@ -86,7 +86,7 @@ func main() {
 		var p50, p90 float64
 		var inflations []float64
 		for i, a := range baseline.Assignments {
-			if a.Site == "" {
+			if a.Site < 0 {
 				continue
 			}
 			d := res.Final.EffectiveRTTMs(i, soft) - baseline.EffectiveRTTMs(i, soft)

@@ -147,7 +147,7 @@ func runFlashCrowd(runner *dynamics.Runner, sc *dynamics.Scenario, ev *traffic.E
 		Actions:         res.Actions,
 	}
 	for i, a := range baseline.Assignments {
-		if a.Site == "" {
+		if a.Site < 0 {
 			continue
 		}
 		before := baseline.EffectiveRTTMs(i, soft)

@@ -79,7 +79,7 @@ func (db *DB) SampleLoad(tick int64, m *traffic.Model, rep *traffic.LoadReport, 
 			ls.vals[a] = ls.vals[a][:0]
 		}
 		for i, a := range rep.Assignments {
-			if a.Site == "" {
+			if a.Site < 0 {
 				continue
 			}
 			area := m.Groups[i].Area

@@ -42,7 +42,7 @@ func observeLoad(db *ts.DB, tick int64, m *traffic.Model, rep *traffic.LoadRepor
 	db.Observe(tick, "load.overloads", float64(overloads))
 	byArea := map[geo.Area][]float64{}
 	for i, a := range rep.Assignments {
-		if a.Site != "" {
+		if a.Site >= 0 {
 			area := m.Groups[i].Area
 			byArea[area] = append(byArea[area], rep.EffectiveRTTMs(i, softUtil))
 		}

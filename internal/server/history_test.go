@@ -3,8 +3,11 @@ package server
 import (
 	"net/http"
 	"path/filepath"
+	"runtime"
 	"strconv"
+	"sync"
 	"testing"
+	"time"
 
 	"anysim/internal/dynamics"
 )
@@ -131,4 +134,38 @@ func TestHistoryEvictionAfterRestore(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("diff at the restored ring's oldest tick = %d: %s", rec.Code, rec.Body)
 	}
+}
+
+// TestHistoryReleasesEvictedStates checks that a state evicted from the
+// ring is garbage: no slot of the ring's backing array, inside or behind
+// its window, keeps it (with its engine fork, report and capture) alive.
+func TestHistoryReleasesEvictedStates(t *testing.T) {
+	const history, ticks = 4, 24
+	s := smallHistoryServer(t, 7, history)
+	var freed sync.Map
+	for tick := int64(1); tick <= ticks; tick++ {
+		st, err := s.AdvanceTo(tick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(st, func(st *State) { freed.Store(st.Tick, true) })
+	}
+	// The ring holds the last history ticks; every earlier one must go.
+	for attempt := 0; ; attempt++ {
+		runtime.GC()
+		missing := 0
+		for tick := int64(1); tick <= ticks-history; tick++ {
+			if _, ok := freed.Load(tick); !ok {
+				missing++
+			}
+		}
+		if missing == 0 {
+			break
+		}
+		if attempt == 50 {
+			t.Fatalf("%d of %d evicted states still reachable", missing, ticks-history)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	runtime.KeepAlive(s)
 }

@@ -389,8 +389,10 @@ func (s *Server) publishLocked() (*State, []ts.Transition) {
 	}
 	s.cur.Store(st)
 	s.hist = append(s.hist, st)
-	if len(s.hist) > s.cfg.History {
-		s.hist = s.hist[len(s.hist)-s.cfg.History:]
+	// Clear evicted slots: the backing array would keep their states alive.
+	if n := len(s.hist) - s.cfg.History; n > 0 {
+		clear(s.hist[:n])
+		s.hist = s.hist[n:]
 	}
 	return st, trs
 }

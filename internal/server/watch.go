@@ -113,7 +113,7 @@ func (s *Server) notifyWatchers(kind string, prev, st *State, res ApplyResult) {
 	}
 	if prev != nil {
 		for i, b := range prev.Load.Assignments {
-			if a := st.Load.Assignments[i]; b.Site != "" && a.Site != "" && a.Site != b.Site {
+			if a := st.Load.Assignments[i]; b.Site >= 0 && a.Site >= 0 && a.Site != b.Site {
 				ev.MovedGroups++
 			}
 		}

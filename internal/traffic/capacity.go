@@ -98,12 +98,13 @@ func (s SiteLoad) Utilization() float64 {
 // Overloaded reports whether demand exceeds capacity.
 func (s SiteLoad) Overloaded() bool { return s.Demand > s.Capacity }
 
-// Assignment records where one probe group's demand lands.
+// Assignment records where one probe group's demand lands, without a
+// pointer: its site is a rank into LoadReport.Sites, negative (rankIdle or
+// rankUnserved) when no site serves the group.
 type Assignment struct {
-	Site   string
-	Prefix netip.Prefix // the regional prefix the group resolved to
-	Rate   float64
-	RTTMs  float64 // propagation RTT to the site, excluding load penalty
+	Site  int32
+	Rate  float64 // 0 unless a site serves the group
+	RTTMs float64 // propagation RTT to the site, excluding load penalty
 }
 
 // LoadReport is the catchment × demand product for one matrix.
@@ -111,20 +112,17 @@ type LoadReport struct {
 	Bucket int
 	Sites  []SiteLoad // in Deployment.Sites order
 	// Assignments holds where each probe group's demand went, indexed by
-	// the group's rank in Model.Groups. A zero Site marks a group with no
-	// demand or no route.
+	// the group's rank in Model.Groups. A negative Site marks a group with
+	// no demand or no route.
 	Assignments []Assignment
 	// Unserved is demand from groups with no route to their prefix.
 	Unserved float64
 
 	// idx is the group index of the evaluator that computed the report.
 	idx *groupIndex
-	// siteOf is each group's index into Sites, by rank in Model.Groups, or
-	// rankIdle / rankUnserved for a group no site serves.
-	siteOf []int32
 }
 
-// Site ranks (LoadReport.siteOf) of groups no site serves.
+// Site ranks (Assignment.Site) of groups no site serves.
 const (
 	rankIdle     int32 = -1 // no demand in the matrix
 	rankUnserved int32 = -2 // demand, but no region or no route
@@ -173,10 +171,10 @@ func (r *LoadReport) MaxUtilization() float64 {
 // Unserved groups get +Inf.
 func (r *LoadReport) EffectiveRTTMs(i int, softUtil float64) float64 {
 	a := r.Assignments[i]
-	if a.Site == "" {
+	if a.Site < 0 {
 		return math.Inf(1)
 	}
-	return a.RTTMs + PenaltyMs(r.Sites[r.siteOf[i]].Utilization(), softUtil)
+	return a.RTTMs + PenaltyMs(r.Sites[a.Site].Utilization(), softUtil)
 }
 
 // Evaluator computes load reports: it resolves each probe group to its
@@ -235,6 +233,15 @@ func newGroupIndex(e *bgp.Engine, dep *cdn.Deployment, m *Model) groupIndex {
 		}
 	}
 	return gx
+}
+
+// groupPrefix returns the regional prefix of the group of rank gi, or the
+// zero prefix when no region serves its country.
+func (ev *Evaluator) groupPrefix(gi int) netip.Prefix {
+	if pi := ev.idx.pfx[gi]; pi >= 0 {
+		return ev.idx.prefixes[pi]
+	}
+	return netip.Prefix{}
 }
 
 // evalObs bundles the evaluator's observability handles; the zero value is
@@ -336,11 +343,9 @@ type evalPartial struct {
 	changed  []groupResult
 }
 
-// groupResult is one probe group's evaluated state: its rank in
-// Model.Groups, its site rank (see LoadReport.siteOf) and its assignment.
+// groupResult is one probe group's rank in Model.Groups and assignment.
 type groupResult struct {
 	group int32
-	site  int32
 	a     Assignment
 }
 
@@ -424,9 +429,8 @@ func (ev *Evaluator) evaluateTrial(fork, parent *bgp.Engine, base *LoadReport, m
 // assignments with the re-looked-up groups' results written over them.
 func (t *trialReport) materialise() *LoadReport {
 	t.rep.Assignments = slices.Clone(t.base.Assignments)
-	t.rep.siteOf = slices.Clone(t.base.siteOf)
 	for _, c := range t.changed {
-		t.rep.Assignments[c.group], t.rep.siteOf[c.group] = c.a, c.site
+		t.rep.Assignments[c.group] = c.a
 	}
 	return t.rep
 }
@@ -449,7 +453,6 @@ func (ev *Evaluator) evaluate(eng *bgp.Engine, mat Matrix, d *evalDelta) (*LoadR
 	rep := &LoadReport{Bucket: mat.Bucket, idx: &ev.idx}
 	if d == nil || !d.trial {
 		rep.Assignments = make([]Assignment, len(groups))
-		rep.siteOf = make([]int32, len(groups))
 	}
 	rep.Sites = make([]SiteLoad, len(ev.Dep.Sites))
 	for i, s := range ev.Dep.Sites {
@@ -542,72 +545,64 @@ func forEach(workers, n int, fn func(i int)) {
 // right. Without a delta it looks every group up. With one, a group d does
 // not mark keeps its base result where that needs no lookup (see keep),
 // and every other group is looked up; on a trial, those results are
-// recorded in p. Unless d is a trial, every group's assignment and site
-// rank go into rep.
+// recorded in p. Unless d is a trial, every group's assignment goes in rep.
 func (ev *Evaluator) evalChunk(eng *bgp.Engine, mat Matrix, lo, hi int, rep *LoadReport, d *evalDelta, p *evalPartial) {
 	for gi := lo; gi < hi; gi++ {
-		var (
-			site int32
-			rate float64
-			a    Assignment
-			kept bool
-		)
+		a, kept := Assignment{}, false
 		if d != nil && !d.dirty[gi] {
-			site, rate, a, kept = d.keep(gi, mat.rates[gi])
+			a, kept = d.keep(gi, mat.rates[gi])
 		}
 		if !kept {
-			site, rate, a = ev.evalGroup(eng, mat, gi)
+			a = ev.evalGroup(eng, mat, gi)
 			if d != nil && d.trial {
-				p.changed = append(p.changed, groupResult{group: int32(gi), site: site, a: a})
+				p.changed = append(p.changed, groupResult{group: int32(gi), a: a})
 			}
 		}
 		if rep.Assignments != nil {
-			rep.Assignments[gi], rep.siteOf[gi] = a, site
+			rep.Assignments[gi] = a
 		}
 		switch {
-		case site >= 0:
-			p.demand[site] += rate
-			p.groups[site]++
-		case site == rankUnserved:
-			p.unserved += rate
+		case a.Site >= 0:
+			p.demand[a.Site] += a.Rate
+			p.groups[a.Site]++
+		case a.Site == rankUnserved:
+			p.unserved += mat.rates[gi]
 		}
 	}
 }
 
-// keep returns, without a lookup, the result at its new rate of the group
-// of rank gi, whose rib the delta left unchanged: idle at rate 0, else the
-// base's site and RTT. It reports false for a group the base left idle or
-// unserved, since the base holds no site for those.
-func (d *evalDelta) keep(gi int, rate float64) (int32, float64, Assignment, bool) {
+// keep returns, without a lookup, the assignment at its new rate of the
+// group of rank gi, whose rib the delta left unchanged: idle at rate 0,
+// else the base's site and RTT. It reports false for a group the base left
+// idle or unserved, since the base holds no site for those.
+func (d *evalDelta) keep(gi int, rate float64) (Assignment, bool) {
 	if rate == 0 {
-		return rankIdle, 0, Assignment{}, true
-	}
-	site := d.base.siteOf[gi]
-	if site < 0 {
-		return 0, 0, Assignment{}, false
+		return Assignment{Site: rankIdle}, true
 	}
 	a := d.base.Assignments[gi]
+	if a.Site < 0 {
+		return Assignment{}, false
+	}
 	a.Rate = rate
-	return site, rate, a, true
+	return a, true
 }
 
 // evalGroup looks up where the group of rank gi sends its demand on eng:
-// its site rank, or rankIdle / rankUnserved, its rate, and for a served
-// group its assignment.
-func (ev *Evaluator) evalGroup(eng *bgp.Engine, mat Matrix, gi int) (int32, float64, Assignment) {
+// its site rank and, for a served group, its rate and RTT; rankIdle or
+// rankUnserved for a group no site serves.
+func (ev *Evaluator) evalGroup(eng *bgp.Engine, mat Matrix, gi int) Assignment {
 	g := &ev.Model.Groups[gi]
 	rate := mat.rates[gi]
 	if rate == 0 {
-		return rankIdle, 0, Assignment{}
+		return Assignment{Site: rankIdle}
 	}
 	pi := ev.idx.pfx[gi]
 	if pi < 0 {
-		return rankUnserved, rate, Assignment{}
+		return Assignment{Site: rankUnserved}
 	}
-	prefix := ev.idx.prefixes[pi]
-	site, distKm, ok := eng.LookupSite(prefix, g.ASN, g.City)
+	site, distKm, ok := eng.LookupSite(ev.idx.prefixes[pi], g.ASN, g.City)
 	if !ok {
-		return rankUnserved, rate, Assignment{}
+		return Assignment{Site: rankUnserved}
 	}
 	i, ok := ev.idx.siteIdx[site]
 	if !ok {
@@ -616,10 +611,5 @@ func (ev *Evaluator) evalGroup(eng *bgp.Engine, mat Matrix, gi int) (int32, floa
 		// consistency bug worth failing loudly on.
 		panic(fmt.Sprintf("traffic: catchment site %q not in deployment %s", site, ev.Dep.Name))
 	}
-	return int32(i), rate, Assignment{
-		Site:   site,
-		Prefix: prefix,
-		Rate:   rate,
-		RTTMs:  geo.FiberRTTMs(distKm * rttInflation),
-	}
+	return Assignment{Site: int32(i), Rate: rate, RTTMs: geo.FiberRTTMs(distKm * rttInflation)}
 }

@@ -231,10 +231,10 @@ func (m *Model) diurnal(lon, utcHour float64) float64 {
 // evaluation of that bucket.
 type Matrix struct {
 	Bucket int
-	Rates  map[string]float64 // by group key; read-only
+	Rates  map[string]float64 // by group key; read-only, kept only for bench/steer.go
 	Total  float64
 	// rates holds the same rates by group rank in Model.Groups, the form
-	// the evaluator reads.
+	// every reader in this package uses.
 	rates []float64
 }
 
@@ -270,7 +270,7 @@ func (m *Model) Matrices() []Matrix { return slices.Clone(m.mats) }
 func (m *Model) FlashCrowd(mat Matrix, area geo.Area, factor float64) Matrix {
 	return m.newMatrix(mat.Bucket, func(i int) float64 {
 		g := &m.Groups[i]
-		r := mat.Rates[g.Key]
+		r := mat.rates[i]
 		if g.Area == area {
 			r *= factor
 		}

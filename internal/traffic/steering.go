@@ -515,7 +515,7 @@ func shedCost(before, after *LoadReport) (moved, costMs float64) {
 	var wsum, dsum float64
 	for i, b := range before.Assignments {
 		a := after.Assignments[i]
-		if b.Site == "" || a.Site == "" || a.Site == b.Site {
+		if b.Site < 0 || a.Site < 0 || a.Site == b.Site {
 			continue
 		}
 		moved += b.Rate
@@ -732,8 +732,8 @@ func (s *Steerer) waveCand(anns []bgp.SiteAnnouncement, p netip.Prefix, over Sit
 // anns is p's current announcement set.
 func (s *Steerer) prefixSaturated(rep *LoadReport, anns []bgp.SiteAnnouncement, p netip.Prefix) bool {
 	demand := 0.0
-	for _, a := range rep.Assignments {
-		if a.Prefix == p {
+	for gi, a := range rep.Assignments {
+		if a.Site >= 0 && s.Eval.groupPrefix(gi) == p {
 			demand += a.Rate
 		}
 	}
@@ -746,18 +746,26 @@ func (s *Steerer) prefixSaturated(rep *LoadReport, anns []bgp.SiteAnnouncement, 
 	return demand > s.Eval.Config().SoftUtil*capacity
 }
 
-// hottestPrefix returns the prefix carrying the most demand into a site.
+// hottestPrefix returns the prefix carrying the most demand into a site,
+// the lower prefix text on a tie.
 func (s *Steerer) hottestPrefix(rep *LoadReport, site string) (netip.Prefix, bool) {
-	byPfx := map[netip.Prefix]float64{}
-	for _, a := range rep.Assignments {
-		if a.Site == site {
-			byPfx[a.Prefix] += a.Rate
+	gx := rep.idx
+	si, ok := gx.siteIdx[site]
+	if !ok {
+		return netip.Prefix{}, false
+	}
+	// Demand by prefix rank, and whether the site serves a group over it.
+	byPfx, seen := make([]float64, len(gx.prefixes)), make([]bool, len(gx.prefixes))
+	for gi, a := range rep.Assignments {
+		if a.Site == int32(si) {
+			byPfx[gx.pfx[gi]] += a.Rate
+			seen[gx.pfx[gi]] = true
 		}
 	}
 	var best netip.Prefix
 	bestRate := -1.0
-	for p, r := range byPfx {
-		if r > bestRate || (r == bestRate && p.String() < best.String()) {
+	for pi, r := range byPfx {
+		if p := gx.prefixes[pi]; seen[pi] && (r > bestRate || (r == bestRate && p.String() < best.String())) {
 			best, bestRate = p, r
 		}
 	}

@@ -272,39 +272,86 @@ func TestEvaluatorConservation(t *testing.T) {
 }
 
 // TestLoadReportDense: the report holds one assignment per model group, in
-// rank order, and a group carries demand exactly where it has a site.
+// rank order, and a group carries demand exactly where it has a site: a
+// served group's Site ranks, in the report's Sites, the site the engine
+// routes it to, and every other group has a negative Site and no rate. It
+// holds for a full report and for an EvaluateFrom delta after a site
+// withdrawal.
 func TestLoadReportDense(t *testing.T) {
 	w := smallWorld(t)
 	m := NewModel(w.Platform, DemandConfig{Seed: 1})
 	ev := NewEvaluator(w.Engine, w.Imperva.IM6, m, CapacityConfig{})
 	mat := m.Matrix(0)
-	rep := ev.Evaluate(mat)
+	base := w.Engine.Fork()
+	rep := ev.EvaluateOn(base, mat)
+	checkDense(t, "full", ev, base, mat, rep)
+
+	// Withdraw the busiest site from every prefix it announces, on a fork.
+	busiest := rep.Sites[0]
+	for _, sl := range rep.Sites {
+		if sl.Groups > busiest.Groups {
+			busiest = sl
+		}
+	}
+	f := base.Fork()
+	for _, p := range ev.idx.prefixes {
+		if _, ok := annOf(f.Announcements(p), busiest.Site); ok {
+			if err := f.WithdrawSite(p, busiest.Site); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	delta := ev.EvaluateFrom(f, mat, rep, base)
+	checkDense(t, "delta after withdrawing "+busiest.Site, ev, f, mat, delta)
+	if sl, _ := delta.SiteLoadByID(busiest.Site); busiest.Groups == 0 || sl.Groups != 0 {
+		t.Fatalf("withdrawing %s moved its groups from %d to %d; the delta case checks nothing", busiest.Site, busiest.Groups, sl.Groups)
+	}
+}
+
+// checkDense holds rep, ev's report of mat on eng, to TestLoadReportDense's
+// rules.
+func checkDense(t *testing.T, label string, ev *Evaluator, eng *bgp.Engine, mat Matrix, rep *LoadReport) {
+	t.Helper()
+	m := ev.Model
 	if len(rep.Assignments) != len(m.Groups) {
-		t.Fatalf("%d assignments for %d groups", len(rep.Assignments), len(m.Groups))
+		t.Fatalf("%s: %d assignments for %d groups", label, len(rep.Assignments), len(m.Groups))
 	}
 	served, unserved := 0, 0.0
 	for i, a := range rep.Assignments {
-		if (a.Rate > 0) != (a.Site != "") {
-			t.Fatalf("group %d (%s): rate %v at site %q", i, m.Groups[i].Key, a.Rate, a.Site)
+		g := &m.Groups[i]
+		rate := mat.Rates[g.Key]
+		site, ok := "", false
+		if p := ev.groupPrefix(i); rate != 0 && p.IsValid() {
+			site, _, ok = eng.LookupSite(p, g.ASN, g.City)
 		}
-		if a.Site == "" {
-			unserved += mat.Rates[m.Groups[i].Key]
+		if !ok {
+			want := rankUnserved
+			if rate == 0 {
+				want = rankIdle
+			}
+			if a.Site != want || a.Rate != 0 {
+				t.Fatalf("%s: group %d (%s) has no site but is %+v; want site rank %d and rate 0", label, i, g.Key, a, want)
+			}
+			unserved += rate
 			continue
 		}
 		served++
-		if a.Rate != mat.Rates[m.Groups[i].Key] {
-			t.Fatalf("group %d (%s): rate %v; matrix has %v", i, m.Groups[i].Key, a.Rate, mat.Rates[m.Groups[i].Key])
+		if a.Site < 0 || int(a.Site) >= len(rep.Sites) || rep.Sites[a.Site].Site != site {
+			t.Fatalf("%s: group %d (%s) has site rank %d; the engine routes it to %s", label, i, g.Key, a.Site, site)
+		}
+		if a.Rate != rate {
+			t.Fatalf("%s: group %d (%s): rate %v; matrix has %v", label, i, g.Key, a.Rate, rate)
 		}
 	}
 	if served == 0 {
-		t.Fatal("no group served")
+		t.Fatalf("%s: no group served", label)
 	}
 	if math.Abs(unserved-rep.Unserved) > 1e-9*mat.Total {
-		t.Fatalf("unserved groups carry %v; report says %v", unserved, rep.Unserved)
+		t.Fatalf("%s: unserved groups carry %v; report says %v", label, unserved, rep.Unserved)
 	}
 	for i, s := range ev.Dep.Sites {
 		if rep.Sites[i].Site != s.ID {
-			t.Fatalf("report site %d is %s; deployment site %d is %s", i, rep.Sites[i].Site, i, s.ID)
+			t.Fatalf("%s: report site %d is %s; deployment site %d is %s", label, i, rep.Sites[i].Site, i, s.ID)
 		}
 	}
 }

@@ -15,7 +15,8 @@
 # (one steering trial: a fork plus a prepended re-announcement on it),
 # BenchmarkTrialApply/prepend and .../wave (a steering trial's fork and
 # action on the default world: one prepend, and a prepend wave applied as
-# one batch), BenchmarkTrialEvaluate/delta (a trial's delta load
+# one batch), BenchmarkTrialEvaluate/full (a full default-world
+# EvaluateOn of a trial fork) and .../delta (a trial's delta load
 # evaluation), BenchmarkServeIngestEvent (the resident server's
 # per-event ingest), BenchmarkServeIngestBatch (its batch ingest of 16
 # link faults), BenchmarkServeAdvance (one publish with no routing change:
@@ -117,7 +118,7 @@ for bench in BenchmarkAnnounce BenchmarkTrafficSteering BenchmarkRunCampaign; do
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
 done
 
-for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkIncrementalReconvergence/full BenchmarkEngineFork/fork-trial BenchmarkTrialApply/prepend BenchmarkTrialApply/wave BenchmarkTrialEvaluate/delta BenchmarkServeIngestEvent BenchmarkServeIngestBatch BenchmarkServeAdvance BenchmarkServeOpsStep BenchmarkAnalyzeCampaign BenchmarkCapture/full BenchmarkCapture/delta; do
+for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkIncrementalReconvergence/full BenchmarkEngineFork/fork-trial BenchmarkTrialApply/prepend BenchmarkTrialApply/wave BenchmarkTrialEvaluate/full BenchmarkTrialEvaluate/delta BenchmarkServeIngestEvent BenchmarkServeIngestBatch BenchmarkServeAdvance BenchmarkServeOpsStep BenchmarkAnalyzeCampaign BenchmarkCapture/full BenchmarkCapture/delta; do
     missing "$bench" && continue
     gate "$bench" bytes_per_op  "B/op"      "$mem_threshold"
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
