@@ -165,6 +165,15 @@ func (s *Server) restore(cp *Checkpoint) error {
 			return fmt.Errorf("server: checkpoint capacity for unknown site %q", site)
 		}
 	}
+	for _, site := range s.dep.Sites {
+		c, ok := cp.Caps[site.ID]
+		if !ok {
+			return fmt.Errorf("server: checkpoint has no capacity for site %q", site.ID)
+		}
+		if c < 0 {
+			return fmt.Errorf("server: checkpoint capacity %v for site %q is negative", c, site.ID)
+		}
+	}
 	tp := s.w.Topo
 	nLinks := len(tp.Links())
 	for _, li := range cp.DisabledLinks {

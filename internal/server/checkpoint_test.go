@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
 	"net/url"
 	"os"
@@ -116,7 +117,8 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 }
 
 // TestRestoreRefusesMismatch pins every compatibility check: wrong seed,
-// tampered world hash, wrong schema, wrong deployment.
+// tampered world hash, wrong schema, wrong deployment, and capacities for
+// an unknown site, missing for a deployment site or negative.
 func TestRestoreRefusesMismatch(t *testing.T) {
 	const seed = 11
 	a := testServer(t, seed)
@@ -165,6 +167,20 @@ func TestRestoreRefusesMismatch(t *testing.T) {
 	tampered = *cp
 	tampered.Caps = map[string]float64{"no-such-site": 1}
 	refuse("unknown site capacity", wb, &tampered, "im6", "unknown site")
+
+	// Every deployment site needs a capacity, and none may be negative: a
+	// missing one would evaluate as 0, overloading every report after the
+	// restore.
+	sites := wb.Imperva.IM6.Sites
+	tampered = *cp
+	tampered.Caps = maps.Clone(cp.Caps)
+	delete(tampered.Caps, sites[0].ID)
+	refuse("missing site capacity", wb, &tampered, "im6", fmt.Sprintf("no capacity for site %q", sites[0].ID))
+
+	tampered = *cp
+	tampered.Caps = maps.Clone(cp.Caps)
+	tampered.Caps[sites[1].ID] = -1
+	refuse("negative site capacity", wb, &tampered, "im6", fmt.Sprintf("site %q is negative", sites[1].ID))
 
 	// The pristine checkpoint still restores onto the pristine world.
 	if _, err := New(Config{World: wb, Dep: wb.Imperva.IM6, Restore: cp}); err != nil {

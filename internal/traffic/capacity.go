@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"anysim/internal/atlas"
@@ -187,9 +185,6 @@ type Evaluator struct {
 	cfg    CapacityConfig
 	// Caps is the derived per-site capacity.
 	Caps map[string]float64
-	// Workers bounds the probe-group evaluation pool; 0 means GOMAXPROCS.
-	// Reports are bit-identical at any worker count (see EvaluateOn).
-	Workers int
 
 	idx  groupIndex
 	tobs evalObs
@@ -246,12 +241,11 @@ func (ev *Evaluator) groupPrefix(gi int) netip.Prefix {
 
 // evalObs bundles the evaluator's observability handles; the zero value is
 // the disabled state. The report counter is deterministic ("sim" class);
-// the chunk and report timings are wall-clock measurements and therefore
-// wall-class — they stay out of the default snapshot so metric output is
-// byte-identical across runs (see obs.Registry.EnableWall).
+// the report timing is a wall-clock measurement and therefore wall-class —
+// it stays out of the default snapshot so metric output is byte-identical
+// across runs (see obs.Registry.EnableWall).
 type evalObs struct {
 	reports *obs.Counter   // traffic.eval.reports
-	chunkNs *obs.Histogram // traffic.eval.chunk_ns (wall)
 	totalNs *obs.Histogram // traffic.eval.report_ns (wall)
 }
 
@@ -260,7 +254,6 @@ type evalObs struct {
 func (ev *Evaluator) Instrument(reg *obs.Registry) {
 	ev.tobs = evalObs{
 		reports: reg.Counter("traffic.eval.reports"),
-		chunkNs: reg.WallHistogram("traffic.eval.chunk_ns", obs.Pow2Bounds(30)),
 		totalNs: reg.WallHistogram("traffic.eval.report_ns", obs.Pow2Bounds(34)),
 	}
 }
@@ -327,21 +320,12 @@ func (ev *Evaluator) Evaluate(mat Matrix) *LoadReport {
 	return ev.EvaluateOn(ev.Engine, mat)
 }
 
-// evalChunks is the fixed number of probe-group partitions Evaluate reduces
-// over. The chunk count — not the worker count — defines the summation
-// tree: each chunk accumulates left to right and chunks merge in index
-// order, so floating-point results are bit-identical whether one worker
-// processes all chunks or eight process four each.
+// evalChunks is the fixed number of probe-group ranges a report's float
+// sums reduce over: each range sums its groups left to right, and the
+// ranges' sums are then added in range order. A flat sum would move the
+// sums' last bits, and with them steering decisions and the archived
+// results.
 const evalChunks = 32
-
-// evalPartial is one chunk's contribution to a load report's sums, plus,
-// on the trial path, the results of the groups the chunk re-looked-up.
-type evalPartial struct {
-	demand   []float64
-	groups   []int
-	unserved float64
-	changed  []groupResult
-}
 
 // groupResult is one probe group's rank in Model.Groups and assignment.
 type groupResult struct {
@@ -351,12 +335,9 @@ type groupResult struct {
 
 // EvaluateOn computes the load report for one demand matrix against an
 // arbitrary engine's routing state — the real engine, or a steering-trial
-// fork. Probe groups are evaluated in parallel over a worker pool bounded
-// by ev.Workers (GOMAXPROCS when 0); see evalChunks for why the result does
-// not depend on the worker count.
+// fork.
 func (ev *Evaluator) EvaluateOn(eng *bgp.Engine, mat Matrix) *LoadReport {
-	rep, _ := ev.evaluate(eng, mat, nil)
-	return rep
+	return ev.evaluate(eng, mat, nil)
 }
 
 // EvaluateFrom computes the same report as EvaluateOn(eng, mat), as a delta
@@ -364,26 +345,25 @@ func (ev *Evaluator) EvaluateOn(eng *bgp.Engine, mat Matrix) *LoadReport {
 // topology that nothing mutates any more (a fork). Only the groups whose
 // rib differs between the two engines are looked up again (see
 // bgp.Engine.RibsChangedFrom); every other group keeps base's site and RTT
-// and takes its rate from mat. The chunks run on the calling goroutine: a
-// delta looks up too few groups to pay for the pool's handoffs. With no
-// base, or a base another evaluator computed, it evaluates in full.
+// and takes its rate from mat. With no base, or a base another evaluator
+// computed, it evaluates in full.
 func (ev *Evaluator) EvaluateFrom(eng *bgp.Engine, mat Matrix, base *LoadReport, baseEng *bgp.Engine) *LoadReport {
 	if base == nil || baseEng == nil || base.idx != &ev.idx {
 		return ev.EvaluateOn(eng, mat)
 	}
-	rep, _ := ev.evaluate(eng, mat, &evalDelta{base: base, dirty: ev.changedGroups(eng, baseEng)})
-	return rep
+	return ev.evaluate(eng, mat, &evalDelta{base: base, dirty: ev.changedGroups(eng, baseEng)})
 }
 
 // evalDelta is what a delta evaluation reads besides its engine: base, the
 // evaluator's full report on the base engine, and the groups whose AS
 // holds a different rib for their prefix than on the base engine. A trial
 // delta leaves the report's assignments unset and collects the groups it
-// looked up instead (see trialReport).
+// looked up in changed instead, in rank order (see trialReport).
 type evalDelta struct {
-	base  *LoadReport
-	dirty []bool // by group rank
-	trial bool
+	base    *LoadReport
+	dirty   []bool // by group rank
+	trial   bool
+	changed []groupResult
 }
 
 // changedGroups marks, by group rank, the groups whose AS holds a
@@ -417,12 +397,9 @@ type trialReport struct {
 // delta, kept as a delta until materialised: on base's own matrix, every
 // group the trial does not look up again holds base's assignment.
 func (ev *Evaluator) evaluateTrial(fork, parent *bgp.Engine, base *LoadReport, mat Matrix) *trialReport {
-	rep, parts := ev.evaluate(fork, mat, &evalDelta{base: base, dirty: ev.changedGroups(fork, parent), trial: true})
-	t := &trialReport{rep: rep, base: base}
-	for _, p := range parts {
-		t.changed = append(t.changed, p.changed...)
-	}
-	return t
+	d := &evalDelta{base: base, dirty: ev.changedGroups(fork, parent), trial: true}
+	rep := ev.evaluate(fork, mat, d)
+	return &trialReport{rep: rep, base: base, changed: d.changed}
 }
 
 // materialise returns the trial's full load report: the base report's
@@ -436,11 +413,12 @@ func (t *trialReport) materialise() *LoadReport {
 }
 
 // evaluate is the one evaluation loop behind EvaluateOn, EvaluateFrom and
-// evaluateTrial. With d nil it evaluates every group over the worker pool;
-// with a delta it runs the chunks inline. It fills the report's
-// assignments unless d is a trial delta, whose looked-up groups are in the
-// returned chunk partials' changed lists.
-func (ev *Evaluator) evaluate(eng *bgp.Engine, mat Matrix, d *evalDelta) (*LoadReport, []evalPartial) {
+// evaluateTrial. Without a delta it looks every group up. With one, a group
+// d does not mark keeps its base result where that needs no lookup (see
+// keep), and every other group is looked up; on a trial, those results are
+// appended to d.changed. Unless d is a trial, every group's assignment
+// goes in the report. The sums follow evalChunks' tree.
+func (ev *Evaluator) evaluate(eng *bgp.Engine, mat Matrix, d *evalDelta) *LoadReport {
 	groups := ev.Model.Groups
 	if len(mat.rates) != len(groups) {
 		panic(fmt.Sprintf("traffic: a matrix of %d groups for a model of %d", len(mat.rates), len(groups)))
@@ -463,112 +441,42 @@ func (ev *Evaluator) evaluate(eng *bgp.Engine, mat Matrix, d *evalDelta) (*LoadR
 			Capacity: ev.Caps[s.ID],
 		}
 	}
-	if len(groups) == 0 {
-		return rep, nil
-	}
-	nc := evalChunks
-	if nc > len(groups) {
-		nc = len(groups)
-	}
-	// The partials' sums share two backing arrays: one allocation each per
-	// evaluation instead of two per chunk.
-	ns := len(rep.Sites)
-	demand, counts := make([]float64, nc*ns), make([]int, nc*ns)
-	parts := make([]evalPartial, nc)
-	chunk := func(ci int) {
-		var c0 time.Time
-		if ev.tobs.chunkNs != nil {
-			c0 = time.Now()
+	n, nc := len(groups), min(evalChunks, len(groups))
+	demand := make([]float64, len(rep.Sites)) // one range's per-site sums
+	for ci := 0; ci < nc; ci++ {
+		clear(demand)
+		unserved := 0.0
+		for gi := ci * n / nc; gi < (ci+1)*n/nc; gi++ {
+			a, kept := Assignment{}, false
+			if d != nil && !d.dirty[gi] {
+				a, kept = d.keep(gi, mat.rates[gi])
+			}
+			if !kept {
+				a = ev.evalGroup(eng, mat, gi)
+				if d != nil && d.trial {
+					d.changed = append(d.changed, groupResult{group: int32(gi), a: a})
+				}
+			}
+			if rep.Assignments != nil {
+				rep.Assignments[gi] = a
+			}
+			switch {
+			case a.Site >= 0:
+				demand[a.Site] += a.Rate
+				rep.Sites[a.Site].Groups++
+			case a.Site == rankUnserved:
+				unserved += mat.rates[gi]
+			}
 		}
-		p := &parts[ci]
-		p.demand, p.groups = demand[ci*ns:(ci+1)*ns], counts[ci*ns:(ci+1)*ns]
-		ev.evalChunk(eng, mat, ci*len(groups)/nc, (ci+1)*len(groups)/nc, rep, d, p)
-		if ev.tobs.chunkNs != nil {
-			ev.tobs.chunkNs.Observe(time.Since(c0).Nanoseconds())
-		}
-	}
-	workers := ev.Workers
-	if d != nil {
-		workers = 1
-	}
-	forEach(workers, nc, chunk)
-	// Merge partials in chunk order — the deterministic reduction.
-	for _, p := range parts {
 		for i := range rep.Sites {
-			rep.Sites[i].Demand += p.demand[i]
-			rep.Sites[i].Groups += p.groups[i]
+			rep.Sites[i].Demand += demand[i]
 		}
-		rep.Unserved += p.unserved
+		rep.Unserved += unserved
 	}
 	if ev.tobs.totalNs != nil {
 		ev.tobs.totalNs.Observe(time.Since(t0).Nanoseconds())
 	}
-	return rep, parts
-}
-
-// forEach calls fn(0), …, fn(n-1) over a pool of at most workers
-// goroutines (GOMAXPROCS when workers <= 0), inline when the pool would be
-// a single worker. Callers write results by index, so nothing they produce
-// depends on scheduling.
-func forEach(workers, n int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-}
-
-// evalChunk accumulates the probe groups of ranks [lo, hi) into p, left to
-// right. Without a delta it looks every group up. With one, a group d does
-// not mark keeps its base result where that needs no lookup (see keep),
-// and every other group is looked up; on a trial, those results are
-// recorded in p. Unless d is a trial, every group's assignment goes in rep.
-func (ev *Evaluator) evalChunk(eng *bgp.Engine, mat Matrix, lo, hi int, rep *LoadReport, d *evalDelta, p *evalPartial) {
-	for gi := lo; gi < hi; gi++ {
-		a, kept := Assignment{}, false
-		if d != nil && !d.dirty[gi] {
-			a, kept = d.keep(gi, mat.rates[gi])
-		}
-		if !kept {
-			a = ev.evalGroup(eng, mat, gi)
-			if d != nil && d.trial {
-				p.changed = append(p.changed, groupResult{group: int32(gi), a: a})
-			}
-		}
-		if rep.Assignments != nil {
-			rep.Assignments[gi] = a
-		}
-		switch {
-		case a.Site >= 0:
-			p.demand[a.Site] += a.Rate
-			p.groups[a.Site]++
-		case a.Site == rankUnserved:
-			p.unserved += mat.rates[gi]
-		}
-	}
+	return rep
 }
 
 // keep returns, without a lookup, the assignment at its new rate of the

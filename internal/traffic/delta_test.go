@@ -165,7 +165,6 @@ func TestTrialDeltaMatchesFull(t *testing.T) {
 	ev := NewEvaluator(w.Engine, w.Imperva.IM6, m, CapacityConfig{})
 	mat := m.FlashCrowd(m.Matrix(0), geo.EMEA, 4)
 	for _, workers := range []int{1, 4} {
-		ev.Workers = workers
 		trials, partial := resolveCheckingTrials(t, ev, SteeringConfig{
 			MaxActions: 8, AllowSelective: true, AllowCrossAnnounce: true, Workers: workers,
 		}, mat)
@@ -173,7 +172,6 @@ func TestTrialDeltaMatchesFull(t *testing.T) {
 			t.Fatalf("workers=%d: %d trials, %d of them deltas; the test checks nothing", workers, trials, partial)
 		}
 	}
-	ev.Workers = 0
 	checkForcedTrials(t, ev, mat)
 
 	if testing.Short() {

@@ -3,8 +3,10 @@ package traffic
 import (
 	"fmt"
 	"net/netip"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
 
 	"anysim/internal/bgp"
 	"anysim/internal/obs"
@@ -484,6 +486,41 @@ func (s *Steerer) trialRound(rep *LoadReport, mat Matrix, cands []*Action) ([]tr
 		}
 	}
 	return out, nil
+}
+
+// forEach calls fn(0), …, fn(n-1) over a pool of at most workers
+// goroutines (GOMAXPROCS when workers <= 0), inline when the pool would be
+// a single worker. Callers write results by index, so nothing they produce
+// depends on scheduling.
+func forEach(workers, n int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	idx := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 }
 
 // totalExcess sums squared demand above capacity over all sites: the

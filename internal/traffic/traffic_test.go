@@ -274,17 +274,21 @@ func TestEvaluatorConservation(t *testing.T) {
 // TestLoadReportDense: the report holds one assignment per model group, in
 // rank order, and a group carries demand exactly where it has a site: a
 // served group's Site ranks, in the report's Sites, the site the engine
-// routes it to, and every other group has a negative Site and no rate. It
-// holds for a full report and for an EvaluateFrom delta after a site
-// withdrawal.
+// routes it to, and every other group has a negative Site and no rate. The
+// report's sums are those of its assignments, bit for bit, over the fixed
+// summation tree. It holds for a full report of every bucket and for an
+// EvaluateFrom delta after a site withdrawal.
 func TestLoadReportDense(t *testing.T) {
 	w := smallWorld(t)
 	m := NewModel(w.Platform, DemandConfig{Seed: 1})
 	ev := NewEvaluator(w.Engine, w.Imperva.IM6, m, CapacityConfig{})
-	mat := m.Matrix(0)
 	base := w.Engine.Fork()
+	for b := 1; b < m.Buckets(); b++ {
+		checkDense(t, fmt.Sprintf("full, bucket %d", b), ev, base, m.Matrix(b), ev.EvaluateOn(base, m.Matrix(b)))
+	}
+	mat := m.Matrix(0)
 	rep := ev.EvaluateOn(base, mat)
-	checkDense(t, "full", ev, base, mat, rep)
+	checkDense(t, "full, bucket 0", ev, base, mat, rep)
 
 	// Withdraw the busiest site from every prefix it announces, on a fork.
 	busiest := rep.Sites[0]
@@ -316,7 +320,7 @@ func checkDense(t *testing.T, label string, ev *Evaluator, eng *bgp.Engine, mat 
 	if len(rep.Assignments) != len(m.Groups) {
 		t.Fatalf("%s: %d assignments for %d groups", label, len(rep.Assignments), len(m.Groups))
 	}
-	served, unserved := 0, 0.0
+	served := 0
 	for i, a := range rep.Assignments {
 		g := &m.Groups[i]
 		rate := mat.Rates[g.Key]
@@ -332,7 +336,6 @@ func checkDense(t *testing.T, label string, ev *Evaluator, eng *bgp.Engine, mat 
 			if a.Site != want || a.Rate != 0 {
 				t.Fatalf("%s: group %d (%s) has no site but is %+v; want site rank %d and rate 0", label, i, g.Key, a, want)
 			}
-			unserved += rate
 			continue
 		}
 		served++
@@ -346,13 +349,41 @@ func checkDense(t *testing.T, label string, ev *Evaluator, eng *bgp.Engine, mat 
 	if served == 0 {
 		t.Fatalf("%s: no group served", label)
 	}
-	if math.Abs(unserved-rep.Unserved) > 1e-9*mat.Total {
-		t.Fatalf("%s: unserved groups carry %v; report says %v", label, unserved, rep.Unserved)
-	}
 	for i, s := range ev.Dep.Sites {
 		if rep.Sites[i].Site != s.ID {
 			t.Fatalf("%s: report site %d is %s; deployment site %d is %s", label, i, rep.Sites[i].Site, i, s.ID)
 		}
+	}
+
+	// The summation tree: 32 fixed ranges of group ranks, each summed left
+	// to right, then added in range order. A flat sum differs in the last
+	// bits, which steering decisions and the archived results see.
+	n := len(m.Groups)
+	nr := min(32, n)
+	demand, groups, unserved := make([]float64, len(rep.Sites)), make([]int, len(rep.Sites)), 0.0
+	for r := 0; r < nr; r++ {
+		part, partUnserved := make([]float64, len(rep.Sites)), 0.0
+		for i := r * n / nr; i < (r+1)*n/nr; i++ {
+			switch a := rep.Assignments[i]; {
+			case a.Site >= 0:
+				part[a.Site] += a.Rate
+				groups[a.Site]++
+			case a.Site == rankUnserved:
+				partUnserved += mat.rates[i]
+			}
+		}
+		for s, d := range part {
+			demand[s] += d
+		}
+		unserved += partUnserved
+	}
+	for i, s := range rep.Sites {
+		if s.Demand != demand[i] || s.Groups != groups[i] {
+			t.Fatalf("%s: site %s has demand %v over %d groups; its assignments sum to %v over %d", label, s.Site, s.Demand, s.Groups, demand[i], groups[i])
+		}
+	}
+	if rep.Unserved != unserved {
+		t.Fatalf("%s: report says %v unserved; unserved groups sum to %v", label, rep.Unserved, unserved)
 	}
 }
 

@@ -46,7 +46,6 @@ func runWorkersPipeline(t *testing.T, workers int) workersRun {
 	dep := w.Imperva.IM6
 	m := traffic.NewModel(w.Platform, traffic.DemandConfig{Seed: 1})
 	ev := traffic.NewEvaluator(w.Engine, dep, m, traffic.CapacityConfig{})
-	ev.Workers = workers
 	ev.Instrument(reg)
 
 	// Factor 4 overloads several EMEA sites at peak buckets, so the default
