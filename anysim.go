@@ -201,7 +201,7 @@ func FailoverPenalties(pre, post []dynamics.View) []float64 {
 
 // Traffic load and steering (extension X3).
 type (
-	// DemandConfig shapes the seeded per-probe-group demand model.
+	// DemandConfig seeds the per-probe-group demand model.
 	DemandConfig = traffic.DemandConfig
 	// DemandModel is a deterministic day of client demand: Zipf-skewed
 	// group popularity with a longitude-keyed diurnal cycle.

@@ -68,20 +68,6 @@ func (m *Measurer) Forward(p *Probe, prefix netip.Prefix) (bgp.Forward, bool) {
 	return m.Engine.Lookup(prefix, p.ASN, p.City)
 }
 
-// WithEngine returns a copy of the measurer that resolves forwarding through
-// e instead of the bound engine. Latency (model, seed, jitter) is untouched,
-// so measurements over an engine fork are directly comparable with the
-// original's: what-if captures swap only the routing state, never the
-// measurement noise.
-func (m *Measurer) WithEngine(e *bgp.Engine) *Measurer {
-	if m == nil || m.Engine == e {
-		return m
-	}
-	m2 := *m
-	m2.Engine = e
-	return &m2
-}
-
 // RTT converts a forwarding decision into the probe's round-trip time in
 // milliseconds.
 func (m *Measurer) RTT(p *Probe, fwd bgp.Forward) float64 {

@@ -46,7 +46,7 @@ type Engine struct {
 	byIdx        []topo.ASN
 	linkA, linkB []int32
 	linkCities   [][]geo.CityID
-	linkIXP      []symbol
+	linkIXP      []Symbol
 	// adj is the dense per-AS view converge reads instead of scanning
 	// LinksOf and looking ASes up; arenas holds converge's idle working
 	// storage. Forks share both.
@@ -156,7 +156,7 @@ func NewEngine(t *topo.Topology) *Engine {
 	la := make([]int32, len(links))
 	lb := make([]int32, len(links))
 	lc := make([][]geo.CityID, len(links))
-	lx := make([]symbol, len(links))
+	lx := make([]Symbol, len(links))
 	for i, l := range links {
 		la[i] = int32(asIdx[l.A])
 		lb[i] = int32(asIdx[l.B])
@@ -1193,16 +1193,68 @@ func partition(routes []Route, keep func(Route) bool) int {
 	return k
 }
 
-// Lookup returns the anycast catchment for traffic originated by asn from
-// the given city toward the prefix. ok is false when the prefix is unknown
-// or the AS has no route to it.
-func (e *Engine) Lookup(prefix netip.Prefix, asn topo.ASN, city string) (Forward, bool) {
-	r, cls, distKm, ok := e.lookup(prefix, asn, city)
-	if !ok {
-		return Forward{}, false
+// Table is one prefix's installed rib table, read by dense AS index
+// (topo.Topology.ASIndex) and geo.CityID without the engine lock. An
+// installed table is never written again — operations build fresh tables,
+// and Fork and ResetTo copy pointers (see ribTable) — so a Table answers
+// every read exactly as its engine did when it was taken; a later
+// operation on the prefix installs a table it does not see.
+type Table struct {
+	prefix netip.Prefix
+	ribs   ribTable
+	prov   bool // provenance recording was on (see SetProvenance)
+}
+
+// Table returns the prefix's installed table. A prefix the engine never
+// announced holds no routes.
+func (e *Engine) Table(prefix netip.Prefix) Table {
+	e.mu.RLock()
+	t := Table{prefix: prefix, ribs: e.ribs[prefix], prov: e.provOn}
+	e.mu.RUnlock()
+	return t
+}
+
+// Prefix returns the table's prefix.
+func (t *Table) Prefix() netip.Prefix { return t.prefix }
+
+// rib returns the rib of the AS of dense index ai, nil when it holds none.
+func (t *Table) rib(ai int) *rib {
+	if t.ribs == nil {
+		return nil
 	}
-	// Materialise the chain: the client AS (unless it is the origin itself)
-	// and then the route's hops.
+	return t.ribs[ai]
+}
+
+// Route selects the route traffic from the AS of dense index ai, entering
+// it at city c, takes toward the prefix: the route, its class and the
+// one-way forwarding distance. ok is false when the AS has no route. It
+// allocates nothing.
+func (t *Table) Route(ai int, c geo.CityID) (r Route, cls RelClass, distKm float64, ok bool) {
+	rb := t.rib(ai)
+	if rb == nil {
+		return Route{}, 0, 0, false
+	}
+	cls, set, ok := rb.best()
+	if !ok {
+		return Route{}, 0, 0, false
+	}
+	r, _ = hotPotato(set, c)
+	return r, cls, geo.KmBetween(c, r.handoff()) + r.DownKm, true
+}
+
+// Provenance returns the decision record of the AS of dense index ai, under
+// Engine.Provenance's rules.
+func (t *Table) Provenance(ai int) (Provenance, bool) {
+	rb := t.rib(ai)
+	if !t.prov || rb == nil || rb.prov == nil {
+		return Provenance{}, false
+	}
+	return *rb.prov, true
+}
+
+// Forward materialises what Route read for asn as Lookup's answer: the
+// chain rendered with the client AS in front, unless asn is the origin.
+func (t *Table) Forward(asn topo.ASN, r Route, cls RelClass, distKm float64) Forward {
 	path, cities := forwardSlices(int(r.plen))
 	if cls != FromOrigin {
 		path = append(path, asn)
@@ -1212,7 +1264,7 @@ func (e *Engine) Lookup(prefix netip.Prefix, asn topo.ASN, city string) (Forward
 		cities = append(cities, n.city.String())
 	}
 	return Forward{
-		Prefix:        prefix,
+		Prefix:        t.prefix,
 		Site:          r.Site(),
 		Path:          path,
 		Cities:        cities,
@@ -1220,7 +1272,23 @@ func (e *Engine) Lookup(prefix netip.Prefix, asn topo.ASN, city string) (Forward
 		Rel:           cls,
 		FinalIXP:      r.FinalIXP(),
 		FinalUpstream: r.FinalUpstream,
-	}, true
+	}
+}
+
+// Lookup returns the anycast catchment for traffic originated by asn from
+// the given city toward the prefix. ok is false when the prefix is unknown
+// or the AS has no route to it.
+func (e *Engine) Lookup(prefix netip.Prefix, asn topo.ASN, city string) (Forward, bool) {
+	i, known := e.asIdx[asn]
+	if !known {
+		return Forward{}, false
+	}
+	t := e.Table(prefix)
+	r, cls, distKm, ok := t.Route(i, cityOf(city))
+	if !ok {
+		return Forward{}, false
+	}
+	return t.Forward(asn, r, cls, distKm), true
 }
 
 // forwardSlices returns empty path and city slices with room for a route
@@ -1251,68 +1319,31 @@ func forwardSlices(n int) ([]topo.ASN, []string) {
 	return make([]topo.ASN, 0, n+1), make([]string, 0, n)
 }
 
-// LookupSite answers the part of Lookup a load evaluation reads — the
-// catchment site and the forwarding distance — without materialising the
-// path, so it allocates nothing.
-func (e *Engine) LookupSite(prefix netip.Prefix, asn topo.ASN, city string) (site string, distKm float64, ok bool) {
-	r, _, distKm, ok := e.lookup(prefix, asn, city)
-	if !ok {
-		return "", 0, false
-	}
-	return r.Site(), distKm, true
-}
-
-// lookup selects the route traffic from (asn, city) takes toward the
-// prefix, its class, and the one-way forwarding distance.
-func (e *Engine) lookup(prefix netip.Prefix, asn topo.ASN, city string) (Route, RelClass, float64, bool) {
+// ribOf returns asn's rib for the prefix, nil when it holds none.
+func (e *Engine) ribOf(prefix netip.Prefix, asn topo.ASN) *rib {
 	i, known := e.asIdx[asn]
 	if !known {
-		return Route{}, 0, 0, false
+		return nil
 	}
-	e.mu.RLock()
-	ribs := e.ribs[prefix]
-	e.mu.RUnlock()
-	if ribs == nil || ribs[i] == nil {
-		return Route{}, 0, 0, false
-	}
-	cls, set, ok := ribs[i].best()
-	if !ok {
-		return Route{}, 0, 0, false
-	}
-	c := cityOf(city)
-	r, _ := hotPotato(set, c)
-	return r, cls, geo.KmBetween(c, r.handoff()) + r.DownKm, true
+	t := e.Table(prefix)
+	return t.rib(i)
 }
 
 // Routes returns the full selected route set for (prefix, asn), most
 // preferred class only. It is used by the cause-classification analysis
 // (§5.4) to examine alternatives an AS held.
 func (e *Engine) Routes(prefix netip.Prefix, asn topo.ASN) (RelClass, []Route, bool) {
-	i, known := e.asIdx[asn]
-	if !known {
-		return 0, nil, false
+	if rb := e.ribOf(prefix, asn); rb != nil {
+		return rb.best()
 	}
-	e.mu.RLock()
-	ribs := e.ribs[prefix]
-	e.mu.RUnlock()
-	if ribs == nil || ribs[i] == nil {
-		return 0, nil, false
-	}
-	return ribs[i].best()
+	return 0, nil, false
 }
 
 // RoutesByClass returns all routes an AS holds for a prefix in a given
 // class, including classes it did not select.
 func (e *Engine) RoutesByClass(prefix netip.Prefix, asn topo.ASN, cls RelClass) []Route {
-	i, known := e.asIdx[asn]
-	if !known {
-		return nil
+	if rb := e.ribOf(prefix, asn); rb != nil {
+		return rb.class(cls)
 	}
-	e.mu.RLock()
-	ribs := e.ribs[prefix]
-	e.mu.RUnlock()
-	if ribs == nil || ribs[i] == nil {
-		return nil
-	}
-	return ribs[i].class(cls)
+	return nil
 }

@@ -123,12 +123,7 @@ func (e *Engine) RibsChangedFrom(base *Engine, prefix netip.Prefix) []int {
 	if base.topo != e.topo {
 		panic("bgp: RibsChangedFrom across topologies")
 	}
-	e.mu.RLock()
-	t := e.ribs[prefix]
-	e.mu.RUnlock()
-	base.mu.RLock()
-	bt := base.ribs[prefix]
-	base.mu.RUnlock()
+	t, bt := e.Table(prefix).ribs, base.Table(prefix).ribs
 	if len(t) == len(bt) && (len(t) == 0 || &t[0] == &bt[0]) {
 		return nil
 	}

@@ -214,7 +214,7 @@ func TestForkIsolation(t *testing.T) {
 
 // TestRibsChangedFrom is the property test behind delta load evaluation:
 // after any site operation on a fork, every AS outside the reported set
-// answers Routes and LookupSite exactly as on the parent, and the set is no
+// answers Routes and a Table's Route read exactly as on the parent, and the set is no
 // larger than the operation's dirty set. An untouched prefix reports nil,
 // and a full recompute reports every AS that holds a route.
 func TestRibsChangedFrom(t *testing.T) {
@@ -236,6 +236,7 @@ func TestRibsChangedFrom(t *testing.T) {
 		if got := f.RibsChangedFrom(e, other); got != nil {
 			t.Fatalf("round %d: untouched prefix reports %d changed ASes", r, len(got))
 		}
+		ft, et := f.Table(pfxGlobal), e.Table(pfxGlobal)
 		in := make(map[int]bool, len(changed))
 		for _, i := range changed {
 			in[i] = true
@@ -250,11 +251,11 @@ func TestRibsChangedFrom(t *testing.T) {
 				t.Fatalf("round %d: %s is outside the changed set but its routes moved", r, asn)
 			}
 			for _, city := range tp.MustAS(asn).Cities {
-				fs, fd, fok := f.LookupSite(pfxGlobal, asn, city)
-				es, ed, eok := e.LookupSite(pfxGlobal, asn, city)
-				if fs != es || fd != ed || fok != eok {
+				fr, _, fd, fok := ft.Route(i, cityOf(city))
+				er, _, ed, eok := et.Route(i, cityOf(city))
+				if fr.Site() != er.Site() || fd != ed || fok != eok {
 					t.Fatalf("round %d: %s at %s is outside the changed set but looks up %q/%v, parent %q/%v",
-						r, asn, city, fs, fd, es, ed)
+						r, asn, city, fr.Site(), fd, er.Site(), ed)
 				}
 			}
 		}

@@ -367,9 +367,7 @@ func ribEqual(a, b *rib) bool {
 // prefix, queried from the AS's first (alphabetical) presence city. It is
 // the per-AS snapshot the dynamics analyses diff across routing events.
 func (e *Engine) Catchments(prefix netip.Prefix) map[topo.ASN]string {
-	e.mu.RLock()
-	ribs := e.ribs[prefix]
-	e.mu.RUnlock()
+	ribs := e.Table(prefix).ribs
 	out := make(map[topo.ASN]string, len(ribs))
 	for i, rb := range ribs {
 		if rb == nil {

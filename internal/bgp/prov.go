@@ -372,13 +372,8 @@ func (e *Engine) Provenance(prefix netip.Prefix, asn topo.ASN) (Provenance, bool
 	if !known {
 		return Provenance{}, false
 	}
-	e.mu.RLock()
-	on, ribs := e.provOn, e.ribs[prefix]
-	e.mu.RUnlock()
-	if !on || ribs == nil || ribs[i] == nil || ribs[i].prov == nil {
-		return Provenance{}, false
-	}
-	return *ribs[i].prov, true
+	t := e.Table(prefix)
+	return t.Provenance(i)
 }
 
 // record hangs a decision record on every recomputed AS's fresh rib after a

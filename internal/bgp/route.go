@@ -113,11 +113,11 @@ type Route struct {
 	// answer).
 	FinalUpstream topo.ASN
 
-	site symbol // identity of the announcing anycast site
+	site Symbol // identity of the announcing anycast site
 	// ixp is the IXP over which the final handoff to the origin happens,
 	// or noSymbol if the final link is a private interconnection. The
 	// paper finds 49% of p-hop IPs belong to IXPs and are invisible in BGP.
-	ixp  symbol
+	ixp  Symbol
 	plen uint16 // AS-path length: the number of nodes in the chain
 
 	Rel RelClass
@@ -154,6 +154,9 @@ func (r Route) SiteCityID() geo.CityID { return r.last().city }
 
 // Site returns the identity of the announcing anycast site.
 func (r Route) Site() string { return r.site.String() }
+
+// SiteSymbol is Site's interned id (see Intern).
+func (r Route) SiteSymbol() Symbol { return r.site }
 
 // FinalIXP returns the IXP over which the final handoff to the origin
 // happens, or "" if the final link is a private interconnection.
@@ -266,17 +269,19 @@ func cityOf(name string) geo.CityID {
 	return c
 }
 
-// symbol is an interned site or IXP name; noSymbol stands for "".
-type symbol uint32
+// Symbol is an interned site or IXP name; noSymbol stands for "". Ids are
+// assigned in first-use order (see symtab), so a Symbol is identity only:
+// never order by it.
+type Symbol uint32
 
-const noSymbol symbol = 0
+const noSymbol Symbol = 0
 
 // symtab is an append-only string intern table. Ids are assigned in first
 // use order, which varies with the order concurrent trials intern new
 // names, so an id is identity only: ordering compares names.
 type symtab struct {
 	mu  sync.RWMutex
-	ids map[string]symbol
+	ids map[string]Symbol
 	// names is replaced, never mutated, on every insert, so readers index
 	// it without the lock.
 	names atomic.Pointer[[]string]
@@ -286,14 +291,14 @@ type symtab struct {
 // into. Sharing it lets a bare Route render its names; the handful of
 // distinct names a process announces bounds its size.
 var symbols = func() *symtab {
-	t := &symtab{ids: map[string]symbol{"": noSymbol}}
+	t := &symtab{ids: map[string]Symbol{"": noSymbol}}
 	names := []string{""}
 	t.names.Store(&names)
 	return t
 }()
 
 // intern returns the name's symbol, adding it on first use.
-func (t *symtab) intern(name string) symbol {
+func (t *symtab) intern(name string) Symbol {
 	if s, ok := t.lookup(name); ok {
 		return s
 	}
@@ -304,14 +309,18 @@ func (t *symtab) intern(name string) symbol {
 	}
 	old := *t.names.Load()
 	names := append(old[:len(old):len(old)], name)
-	s := symbol(len(old))
+	s := Symbol(len(old))
 	t.ids[name] = s
 	t.names.Store(&names)
 	return s
 }
 
+// Intern returns a site's Symbol, the id Route.SiteSymbol answers for the
+// routes of its announcements, adding the name on first use.
+func Intern(site string) Symbol { return symbols.intern(site) }
+
 // lookup returns the name's symbol if it was ever interned.
-func (t *symtab) lookup(name string) (symbol, bool) {
+func (t *symtab) lookup(name string) (Symbol, bool) {
 	t.mu.RLock()
 	s, ok := t.ids[name]
 	t.mu.RUnlock()
@@ -319,10 +328,10 @@ func (t *symtab) lookup(name string) (symbol, bool) {
 }
 
 // String returns the interned name.
-func (s symbol) String() string { return (*symbols.names.Load())[s] }
+func (s Symbol) String() string { return (*symbols.names.Load())[s] }
 
 // symbolCmp orders two symbols by their names.
-func symbolCmp(a, b symbol) int {
+func symbolCmp(a, b Symbol) int {
 	if a == b {
 		return 0
 	}

@@ -88,36 +88,65 @@ func TestCityIDsOrderAsNames(t *testing.T) {
 }
 
 // TestLookupMaterialisesChain: Lookup's Forward is the chain rendered with
-// the client AS in front, and LookupSite answers Lookup's site and distance
-// from every AS and presence city, allocating nothing.
+// the client AS in front, and a Table's Route read answers Lookup's route,
+// class, site and distance from every AS and presence city, allocating
+// nothing. It holds on the base engine and on forks after a site withdrawal
+// and after a link fault, whose tables hold a mix of recomputed and
+// carried-over ribs.
 func TestLookupMaterialisesChain(t *testing.T) {
 	tp, e, _ := generatedCDNWorld(t, 3)
-	for _, asn := range tp.ASNs() {
-		cls, set, ok := e.Routes(pfxGlobal, asn)
-		for _, city := range tp.MustAS(asn).Cities {
-			fwd, okF := e.Lookup(pfxGlobal, asn, city)
-			site, distKm, okS := e.LookupSite(pfxGlobal, asn, city)
-			if okF != ok || okS != ok {
-				t.Fatalf("%s@%s: Lookup ok %v, LookupSite ok %v, routes %v", asn, city, okF, okS, ok)
-			}
-			if !ok {
-				continue
-			}
-			if site != fwd.Site || distKm != fwd.DistKm {
-				t.Fatalf("%s@%s: LookupSite = %s %.3f, Lookup = %s %.3f", asn, city, site, distKm, fwd.Site, fwd.DistKm)
-			}
-			r, _ := hotPotato(set, cityOf(city))
-			want := r.Path()
-			if cls != FromOrigin {
-				want = append([]topo.ASN{asn}, want...)
-			}
-			if !slices.Equal(fwd.Path, want) || !slices.Equal(fwd.Cities, r.Cities()) || fwd.Site != r.Site() {
-				t.Fatalf("%s@%s: Forward %v %v %s, route %v %v %s", asn, city, fwd.Path, fwd.Cities, fwd.Site, want, r.Cities(), r.Site())
+	withdrawn := e.Fork()
+	if err := withdrawn.WithdrawSite(pfxGlobal, "fra"); err != nil {
+		t.Fatal(err)
+	}
+	// The fault is on a link of the CDN's transit, so the fork recomputes
+	// a share of the world.
+	li := tp.LinksOf(topo.CDNBase)[0]
+	faulted := e.Fork()
+	if err := tp.SetLinkEnabled(li, false); err != nil {
+		t.Fatal(err)
+	}
+	defer tp.SetLinkEnabled(li, true)
+	if err := faulted.ReconvergeLinks([]int{li}); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*Engine{withdrawn, faulted} {
+		if len(f.RibsChangedFrom(e, pfxGlobal)) == 0 {
+			t.Fatal("a fork's operation changed no rib")
+		}
+	}
+	for _, eng := range []*Engine{e, withdrawn, faulted} {
+		tab := eng.Table(pfxGlobal)
+		for ai, asn := range tp.ASList() {
+			cls, set, ok := eng.Routes(pfxGlobal, asn)
+			for _, city := range tp.MustAS(asn).Cities {
+				fwd, okF := eng.Lookup(pfxGlobal, asn, city)
+				tr, tcls, distKm, okT := tab.Route(ai, cityOf(city))
+				if okF != ok || okT != ok {
+					t.Fatalf("%s@%s: Lookup ok %v, Table.Route ok %v, routes %v", asn, city, okF, okT, ok)
+				}
+				if !ok {
+					continue
+				}
+				if tr.Site() != fwd.Site || tr.SiteSymbol() != Intern(fwd.Site) || distKm != fwd.DistKm || tcls != fwd.Rel {
+					t.Fatalf("%s@%s: Table.Route = %s %.3f %s, Lookup = %s %.3f %s", asn, city, tr.Site(), distKm, tcls, fwd.Site, fwd.DistKm, fwd.Rel)
+				}
+				r, _ := hotPotato(set, cityOf(city))
+				if tr != r {
+					t.Fatalf("%s@%s: Table.Route %v, hot-potato route %v", asn, city, tr, r)
+				}
+				want := r.Path()
+				if cls != FromOrigin {
+					want = append([]topo.ASN{asn}, want...)
+				}
+				if !slices.Equal(fwd.Path, want) || !slices.Equal(fwd.Cities, r.Cities()) || fwd.Site != r.Site() {
+					t.Fatalf("%s@%s: Forward %v %v %s, route %v %v %s", asn, city, fwd.Path, fwd.Cities, fwd.Site, want, r.Cities(), r.Site())
+				}
 			}
 		}
 	}
-	city := tp.MustAS(topo.CDNBase).Cities[0]
-	if n := testing.AllocsPerRun(100, func() { e.LookupSite(pfxGlobal, topo.CDNBase, city) }); n != 0 {
-		t.Fatalf("LookupSite allocates %v times per call", n)
+	tab, ai, c := e.Table(pfxGlobal), tp.ASIndexMap()[topo.CDNBase], cityOf(tp.MustAS(topo.CDNBase).Cities[0])
+	if n := testing.AllocsPerRun(100, func() { tab.Route(ai, c) }); n != 0 {
+		t.Fatalf("Table.Route allocates %v times per call", n)
 	}
 }

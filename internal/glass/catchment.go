@@ -80,9 +80,11 @@ func ExplainCatchment(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, pro
 	if rep == nil {
 		return CatchmentExplanation{}, fmt.Errorf("glass: no probe in group %q", group)
 	}
-	ce, fwd, _, err := explainProbe(e, dep, m.WithEngine(e), rep, group, nearestMemo{})
+	var tabs tableMemo
+	ce, fwd, _, err := explainProbe(e, dep, m, rep, group, nearestMemo{}, &tabs)
 	if ce.Served {
-		ce.Exp = explainForward(e, fwd, rep.ASN, rep.City)
+		tab := tabs.get(e, ce.Prefix)
+		ce.Exp = explainForward(e.Topology(), &tab, fwd, rep.ASN, rep.City)
 	}
 	return ce, err
 }
@@ -90,7 +92,9 @@ func ExplainCatchment(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, pro
 // explainProbe builds the catchment explanation of one probe of group, all
 // but its rendered hop chain (ce.Exp), and returns with it the probe's
 // forward and that forward's hop records, both empty when it is unserved.
-func explainProbe(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, p *atlas.Probe, group string, near nearestMemo) (CatchmentExplanation, bgp.Forward, []hop, error) {
+// Routing comes from e, read through tabs; m supplies only the measurement
+// noise.
+func explainProbe(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, p *atlas.Probe, group string, near nearestMemo, tabs *tableMemo) (CatchmentExplanation, bgp.Forward, []hop, error) {
 	region, ok := dep.RegionForCountry(p.Country)
 	if !ok {
 		return CatchmentExplanation{}, bgp.Forward{}, nil, fmt.Errorf("glass: %s maps no region for country %s", dep.Name, p.Country)
@@ -106,17 +110,20 @@ func explainProbe(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, p *atla
 	}
 	client, _ := geo.CityIDOf(p.City)
 	ce.NearestSite, ce.NearestKm = near.get(e, dep, region.Prefix, client)
-	fwd, ok := m.Forward(p, region.Prefix)
-	if !ok {
+	tab := tabs.get(e, region.Prefix)
+	ai, known := e.Topology().ASIndex(p.ASN)
+	r, cls, distKm, ok := tab.Route(ai, client)
+	if !known || !ok {
 		ce.Class = NoRegionalRoute
 		return ce, bgp.Forward{}, nil, nil
 	}
+	fwd := tab.Forward(p.ASN, r, cls, distKm)
 	ce.Served = true
 	ce.Site = fwd.Site
 	ce.SiteCity = fwd.SiteCity()
 	ce.RTTMs = m.RTT(p, fwd)
 	ce.ActualKm = fwd.DistKm
-	hops := hopRecords(e, fwd, client)
+	hops := hopRecords(e.Topology(), &tab, fwd, client, r.SiteCityID())
 	ce.InflationMs = geo.FiberRTTMs(ce.ActualKm) - geo.FiberRTTMs(ce.NearestKm)
 	ce.Class = classify(ce.InflationMs, hops)
 	return ce, fwd, hops, nil
@@ -125,6 +132,32 @@ func explainProbe(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, p *atla
 // nearestMemo memoizes nearestAnnouncedSite per (prefix, client city)
 // within one engine state: groups sharing a city share the answer.
 type nearestMemo map[nearestKey]nearestSite
+
+// tableMemo holds the rib tables of one engine state's prefixes, so each
+// is taken once per capture instead of once per lookup and hop. A
+// deployment has a few prefixes, so a scan of an array the memo carries
+// beats a map.
+type tableMemo struct {
+	tabs [8]bgp.Table
+	n    int
+}
+
+// get returns the prefix's table on e, taken on first use. Past the
+// array's room, every call takes it again; an engine a capture reads is
+// not mutated meanwhile, so every take reads the same state.
+func (tm *tableMemo) get(e *bgp.Engine, prefix netip.Prefix) bgp.Table {
+	for _, t := range tm.tabs[:tm.n] {
+		if t.Prefix() == prefix {
+			return t
+		}
+	}
+	t := e.Table(prefix)
+	if tm.n < len(tm.tabs) {
+		tm.tabs[tm.n] = t
+		tm.n++
+	}
+	return t
+}
 
 type nearestKey struct {
 	prefix netip.Prefix
@@ -226,9 +259,9 @@ type CatchmentSet struct {
 
 // Capture snapshots the catchment of every probe group. It is a pure
 // function of engine state and the probe set, so two captures of identical
-// worlds are deeply equal. The measurer is rebound to e, so capturing an
-// engine fork (a what-if world) works with the shared measurer: routing
-// comes from e, measurement noise from the measurer's own seed.
+// worlds are deeply equal. Routing comes from e and measurement noise from
+// the measurer's own seed, so capturing an engine fork (a what-if world)
+// works with the shared measurer.
 func Capture(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, probes []*atlas.Probe) (CatchmentSet, error) {
 	return CaptureFrom(e, dep, m, atlas.GroupProbes(probes), nil, nil)
 }
@@ -247,7 +280,6 @@ func Capture(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, probes []*at
 // another deployment, group set, topology or provenance mode, gives a full
 // capture.
 func CaptureFrom(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, groups *atlas.GroupTable, base *CatchmentSet, baseEng *bgp.Engine) (CatchmentSet, error) {
-	m = m.WithEngine(e)
 	if base != nil && (baseEng == nil || base.Dep != dep.Name ||
 		baseEng.Topology() != e.Topology() || baseEng.ProvenanceEnabled() != e.ProvenanceEnabled() ||
 		!slices.EqualFunc(base.Groups, groups.Groups, func(v GroupView, g atlas.Group) bool { return v.Group == g.Key })) {
@@ -259,13 +291,14 @@ func CaptureFrom(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, groups *
 		d = &captureDelta{e: e, baseEng: baseEng, base: base, cur: &set, prefixes: map[netip.Prefix]prefixDelta{}}
 	}
 	near := nearestMemo{}
+	var tabs tableMemo
 	for i := range groups.Groups {
 		if d.reuse(i) {
 			set.Groups = append(set.Groups, base.Groups[i])
 			continue
 		}
 		g := &groups.Groups[i]
-		ce, _, hops, err := explainProbe(e, dep, m, g.Rep, g.Key, near)
+		ce, _, hops, err := explainProbe(e, dep, m, g.Rep, g.Key, near, &tabs)
 		if err != nil {
 			return CatchmentSet{}, err
 		}

@@ -74,16 +74,14 @@ type hop struct {
 	runnerCloser bool
 }
 
-// hopRecords returns the hop records of a resolved forward from a client
-// city, one per AS of fwd.Path.
-func hopRecords(e *bgp.Engine, fwd bgp.Forward, client geo.CityID) []hop {
-	// Forward's cities are strings; its site city is the one looked up.
-	serving, _ := geo.CityIDOf(fwd.SiteCity())
+// hopRecords returns the hop records of fwd, a forward from a client city
+// read from tab, whose site is in city serving: one per AS of fwd.Path.
+func hopRecords(tp *topo.Topology, tab *bgp.Table, fwd bgp.Forward, client, serving geo.CityID) []hop {
 	servingKm := geo.KmBetween(client, serving)
 	hops := make([]hop, len(fwd.Path))
 	for i, asn := range fwd.Path {
 		h := hop{asn: asn}
-		if p, ok := e.Provenance(fwd.Prefix, asn); ok {
+		if p, ok := provenance(tp, tab, asn); ok {
 			h.winnerLen = uint16(p.Winner().Len())
 			h.step, h.winnerClass, h.valid = p.Step, p.WinnerClass, p.Valid
 			if p.HasRunnerUp {
@@ -94,6 +92,15 @@ func hopRecords(e *bgp.Engine, fwd bgp.Forward, client geo.CityID) []hop {
 		hops[i] = h
 	}
 	return hops
+}
+
+// provenance reads asn's decision record out of tab.
+func provenance(tp *topo.Topology, tab *bgp.Table, asn topo.ASN) (bgp.Provenance, bool) {
+	ai, known := tp.ASIndex(asn)
+	if !known {
+		return bgp.Provenance{}, false
+	}
+	return tab.Provenance(ai)
 }
 
 // Explanation is the decision chain answering "why does this AS reach this
@@ -129,16 +136,18 @@ func ExplainFrom(e *bgp.Engine, asn topo.ASN, city string, prefix netip.Prefix) 
 	if !ok {
 		return Explanation{}, fmt.Errorf("glass: %s has no route to %s", asn, prefix)
 	}
-	return explainForward(e, fwd, asn, city), nil
+	tab := e.Table(prefix)
+	return explainForward(e.Topology(), &tab, fwd, asn, city), nil
 }
 
-// explainForward renders the hop chain of an already-resolved forward; only
-// the explain queries (Explain, ExplainFrom, ExplainCatchment) call it.
+// explainForward renders the hop chain of a forward read from tab, the
+// table of its prefix; only the explain queries (Explain, ExplainFrom,
+// ExplainCatchment) call it.
 // Forward.Path includes the client AS at index 0 and Forward.Cities[i] is
 // where Path[i] hands to Path[i+1] (the site city at the end), so hop i
 // enters at Cities[i-1] (the vantage city for i = 0) and leaves at
 // Cities[i].
-func explainForward(e *bgp.Engine, fwd bgp.Forward, asn topo.ASN, city string) Explanation {
+func explainForward(tp *topo.Topology, tab *bgp.Table, fwd bgp.Forward, asn topo.ASN, city string) Explanation {
 	exp := Explanation{
 		Prefix:   fwd.Prefix,
 		ASN:      asn,
@@ -158,7 +167,7 @@ func explainForward(e *bgp.Engine, fwd bgp.Forward, asn topo.ASN, city string) E
 			handoff = fwd.Cities[i]
 		}
 		h := Hop{ASN: hopAS, Entry: entry, Handoff: handoff}
-		if p, ok := e.Provenance(fwd.Prefix, hopAS); ok {
+		if p, ok := provenance(tp, tab, hopAS); ok {
 			h.HasProv = true
 			h.Step = p.Step.String()
 			h.WinnerClass = p.WinnerClass.String()

@@ -21,7 +21,6 @@ package ts
 
 import (
 	"slices"
-	"sort"
 
 	"anysim/internal/geo"
 	"anysim/internal/stats"
@@ -90,10 +89,9 @@ func (db *DB) SampleLoad(tick int64, m *traffic.Model, rep *traffic.LoadReport, 
 			if len(vs) == 0 {
 				continue
 			}
-			sort.Float64s(vs)
 			lat := ls.latency(db, a)
-			record(lat[0], stats.PercentileSorted(vs, 50))
-			record(lat[1], stats.PercentileSorted(vs, 90))
+			record(lat[0], stats.PercentileSelect(vs, 50))
+			record(lat[1], stats.PercentileSelect(vs, 90))
 		}
 	}
 	db.mu.Unlock()
@@ -108,7 +106,7 @@ type loadSeries struct {
 	site                         [][4]*Series // util, demand, share, overload
 	maxUtil, unserved, overloads *Series
 	lat                          [][2]*Series // by area: p50, p90; nil until first recorded
-	vals                         [][]float64  // by area: the sort buffer of its served groups' RTTs
+	vals                         [][]float64  // by area: the selection buffer of its served groups' RTTs
 }
 
 // loadSeriesLocked returns SampleLoad's series for a report's site list,

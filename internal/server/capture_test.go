@@ -76,7 +76,7 @@ func (o *captureOracle) full(st *State) glass.CatchmentSet {
 	if st == o.last {
 		return o.lastFull
 	}
-	set, err := glass.Capture(st.Engine, o.s.dep, st.measurer(), o.s.w.Platform.Retained())
+	set, err := glass.Capture(st.Engine, o.s.dep, o.s.w.Measurer, o.s.w.Platform.Retained())
 	if err != nil {
 		o.t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestCaptureConcurrentWithIngest(t *testing.T) {
 			continue
 		}
 		captured++
-		want, err := glass.Capture(st.Engine, s.dep, st.measurer(), s.w.Platform.Retained())
+		want, err := glass.Capture(st.Engine, s.dep, s.w.Measurer, s.w.Platform.Retained())
 		if err != nil {
 			t.Fatal(err)
 		}

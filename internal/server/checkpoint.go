@@ -154,8 +154,9 @@ func (cp *Checkpoint) Compatible(seed int64, worldHash, policyHash, dep string) 
 
 // restore reinstates a checkpoint onto the freshly built (and verified
 // compatible) world: link states first, then the full announcement replay,
-// then flash crowds and the clock. The caller reinstates the metrics
-// snapshot after the initial publish.
+// then flash crowds and the clock. Every field it can check alone is
+// checked before the first of those changes the world. The caller
+// reinstates the metrics snapshot after the initial publish.
 func (s *Server) restore(cp *Checkpoint) error {
 	if err := cp.Compatible(s.w.Config.Seed, s.w.Config.Hash(), s.w.Config.PolicyHash(), s.dep.Name); err != nil {
 		return err
@@ -180,6 +181,34 @@ func (s *Server) restore(cp *Checkpoint) error {
 		if li < 0 || li >= nLinks {
 			return fmt.Errorf("server: checkpoint disables link %d, topology has %d", li, nLinks)
 		}
+	}
+	names := make([]string, 0, len(cp.Flash))
+	for a := range cp.Flash {
+		names = append(names, a)
+	}
+	sort.Strings(names)
+	flash := make([]dynamics.Event, len(names))
+	for i, name := range names {
+		a, err := geo.ParseArea(name)
+		if err != nil {
+			return fmt.Errorf("server: restore flash crowd: %w", err)
+		}
+		f := cp.Flash[name]
+		if !(f > 0) {
+			return fmt.Errorf("server: checkpoint flash crowd %s has non-positive factor %g", name, f)
+		}
+		flash[i] = dynamics.Event{Kind: dynamics.FlashBegin, Area: a, Factor: f}
+	}
+	switch {
+	case cp.Tick < 0:
+		return fmt.Errorf("server: checkpoint tick %d is negative", cp.Tick)
+	case cp.Events < 0:
+		return fmt.Errorf("server: checkpoint event count %d is negative", cp.Events)
+	case cp.Seq < 1:
+		return fmt.Errorf("server: checkpoint seq %d, a published state has seq 1 or more", cp.Seq)
+	}
+
+	for _, li := range cp.DisabledLinks {
 		if err := tp.SetLinkEnabled(li, false); err != nil {
 			return fmt.Errorf("server: restore link state: %w", err)
 		}
@@ -189,17 +218,8 @@ func (s *Server) restore(cp *Checkpoint) error {
 	}
 	s.eval = traffic.NewEvaluatorWithCaps(s.w.Engine, s.dep, s.model, traffic.CapacityConfig{}, cp.Caps)
 	s.newRunner()
-	areas := make([]string, 0, len(cp.Flash))
-	for a := range cp.Flash {
-		areas = append(areas, a)
-	}
-	sort.Strings(areas)
-	for _, name := range areas {
-		a, err := geo.ParseArea(name)
-		if err != nil {
-			return fmt.Errorf("server: restore flash crowd: %w", err)
-		}
-		if err := s.runner.Apply(dynamics.Event{Kind: dynamics.FlashBegin, Area: a, Factor: cp.Flash[name]}); err != nil {
+	for _, ev := range flash {
+		if err := s.runner.Apply(ev); err != nil {
 			return fmt.Errorf("server: restore flash crowd: %w", err)
 		}
 	}

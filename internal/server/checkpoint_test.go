@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -117,8 +118,11 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 }
 
 // TestRestoreRefusesMismatch pins every compatibility check: wrong seed,
-// tampered world hash, wrong schema, wrong deployment, and capacities for
-// an unknown site, missing for a deployment site or negative.
+// tampered world hash, wrong schema, wrong deployment, capacities for an
+// unknown site, missing for a deployment site or negative, a link index
+// outside the topology, an unknown or non-positive flash crowd, and a
+// negative clock, event count or a seq below 1. A refused restore leaves
+// the world's link states as they were.
 func TestRestoreRefusesMismatch(t *testing.T) {
 	const seed = 11
 	a := testServer(t, seed)
@@ -137,9 +141,13 @@ func TestRestoreRefusesMismatch(t *testing.T) {
 		if dep == "eg3" {
 			d = w.Edgio.EG3
 		}
+		before := w.Topo.DisabledLinks()
 		_, err := New(Config{World: w, Dep: d, Restore: cp})
 		if err == nil || !strings.Contains(err.Error(), wantSub) {
 			t.Errorf("%s: restore error = %v, want mention of %q", name, err, wantSub)
+		}
+		if after := w.Topo.DisabledLinks(); !slices.Equal(before, after) {
+			t.Errorf("%s: refused restore changed the disabled links from %v to %v", name, before, after)
 		}
 	}
 
@@ -181,6 +189,42 @@ func TestRestoreRefusesMismatch(t *testing.T) {
 	tampered.Caps = maps.Clone(cp.Caps)
 	tampered.Caps[sites[1].ID] = -1
 	refuse("negative site capacity", wb, &tampered, "im6", fmt.Sprintf("site %q is negative", sites[1].ID))
+
+	// Nothing may change before every field is checked: a bad link index
+	// after a good one, or a bad flash crowd, is refused with every link
+	// still up.
+	tampered = *cp
+	tampered.DisabledLinks = []int{3, 99999}
+	refuse("link outside topology", wb, &tampered, "im6", "disables link 99999")
+
+	tampered = *cp
+	tampered.DisabledLinks = []int{3}
+	tampered.Flash = map[string]float64{"Atlantis": 2}
+	refuse("unknown flash area", wb, &tampered, "im6", "unknown area")
+
+	for _, f := range []float64{0, -1.5} {
+		tampered = *cp
+		tampered.DisabledLinks = []int{3}
+		tampered.Flash = map[string]float64{"APAC": f}
+		refuse(fmt.Sprintf("flash factor %g", f), wb, &tampered, "im6", "non-positive factor")
+	}
+
+	// A negative tick would make the first publish index a demand bucket
+	// below 0.
+	tampered = *cp
+	tampered.DisabledLinks = []int{3}
+	tampered.Tick = -7
+	refuse("negative tick", wb, &tampered, "im6", "tick -7")
+
+	tampered = *cp
+	tampered.DisabledLinks = []int{3}
+	tampered.Events = -1
+	refuse("negative events", wb, &tampered, "im6", "event count -1")
+
+	tampered = *cp
+	tampered.DisabledLinks = []int{3}
+	tampered.Seq = 0
+	refuse("seq 0", wb, &tampered, "im6", "seq 0")
 
 	// The pristine checkpoint still restores onto the pristine world.
 	if _, err := New(Config{World: wb, Dep: wb.Imperva.IM6, Restore: cp}); err != nil {

@@ -240,7 +240,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.Current()
-	ce, err := glass.ExplainCatchment(st.Engine, s.dep, st.measurer(), s.w.Platform.Retained(), group)
+	ce, err := glass.ExplainCatchment(st.Engine, s.dep, s.w.Measurer, s.w.Platform.Retained(), group)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return

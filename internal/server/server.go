@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"anysim/internal/atlas"
 	"anysim/internal/bgp"
 	"anysim/internal/cdn"
 	"anysim/internal/dynamics"
@@ -157,19 +156,12 @@ func (st *State) Catchment() (glass.CatchmentSet, error) {
 				base, baseEng = &c.set, p.Engine
 			}
 		}
-		set, err := glass.CaptureFrom(st.Engine, st.srv.dep, st.measurer(), st.srv.w.Platform.Groups(), base, baseEng)
+		set, err := glass.CaptureFrom(st.Engine, st.srv.dep, st.srv.w.Measurer, st.srv.w.Platform.Groups(), base, baseEng)
 		st.captured.Store(&capture{set: set, err: err})
 		st.pred.Store(nil)
 	})
 	c := st.captured.Load()
 	return c.set, c.err
-}
-
-// measurer returns the world's measurer rebound to this state's engine
-// fork: a Measurer resolves forwarding through the engine it holds, and a
-// query must see the snapshot, not the live (mutating) engine.
-func (st *State) measurer() *atlas.Measurer {
-	return st.srv.w.Measurer.WithEngine(st.Engine)
 }
 
 // New assembles a server, deriving site capacities from the world's

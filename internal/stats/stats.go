@@ -46,6 +46,57 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
+// PercentileSelect is Percentile of values, which it reorders in place
+// instead of copying and sorting: it selects just the one or two order
+// statistics PercentileSorted reads, in expected linear time. It returns
+// NaN for an empty input.
+func PercentileSelect(values []float64, p float64) float64 {
+	if n := len(values); n > 1 {
+		lo := int(min(max(p, 0), 100) / 100 * float64(n-1))
+		selectKth(values, lo)
+		if lo+1 < n {
+			selectKth(values[lo+1:], 0)
+		}
+	}
+	return PercentileSorted(values, p)
+}
+
+// sortLess is sort.Float64s' order: ascending, NaN first.
+func sortLess(a, b float64) bool { return a < b || (math.IsNaN(a) && !math.IsNaN(b)) }
+
+// selectKth reorders v so v[k] holds the value sort.Float64s would put
+// there, with no greater value before it and no smaller one after. The
+// three-way partition keeps runs of equal values linear.
+func selectKth(v []float64, k int) {
+	lo, hi := 0, len(v)
+	for hi-lo > 1 {
+		pivot := v[lo+(hi-lo)/2]
+		// [lo,lt) < pivot, [lt,i) == pivot, [gt,hi) > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch {
+			case sortLess(v[i], pivot):
+				v[lt], v[i] = v[i], v[lt]
+				lt++
+				i++
+			case sortLess(pivot, v[i]):
+				gt--
+				v[i], v[gt] = v[gt], v[i]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
+}
+
 // Median returns the 50th percentile of the values.
 func Median(values []float64) float64 { return Percentile(values, 50) }
 

@@ -202,3 +202,42 @@ func TestPercentileMatchesSortedRank(t *testing.T) {
 		}
 	}
 }
+
+// TestPercentileSelectMatchesSort holds the selection to sort +
+// PercentileSorted on random inputs: lengths from 1 up, values drawn from
+// a small pool so duplicates are common, with ±Inf and NaN mixed in, at the
+// percentiles the load plane reads, the ends, and random ones.
+func TestPercentileSelectMatchesSort(t *testing.T) {
+	pool := []float64{math.Inf(-1), -3.5, 0, 1, 1, 2.25, 7, 40, math.Inf(1), math.NaN()}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(1+trial%200)
+		vals := make([]float64, n)
+		for i := range vals {
+			if rng.Intn(3) == 0 {
+				vals[i] = rng.NormFloat64() * 50
+			} else {
+				vals[i] = pool[rng.Intn(len(pool))]
+			}
+		}
+		sorted := append([]float64(nil), vals...)
+		sort.Float64s(sorted)
+		sel := append([]float64(nil), vals...)
+		for _, p := range []float64{50, 90, 0, 100, 99.9, rng.Float64() * 100} {
+			want, got := PercentileSorted(sorted, p), PercentileSelect(sel, p)
+			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("trial %d: p%v of %v: select %v, sort %v", trial, p, vals, got, want)
+			}
+		}
+		// The selection only reorders: the multiset is unchanged.
+		sort.Float64s(sel)
+		for i := range sel {
+			if sel[i] != sorted[i] && !(math.IsNaN(sel[i]) && math.IsNaN(sorted[i])) {
+				t.Fatalf("trial %d: selection changed the values: %v, want %v", trial, sel, sorted)
+			}
+		}
+	}
+	if !math.IsNaN(PercentileSelect(nil, 50)) {
+		t.Error("PercentileSelect(nil) should be NaN")
+	}
+}

@@ -128,11 +128,12 @@ const (
 
 // SiteLoadByID returns one site's load.
 func (r *LoadReport) SiteLoadByID(id string) (SiteLoad, bool) {
-	i, ok := r.idx.siteIdx[id]
-	if !ok {
-		return SiteLoad{}, false
+	for _, s := range r.Sites {
+		if s.Site == id {
+			return s, true
+		}
 	}
-	return r.Sites[i], true
+	return SiteLoad{}, false
 }
 
 // Overloads returns the overloaded sites, worst utilization first.
@@ -195,25 +196,39 @@ type Evaluator struct {
 // immutable, so it never goes stale.
 type groupIndex struct {
 	prefixes []netip.Prefix // the deployment's distinct region prefixes
-	pfx      []int32        // per group: index into prefixes, -1 when no region serves it
+	groups   []groupRef     // by group rank
 	byAS     [][]int32      // per dense AS index: the ranks of the groups in that AS
-	siteIdx  map[string]int // site ID -> index into a report's Sites
+	// siteRank maps a site's bgp.Symbol to its rank in the deployment's
+	// Sites, and so in a report's; -1 for a name outside the deployment.
+	siteRank []int32
 }
 
-// newGroupIndex resolves every group's region prefix and dense AS index.
+// groupRef is what a lookup reads of one probe group: its table and the
+// rib read's coordinates.
+type groupRef struct {
+	pfx  int32 // index into prefixes, -1 when no region serves the group
+	as   int32 // dense AS index, -1 when the topology lacks the AS
+	city geo.CityID
+}
+
+// newGroupIndex resolves every group's region prefix, dense AS index and
+// city id, and every deployment site's symbol.
 func newGroupIndex(e *bgp.Engine, dep *cdn.Deployment, m *Model) groupIndex {
 	tp := e.Topology()
 	gx := groupIndex{
-		pfx:     make([]int32, len(m.Groups)),
-		byAS:    make([][]int32, tp.NumASes()),
-		siteIdx: make(map[string]int, len(dep.Sites)),
+		groups: make([]groupRef, len(m.Groups)),
+		byAS:   make([][]int32, tp.NumASes()),
 	}
 	for i, s := range dep.Sites {
-		gx.siteIdx[s.ID] = i
+		sym := int(bgp.Intern(s.ID))
+		for len(gx.siteRank) <= sym {
+			gx.siteRank = append(gx.siteRank, -1)
+		}
+		gx.siteRank[sym] = int32(i)
 	}
 	rank := map[netip.Prefix]int32{}
 	for gi, g := range m.Groups {
-		gx.pfx[gi] = -1
+		ref := groupRef{pfx: -1, as: -1}
 		if region, ok := dep.RegionForCountry(g.Country); ok {
 			pi, seen := rank[region.Prefix]
 			if !seen {
@@ -221,11 +236,14 @@ func newGroupIndex(e *bgp.Engine, dep *cdn.Deployment, m *Model) groupIndex {
 				rank[region.Prefix] = pi
 				gx.prefixes = append(gx.prefixes, region.Prefix)
 			}
-			gx.pfx[gi] = pi
+			ref.pfx = pi
 		}
 		if ai, ok := tp.ASIndex(g.ASN); ok {
+			ref.as = int32(ai)
 			gx.byAS[ai] = append(gx.byAS[ai], int32(gi))
 		}
+		ref.city, _ = geo.CityIDOf(g.City) // NewModel admits only known cities
+		gx.groups[gi] = ref
 	}
 	return gx
 }
@@ -233,7 +251,7 @@ func newGroupIndex(e *bgp.Engine, dep *cdn.Deployment, m *Model) groupIndex {
 // groupPrefix returns the regional prefix of the group of rank gi, or the
 // zero prefix when no region serves its country.
 func (ev *Evaluator) groupPrefix(gi int) netip.Prefix {
-	if pi := ev.idx.pfx[gi]; pi >= 0 {
+	if pi := ev.idx.groups[gi].pfx; pi >= 0 {
 		return ev.idx.prefixes[pi]
 	}
 	return netip.Prefix{}
@@ -373,7 +391,7 @@ func (ev *Evaluator) changedGroups(eng, base *bgp.Engine) []bool {
 	for pi, p := range ev.idx.prefixes {
 		for _, ai := range eng.RibsChangedFrom(base, p) {
 			for _, gi := range ev.idx.byAS[ai] {
-				if ev.idx.pfx[gi] == int32(pi) {
+				if ev.idx.groups[gi].pfx == int32(pi) {
 					dirty[gi] = true
 				}
 			}
@@ -441,6 +459,14 @@ func (ev *Evaluator) evaluate(eng *bgp.Engine, mat Matrix, d *evalDelta) *LoadRe
 			Capacity: ev.Caps[s.ID],
 		}
 	}
+	// One table per region prefix, in a stack array while a deployment has
+	// at most 8: every lookup of the call reads the engine state these
+	// were taken from.
+	var buf [8]bgp.Table
+	tabs := buf[:0]
+	for _, p := range ev.idx.prefixes {
+		tabs = append(tabs, eng.Table(p))
+	}
 	n, nc := len(groups), min(evalChunks, len(groups))
 	demand := make([]float64, len(rep.Sites)) // one range's per-site sums
 	for ci := 0; ci < nc; ci++ {
@@ -452,7 +478,7 @@ func (ev *Evaluator) evaluate(eng *bgp.Engine, mat Matrix, d *evalDelta) *LoadRe
 				a, kept = d.keep(gi, mat.rates[gi])
 			}
 			if !kept {
-				a = ev.evalGroup(eng, mat, gi)
+				a = ev.evalGroup(tabs, mat, gi)
 				if d != nil && d.trial {
 					d.changed = append(d.changed, groupResult{group: int32(gi), a: a})
 				}
@@ -495,29 +521,29 @@ func (d *evalDelta) keep(gi int, rate float64) (Assignment, bool) {
 	return a, true
 }
 
-// evalGroup looks up where the group of rank gi sends its demand on eng:
-// its site rank and, for a served group, its rate and RTT; rankIdle or
-// rankUnserved for a group no site serves.
-func (ev *Evaluator) evalGroup(eng *bgp.Engine, mat Matrix, gi int) Assignment {
-	g := &ev.Model.Groups[gi]
+// evalGroup looks up where the group of rank gi sends its demand in tabs,
+// the tables of the index's prefixes: its site rank and, for a served
+// group, its rate and RTT; rankIdle or rankUnserved for a group no site
+// serves.
+func (ev *Evaluator) evalGroup(tabs []bgp.Table, mat Matrix, gi int) Assignment {
 	rate := mat.rates[gi]
 	if rate == 0 {
 		return Assignment{Site: rankIdle}
 	}
-	pi := ev.idx.pfx[gi]
-	if pi < 0 {
+	g := ev.idx.groups[gi]
+	if g.pfx < 0 || g.as < 0 {
 		return Assignment{Site: rankUnserved}
 	}
-	site, distKm, ok := eng.LookupSite(ev.idx.prefixes[pi], g.ASN, g.City)
+	r, _, distKm, ok := tabs[g.pfx].Route(int(g.as), g.city)
 	if !ok {
 		return Assignment{Site: rankUnserved}
 	}
-	i, ok := ev.idx.siteIdx[site]
-	if !ok {
+	sym := int(r.SiteSymbol())
+	if sym >= len(ev.idx.siteRank) || ev.idx.siteRank[sym] < 0 {
 		// A cross-announced site outside the deployment's static site
 		// list cannot happen (sites are deployment-wide), so this is a
 		// consistency bug worth failing loudly on.
-		panic(fmt.Sprintf("traffic: catchment site %q not in deployment %s", site, ev.Dep.Name))
+		panic(fmt.Sprintf("traffic: catchment site %q not in deployment %s", r.Site(), ev.Dep.Name))
 	}
-	return Assignment{Site: int32(i), Rate: rate, RTTMs: geo.FiberRTTMs(distKm * rttInflation)}
+	return Assignment{Site: ev.idx.siteRank[sym], Rate: rate, RTTMs: geo.FiberRTTMs(distKm * rttInflation)}
 }

@@ -20,69 +20,46 @@ import (
 	"anysim/internal/topo"
 )
 
-// DemandConfig seeds and shapes the demand model.
+// DemandConfig seeds the demand model.
 type DemandConfig struct {
 	Seed int64
-	// Buckets is the number of time buckets per simulated day. Default 8
-	// (three-hour buckets).
-	Buckets int
-	// ZipfS is the Zipf exponent of the group-popularity distribution.
-	// Default 0.9, the heavy skew CDN traffic studies report.
-	ZipfS float64
-	// DiurnalAmp is the amplitude of the diurnal cycle: demand swings
-	// between (1-Amp) and (1+Amp) of a group's base rate over the local
-	// day. Default 0.6.
-	DiurnalAmp float64
-	// PeakHour is the local solar hour of peak demand. Default 20 (the
-	// evening peak).
-	PeakHour float64
-	// TotalRate is the day-mean aggregate request rate over all groups, in
-	// arbitrary requests/s. Default 1e6.
-	TotalRate float64
-	// AreaWeight sets each paper area's share of aggregate demand.
-	// Shares are normalized over the areas that have probe groups, so
-	// demand follows the areas' rough shares of global Internet users
-	// (EMEA 0.35, NA 0.27, APAC 0.28, LatAm 0.10 by default) rather than
-	// the platform's Europe-heavy probe density.
-	AreaWeight map[geo.Area]float64
-	// MaxGroupShare truncates the Zipf head: no single group models more
+}
+
+// The demand model's shape.
+const (
+	// buckets is the number of time buckets per simulated day: three-hour
+	// buckets.
+	buckets = 8
+	// zipfS is the Zipf exponent of the group-popularity distribution, the
+	// heavy skew CDN traffic studies report.
+	zipfS = 0.9
+	// diurnalAmp is the amplitude of the diurnal cycle: demand swings
+	// between (1-diurnalAmp) and (1+diurnalAmp) of a group's base rate
+	// over the local day.
+	diurnalAmp = 0.6
+	// peakHour is the local solar hour of peak demand: the evening peak.
+	peakHour = 20
+	// totalRate is the day-mean aggregate request rate over all groups, in
+	// arbitrary requests/s.
+	totalRate = 1e6
+	// maxGroupShare truncates the Zipf head: no single group models more
 	// than this fraction of its area's demand, with the excess
 	// redistributed over the area's other groups proportionally. A lone
 	// vantage AS would otherwise stand in for half a continent's users
 	// and carry more demand than any single site can serve, which no
-	// routing assignment — steered or not — could ever satisfy. Default
-	// 0.2; set negative to disable.
-	MaxGroupShare float64
-}
+	// routing assignment — steered or not — could ever satisfy.
+	maxGroupShare = 0.2
+)
 
-func (c DemandConfig) withDefaults() DemandConfig {
-	if c.Buckets == 0 {
-		c.Buckets = 8
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 0.9
-	}
-	if c.DiurnalAmp == 0 {
-		c.DiurnalAmp = 0.6
-	}
-	if c.PeakHour == 0 {
-		c.PeakHour = 20
-	}
-	if c.TotalRate == 0 {
-		c.TotalRate = 1e6
-	}
-	if c.AreaWeight == nil {
-		c.AreaWeight = map[geo.Area]float64{
-			geo.EMEA:  0.35,
-			geo.NA:    0.27,
-			geo.APAC:  0.28,
-			geo.LatAm: 0.10,
-		}
-	}
-	if c.MaxGroupShare == 0 {
-		c.MaxGroupShare = 0.2
-	}
-	return c
+// areaWeight sets each paper area's share of aggregate demand. Shares are
+// normalized over the areas that have probe groups, so demand follows the
+// areas' rough shares of global Internet users rather than the platform's
+// Europe-heavy probe density. Read-only.
+var areaWeight = map[geo.Area]float64{
+	geo.EMEA:  0.35,
+	geo.NA:    0.27,
+	geo.APAC:  0.28,
+	geo.LatAm: 0.10,
 }
 
 // GroupDemand is one probe group's demand parameters.
@@ -99,7 +76,6 @@ type GroupDemand struct {
 
 // Model is the seeded demand model over a probe platform's groups.
 type Model struct {
-	cfg    DemandConfig
 	Groups []GroupDemand // sorted by Key
 	total  float64
 	mats   []Matrix // one per time bucket, built once by NewModel
@@ -110,7 +86,6 @@ type Model struct {
 // paper area's share of users and by group size (more probes in a <city,
 // AS> group proxies a larger client population behind it).
 func NewModel(pl *atlas.Platform, cfg DemandConfig) *Model {
-	cfg = cfg.withDefaults()
 	groups := pl.Groups().Groups
 
 	// A seeded permutation assigns each group its popularity rank: rank r
@@ -124,10 +99,10 @@ func NewModel(pl *atlas.Platform, cfg DemandConfig) *Model {
 	rng.Shuffle(len(ranked), func(i, j int) { ranked[i], ranked[j] = ranked[j], ranked[i] })
 	weights := make([]float64, len(groups))
 	for r, i := range ranked {
-		weights[i] = math.Pow(float64(r+1), -cfg.ZipfS) * float64(len(groups[i].Probes))
+		weights[i] = math.Pow(float64(r+1), -zipfS) * float64(len(groups[i].Probes))
 	}
 
-	m := &Model{cfg: cfg, Groups: make([]GroupDemand, 0, len(groups))}
+	m := &Model{Groups: make([]GroupDemand, 0, len(groups))}
 	areaSum := map[geo.Area]float64{}
 	for i, grp := range groups {
 		g := GroupDemand{
@@ -141,67 +116,65 @@ func NewModel(pl *atlas.Platform, cfg DemandConfig) *Model {
 		areaSum[g.Area] += weights[i]
 		m.Groups = append(m.Groups, g)
 	}
-	// Truncate the Zipf head per area: clamp any group above MaxGroupShare
+	// Truncate the Zipf head per area: clamp any group above maxGroupShare
 	// of its area's weight and rescale the rest to absorb the excess,
 	// repeating until no group exceeds the cap (each pass only ever grows
 	// the unclamped groups, so the loop settles in a few rounds). Areas
 	// with too few groups to honour the cap degrade to a uniform split.
-	if cfg.MaxGroupShare > 0 {
-		byArea := map[geo.Area][]int{}
-		for i, g := range m.Groups {
-			byArea[g.Area] = append(byArea[g.Area], i)
-		}
-		for a, idxs := range byArea {
-			if float64(len(idxs))*cfg.MaxGroupShare < 1 {
-				for _, i := range idxs {
-					weights[i] = areaSum[a] / float64(len(idxs))
-				}
-				continue
+	byArea := map[geo.Area][]int{}
+	for i, g := range m.Groups {
+		byArea[g.Area] = append(byArea[g.Area], i)
+	}
+	for a, idxs := range byArea {
+		if float64(len(idxs))*maxGroupShare < 1 {
+			for _, i := range idxs {
+				weights[i] = areaSum[a] / float64(len(idxs))
 			}
-			for {
-				capW := cfg.MaxGroupShare * areaSum[a]
-				excess, open := 0.0, 0.0
-				for _, i := range idxs {
-					if weights[i] >= capW {
-						excess += weights[i] - capW
-					} else {
-						open += weights[i]
-					}
+			continue
+		}
+		for {
+			capW := maxGroupShare * areaSum[a]
+			excess, open := 0.0, 0.0
+			for _, i := range idxs {
+				if weights[i] >= capW {
+					excess += weights[i] - capW
+				} else {
+					open += weights[i]
 				}
-				if excess <= 1e-12*areaSum[a] {
-					break
-				}
-				scale := (open + excess) / open
-				for _, i := range idxs {
-					if weights[i] >= capW {
-						weights[i] = capW
-					} else {
-						weights[i] *= scale
-					}
+			}
+			if excess <= 1e-12*areaSum[a] {
+				break
+			}
+			scale := (open + excess) / open
+			for _, i := range idxs {
+				if weights[i] >= capW {
+					weights[i] = capW
+				} else {
+					weights[i] *= scale
 				}
 			}
 		}
 	}
-	// AreaWeight fixes each area's share of the aggregate: the Zipf x
+	// areaWeight fixes each area's share of the aggregate: the Zipf x
 	// group-size weights only shape the distribution within an area. Without
 	// this normalization the platform's probe density (Europe-heavy, like
 	// RIPE Atlas) would drive area shares instead of user population.
 	shareSum := 0.0
 	for a, s := range areaSum {
 		if s > 0 {
-			shareSum += cfg.AreaWeight[a]
+			shareSum += areaWeight[a]
 		}
 	}
 	for i := range m.Groups {
 		g := &m.Groups[i]
-		share := cfg.AreaWeight[g.Area] / shareSum
-		g.Base = cfg.TotalRate * share * weights[i] / areaSum[g.Area]
+		share := areaWeight[g.Area] / shareSum
+		g.Base = totalRate * share * weights[i] / areaSum[g.Area]
 		m.total += g.Base
 	}
-	m.mats = make([]Matrix, cfg.Buckets)
+	m.mats = make([]Matrix, buckets)
 	for b := range m.mats {
 		// The bucket's midpoint UTC hour drives each group's diurnal phase.
-		utcHour := (float64(b) + 0.5) * 24 / float64(cfg.Buckets)
+		utcHour := (float64(b) + 0.5) * 24 / buckets
 		m.mats[b] = m.newMatrix(b, func(i int) float64 {
 			g := &m.Groups[i]
 			return g.Base * m.diurnal(g.Lon, utcHour)
@@ -211,17 +184,17 @@ func NewModel(pl *atlas.Platform, cfg DemandConfig) *Model {
 }
 
 // Buckets returns the number of time buckets per day.
-func (m *Model) Buckets() int { return m.cfg.Buckets }
+func (m *Model) Buckets() int { return buckets }
 
 // TotalBase returns the day-mean aggregate rate.
 func (m *Model) TotalBase() float64 { return m.total }
 
 // diurnal returns the demand multiplier for a group at a UTC hour: a cosine
-// day-cycle peaking at cfg.PeakHour local solar time, with the local clock
+// day-cycle peaking at peakHour local solar time, with the local clock
 // derived from the group's longitude (15 degrees per hour).
 func (m *Model) diurnal(lon, utcHour float64) float64 {
 	localHour := math.Mod(utcHour+lon/15+24, 24)
-	return 1 + m.cfg.DiurnalAmp*math.Cos(2*math.Pi*(localHour-m.cfg.PeakHour)/24)
+	return 1 + diurnalAmp*math.Cos(2*math.Pi*(localHour-peakHour)/24)
 }
 
 // Matrix is one time bucket's demand: request rate per probe group. A
@@ -254,8 +227,8 @@ func (m *Model) newMatrix(bucket int, rate func(i int) float64) Matrix {
 // Matrix returns the demand matrix of one time bucket (0 <= bucket <
 // Buckets()), built once by NewModel and shared read-only.
 func (m *Model) Matrix(bucket int) Matrix {
-	if bucket < 0 || bucket >= m.cfg.Buckets {
-		panic(fmt.Sprintf("traffic: bucket %d outside [0,%d)", bucket, m.cfg.Buckets))
+	if bucket < 0 || bucket >= buckets {
+		panic(fmt.Sprintf("traffic: bucket %d outside [0,%d)", bucket, buckets))
 	}
 	return m.mats[bucket]
 }
@@ -286,7 +259,7 @@ func (m *Model) FlashCrowd(mat Matrix, area geo.Area, factor float64) Matrix {
 // on the map's order; it equals folding FlashCrowd over the areas one by
 // one.
 func (m *Model) Demand(tick int64, flash map[geo.Area]float64) Matrix {
-	mat := m.Matrix(int(tick % int64(m.cfg.Buckets)))
+	mat := m.Matrix(int(tick % int64(buckets)))
 	if len(flash) == 0 {
 		return mat
 	}
@@ -303,7 +276,7 @@ func (m *Model) Demand(tick int64, flash map[geo.Area]float64) Matrix {
 // highest, summing each bucket in group order.
 func (m *Model) PeakBucket(area geo.Area) int {
 	best, bestRate := 0, -1.0
-	for b := 0; b < m.cfg.Buckets; b++ {
+	for b := 0; b < buckets; b++ {
 		rates := m.mats[b].rates
 		rate := 0.0
 		for i, g := range m.Groups {

@@ -787,16 +787,16 @@ func (s *Steerer) prefixSaturated(rep *LoadReport, anns []bgp.SiteAnnouncement, 
 // the lower prefix text on a tie.
 func (s *Steerer) hottestPrefix(rep *LoadReport, site string) (netip.Prefix, bool) {
 	gx := rep.idx
-	si, ok := gx.siteIdx[site]
-	if !ok {
+	si := slices.IndexFunc(rep.Sites, func(s SiteLoad) bool { return s.Site == site })
+	if si < 0 {
 		return netip.Prefix{}, false
 	}
 	// Demand by prefix rank, and whether the site serves a group over it.
 	byPfx, seen := make([]float64, len(gx.prefixes)), make([]bool, len(gx.prefixes))
 	for gi, a := range rep.Assignments {
 		if a.Site == int32(si) {
-			byPfx[gx.pfx[gi]] += a.Rate
-			seen[gx.pfx[gi]] = true
+			byPfx[gx.groups[gi].pfx] += a.Rate
+			seen[gx.groups[gi].pfx] = true
 		}
 	}
 	var best netip.Prefix

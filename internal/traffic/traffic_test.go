@@ -80,12 +80,12 @@ func TestDemandModelShape(t *testing.T) {
 
 func TestDiurnalCycle(t *testing.T) {
 	w := smallWorld(t)
-	m := NewModel(w.Platform, DemandConfig{Seed: 1, Buckets: 24})
+	m := NewModel(w.Platform, DemandConfig{Seed: 1})
 	// Every group's rate must swing over the day and average back to its
-	// base (the cosine integrates to zero over 24 buckets).
+	// base (the cosine sums to zero over equally spaced phases).
 	mats := m.Matrices()
-	if len(mats) != 24 {
-		t.Fatalf("got %d matrices; want 24", len(mats))
+	if len(mats) != m.Buckets() || len(mats) != 8 {
+		t.Fatalf("got %d matrices, Buckets() %d; want 8", len(mats), m.Buckets())
 	}
 	g := m.Groups[0]
 	var lo, hi, mean float64 = math.Inf(1), 0, 0
@@ -93,7 +93,7 @@ func TestDiurnalCycle(t *testing.T) {
 		r := mat.Rates[g.Key]
 		lo = math.Min(lo, r)
 		hi = math.Max(hi, r)
-		mean += r / 24
+		mean += r / float64(len(mats))
 	}
 	if hi/lo < 1.5 {
 		t.Errorf("diurnal swing too flat: lo %.2f hi %.2f", lo, hi)
@@ -324,10 +324,12 @@ func checkDense(t *testing.T, label string, ev *Evaluator, eng *bgp.Engine, mat 
 	for i, a := range rep.Assignments {
 		g := &m.Groups[i]
 		rate := mat.Rates[g.Key]
-		site, ok := "", false
+		var fwd bgp.Forward
+		ok := false
 		if p := ev.groupPrefix(i); rate != 0 && p.IsValid() {
-			site, _, ok = eng.LookupSite(p, g.ASN, g.City)
+			fwd, ok = eng.Lookup(p, g.ASN, g.City)
 		}
+		site := fwd.Site
 		if !ok {
 			want := rankUnserved
 			if rate == 0 {
