@@ -245,6 +245,11 @@ func requireIdleArenas(t *testing.T, e *Engine) {
 		}
 		empty = empty && !slices.ContainsFunc(a.prev[:cap(a.prev)], func(r *rib) bool { return r != nil })
 		empty = empty && !slices.ContainsFunc(a.slot, func(c int32) bool { return c != 0 })
+		for _, dt := range []dropTable{a.prov.drops, a.prov.pol} {
+			empty = empty && len(dt.slots) == 0 && len(dt.owners) == 0 &&
+				!slices.ContainsFunc(dt.slots[:cap(dt.slots)], func(s [FromProvider + 1]dropSlot) bool { return s != [FromProvider + 1]dropSlot{} }) &&
+				!slices.ContainsFunc(dt.idx, func(k int32) bool { return k != 0 })
+		}
 		if !empty {
 			t.Fatal("an idle arena holds offers, counts or route references")
 		}
@@ -255,7 +260,8 @@ func requireIdleArenas(t *testing.T, e *Engine) {
 // arena, as the passes of a reconverge do. The first leaves the stub's
 // prepended seed at a level its descent never reaches; the second, with iad
 // prepended so its climb runs that many rounds, must still match a converge
-// on a fresh arena.
+// on a fresh arena. The arena's provenance recorder carries the first
+// pass's drops into the second unless the pass clears it.
 func TestArenaReuseAcrossConverges(t *testing.T) {
 	tp, _, iad, fra := lateOfferWorld(t)
 	e := NewEngineWithConfig(tp, EngineConfig{Provenance: true})
@@ -280,4 +286,42 @@ func TestArenaReuseAcrossConverges(t *testing.T) {
 	if asn, ok := provTablesEqual(e, tableOf(e, got), tableOf(e, want)); !ok {
 		t.Fatalf("provenance for %s differs after arena reuse", asn)
 	}
+
+	// A converge whose policy rejects the fra seeds fills the recorder's
+	// policy table. A converge of sin alone and no policy, on the same
+	// arena, must record provenance equal to a fresh engine's: a policy
+	// drop left over from the first would surface as a community-dropped
+	// runner-up in a class the AS no longer hears.
+	t.Run("after-policy-drops", func(t *testing.T) {
+		tp, e := figure7World(t)
+		const imperva topo.ASN = 19551
+		e.SetProvenance(true)
+		e.SetPolicy(policy.MustParse("policy no-fra\nimport metro FRA -> reject\n"))
+		fra := SiteAnnouncement{Origin: imperva, Site: "fra", City: "FRA"}
+		sin := SiteAnnouncement{Origin: imperva, Site: "sin", City: "SIN"}
+		a := e.arenas.get()
+		defer e.arenas.put(a)
+		if err := e.converge(a, pfxGlobal, []SiteAnnouncement{fra, sin}, make(ribTable, e.n), nil); err != nil {
+			t.Fatal(err)
+		}
+		if len(a.prov.pol.owners) == 0 {
+			t.Fatal("the policy rejected no seed")
+		}
+		e.SetPolicy(nil)
+		got := make(ribTable, e.n)
+		if err := e.converge(a, pfxGlobal, []SiteAnnouncement{sin}, got, nil); err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewEngineWithConfig(tp, EngineConfig{Provenance: true})
+		want, err := fresh.convergeFull(pfxGlobal, []SiteAnnouncement{sin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if asn, ok := ribsEqual(e, got, want); !ok {
+			t.Fatalf("rib for %s differs after a policy pass on the arena", asn)
+		}
+		if asn, ok := provTablesEqual(e, tableOf(e, got), tableOf(e, want)); !ok {
+			t.Fatalf("provenance for %s differs after a policy pass on the arena", asn)
+		}
+	})
 }

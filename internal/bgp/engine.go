@@ -449,7 +449,8 @@ func (e *Engine) converge(a *arena, prefix netip.Prefix, anns []SiteAnnouncement
 	a.begin(dirty)
 	var pr *provRecorder
 	if e.provOn {
-		pr = newProvRecorder(e.n, len(a.dirty))
+		pr = &a.prov
+		pr.begin(a.n)
 	}
 	// Every node this converge creates comes from its slab; see nodeSlab.
 	slab := &nodeSlab{}
@@ -465,9 +466,14 @@ func (e *Engine) converge(a *arena, prefix netip.Prefix, anns []SiteAnnouncement
 	settle := func(i int32, routes []Route, c RelClass) {
 		t := e.adj.traits[i]
 		rb := getRIB(i)
-		rb.routes = capClass(rb.routes, routes, int(t.cap), t.arbitrary)
+		var kept []bool
+		if pr != nil {
+			a.kept = slices.Grow(a.kept[:0], len(routes))[:len(routes)]
+			kept = a.kept
+		}
+		rb.routes = capClass(rb.routes, routes, int(t.cap), t.arbitrary, kept)
 		rb.close(c)
-		pr.dropMissing(int(i), routes, rb.class(c))
+		pr.dropMissing(int(i), routes, kept)
 	}
 	// dropExport records, with provenance on, the offers a dirty receiver
 	// heard after it had settled.
@@ -841,6 +847,10 @@ type arena struct {
 	origins, settled, pend asBits
 	// prev holds, during a reconverge pass, its dirty ASes' previous ribs.
 	prev []*rib
+	// prov is the provenance recorder of a recording pass, and kept is
+	// capClass's report of the offers it retained.
+	prov provRecorder
+	kept []bool
 }
 
 // arenaPool holds the idle arenas of an engine and its forks. Unlike a
@@ -881,6 +891,7 @@ func (p *arenaPool) put(a *arena) {
 	}
 	a.exp, a.peerSeeds, a.provSeeds = wipe(a.exp), wipe(a.peerSeeds), wipe(a.provSeeds)
 	a.buf, a.tmp, a.prev = wipe(a.buf), wipe(a.tmp), wipe(a.prev)
+	a.prov.clear()
 	p.mu.Lock()
 	p.idle = append(p.idle, a)
 	p.mu.Unlock()
@@ -1096,7 +1107,13 @@ func routeLess(a, b Route) bool { return routeCmp(a, b) < 0 }
 // sorts the shortest routes by (neighbour, handoff city, routeCmp), so each
 // neighbour is one run and each of its handoff cities one sub-run led by
 // the routeCmp-least route: no per-call maps or per-group slices.
-func capClass(dst, routes []Route, cap int, arbitrary bool) []Route {
+//
+// A non-nil kept, as long as routes, receives which of the permuted routes
+// the result retains: kept[j] reports that routes[j] is routeEqual to a
+// route of the result. Only sub-run leaders are retained, and a route equal
+// to one shares its neighbour and handoff city, so it sits in the leader's
+// sub-run; the report is one linear pass.
+func capClass(dst, routes []Route, cap int, arbitrary bool, kept []bool) []Route {
 	if len(routes) == 0 {
 		return dst
 	}
@@ -1177,7 +1194,27 @@ func capClass(dst, routes []Route, cap int, arbitrary bool) []Route {
 		}
 	}
 	slices.SortFunc(dst[base:], routeCmp)
-	return dst[:base+min(n, MaxRoutesPerClass)]
+	n = min(n, MaxRoutesPerClass)
+	if kept != nil {
+		// Leaders are pairwise distinct under routeCmp (equal routes share
+		// a neighbour and a handoff city), so a chosen leader survives the
+		// cap exactly when it sorts no later than the result's last route.
+		clear(kept)
+		last := dst[base+n-1]
+		for _, g := range groups {
+			lead := -1
+			for j := g.start; j < g.end; j++ {
+				if newCity(j) {
+					lead = -1
+					if routeCmp(short[j], last) <= 0 {
+						lead = j
+					}
+				}
+				kept[j] = lead >= 0 && routeEqual(short[j], short[lead])
+			}
+		}
+	}
+	return dst[:base+n]
 }
 
 // partition moves the routes satisfying keep to the front, preserving the

@@ -1,7 +1,9 @@
 package bgp
 
 import (
+	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"anysim/internal/geo"
@@ -397,12 +399,12 @@ func TestCapClass(t *testing.T) {
 		return mkNbr(ln, handoff, down, site, 0)
 	}
 	// Longer paths are dropped.
-	out := capClass(nil, []Route{mk(2, "NYC", 10, "a"), mk(3, "LON", 0, "b")}, MaxRoutesPerClass, false)
+	out := capClass(nil, []Route{mk(2, "NYC", 10, "a"), mk(3, "LON", 0, "b")}, MaxRoutesPerClass, false, nil)
 	if len(out) != 1 || out[0].Site() != "a" {
 		t.Errorf("capClass kept wrong routes: %v", out)
 	}
 	// Duplicate handoffs keep the cheapest downstream.
-	out = capClass(nil, []Route{mk(2, "NYC", 10, "a"), mk(2, "NYC", 5, "b")}, MaxRoutesPerClass, false)
+	out = capClass(nil, []Route{mk(2, "NYC", 10, "a"), mk(2, "NYC", 5, "b")}, MaxRoutesPerClass, false, nil)
 	if len(out) != 1 || out[0].Site() != "b" {
 		t.Errorf("capClass dedup failed: %v", out)
 	}
@@ -413,7 +415,7 @@ func TestCapClass(t *testing.T) {
 	for i, c := range cities {
 		many = append(many, mkNbr(2, c, float64(i), "s", 7))
 	}
-	out = capClass(nil, many, 1, true)
+	out = capClass(nil, many, 1, true, nil)
 	if len(out) != len(cities) {
 		t.Errorf("capClass kept %d routes, want all %d sessions of the single neighbour", len(out), len(cities))
 	}
@@ -422,24 +424,70 @@ func TestCapClass(t *testing.T) {
 	for i, c := range cities[:6] {
 		multi = append(multi, mkNbr(2, c, float64(i), "s", topo.ASN(10+i)))
 	}
-	out = capClass(nil, multi, 2, false)
+	out = capClass(nil, multi, 2, false, nil)
 	if len(out) != 2 {
 		t.Errorf("capClass kept %d routes, want 2 neighbours' single sessions", len(out))
 	}
-	if capClass(nil, nil, 1, true) != nil {
+	if capClass(nil, nil, 1, true, nil) != nil {
 		t.Error("capClass(nil) should be nil")
 	}
 	// Arbitrary mode still avoids continental-scale detours: 9,000 km of
 	// extra downstream carriage lands in a higher bucket and loses.
-	out = capClass(nil, []Route{mkNbr(2, "SIN", 9000, "far", 9), mkNbr(2, "NYC", 0, "near", 8)}, 1, true)
+	out = capClass(nil, []Route{mkNbr(2, "SIN", 9000, "far", 9), mkNbr(2, "NYC", 0, "near", 8)}, 1, true, nil)
 	if len(out) != 1 || out[0].Handoff() != "NYC" {
 		t.Errorf("arbitrary capClass kept %v, want lower carriage bucket", out)
 	}
 	// Within a 3,000 km band neighbour choice is geography-blind: 2,500 km
 	// of extra carriage does not beat the lower neighbour ASN.
-	out = capClass(nil, []Route{mkNbr(2, "WAS", 2500, "x", 20), mkNbr(2, "BOS", 0, "y", 30)}, 1, true)
+	out = capClass(nil, []Route{mkNbr(2, "WAS", 2500, "x", 20), mkNbr(2, "BOS", 0, "y", 30)}, 1, true, nil)
 	if len(out) != 1 || out[0].Path()[0] != 20 {
 		t.Errorf("blind-in-band capClass kept %v, want lowest neighbour ASN", out)
+	}
+}
+
+// TestCapClassKept: capClass's kept report matches the membership scan it
+// replaces (an offer is retained when it equals a route of the result) on
+// random candidate sets with duplicate offers, routes that tie under
+// routeCmp but differ in fields it ignores, and more neighbour sessions
+// than MaxRoutesPerClass.
+func TestCapClassKept(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cities := []string{"NYC", "LON", "FRA", "SIN", "SYD", "SAO", "JNB", "BOM", "TYO", "SEA", "LAX", "MIA", "WAS", "CHI", "DEN"}
+	truncated := false
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(200)
+		routes := make([]Route, 0, n)
+		for len(routes) < n {
+			if len(routes) > 0 && rng.Intn(5) == 0 {
+				// A duplicate offer, or one routeCmp cannot tell apart.
+				r := routes[rng.Intn(len(routes))]
+				if rng.Intn(2) == 0 {
+					r.FinalUpstream++
+				}
+				routes = append(routes, r)
+				continue
+			}
+			ln := 2 + rng.Intn(2)
+			path := make([]topo.ASN, ln)
+			path[0] = topo.ASN(1 + rng.Intn(10))
+			cs := make([]string, ln)
+			for i := range cs {
+				cs[i] = cities[rng.Intn(len(cities))]
+			}
+			routes = append(routes, testRoute(path, cs, float64(rng.Intn(4)*1000), string(rune('a'+rng.Intn(3)))))
+		}
+		kept := make([]bool, len(routes))
+		out := capClass(nil, routes, 1+rng.Intn(12), rng.Intn(2) == 0, kept)
+		truncated = truncated || len(out) == MaxRoutesPerClass
+		for j, r := range routes {
+			want := slices.ContainsFunc(out, func(k Route) bool { return routeEqual(r, k) })
+			if kept[j] != want {
+				t.Fatalf("trial %d: kept[%d] = %v for %v, want %v", trial, j, kept[j], r, want)
+			}
+		}
+	}
+	if !truncated {
+		t.Fatal("no trial hit MaxRoutesPerClass")
 	}
 }
 

@@ -14,11 +14,13 @@ package bgp
 // a converge every recomputed AS's fresh rib points into one []Provenance
 // block sized to the recomputed ASes; clean ASes carry their record over
 // with their rib pointer, and Fork and the server's state history share
-// records exactly the way they already share ribs. The recorder is sized
-// the same way: an n-entry int32 index (pointer-free, so the GC never scans
-// it) into a slot block preallocated to the dirty count. An incremental
-// pass therefore pays for provenance in proportion to the ASes it
-// recomputes, not to the topology.
+// records exactly the way they already share ribs. The recorder is working
+// memory, so converge's pooled arena owns it: an n-entry int32 index
+// (pointer-free, so the GC never scans it), allocated on the arena's first
+// provenance pass, into a slot list that keeps its capacity. Each pass
+// clears only the index entries and slots the previous one used, so an
+// incremental pass pays for provenance in proportion to the offers its
+// recomputed ASes drop, not to the topology.
 //
 // The provenance-off path stays byte- and allocation-identical to an engine
 // without the feature: every recording site is gated on a nil *provRecorder
@@ -121,8 +123,9 @@ func (p Provenance) Winner() Route { return p.winner }
 func (p Provenance) RunnerUp() Route { return p.runnerUp }
 
 // provRecorder accumulates the best dropped route per (AS, class) during one
-// converge call. It exists only when provenance is enabled; every method is
-// nil-safe so call sites stay branch-only on the off path.
+// converge pass. Every method is nil-safe so call sites stay branch-only on
+// the provenance-off path, where converge passes a nil recorder. The arena
+// owns one recorder and recycles it across passes (see clear).
 type provRecorder struct {
 	// drops records the offers the decision process rejected.
 	drops dropTable
@@ -134,10 +137,12 @@ type provRecorder struct {
 }
 
 // dropTable holds the best dropped route per (AS, class) sparsely: idx maps
-// a dense AS index to 1 + its slot in slots, 0 meaning nothing recorded.
+// a dense AS index to 1 + its slot in slots, 0 meaning nothing recorded,
+// and owners[k] is the AS index of slot k.
 type dropTable struct {
-	idx   []int32
-	slots [][FromProvider + 1]dropSlot
+	idx    []int32
+	slots  [][FromProvider + 1]dropSlot
+	owners []int32
 }
 
 type dropSlot struct {
@@ -145,10 +150,29 @@ type dropSlot struct {
 	ok bool
 }
 
-// newProvRecorder sizes a recorder for n ASes of which at most dirty are
-// recomputed (and so can drop offers).
-func newProvRecorder(n, dirty int) *provRecorder {
-	return &provRecorder{drops: dropTable{idx: make([]int32, n), slots: make([][FromProvider + 1]dropSlot, 0, dirty)}}
+// begin readies the recorder for one converge pass over n ASes. The index
+// is allocated on the recorder's first pass and kept after it.
+func (p *provRecorder) begin(n int) {
+	p.clear()
+	if p.drops.idx == nil {
+		p.drops.idx = make([]int32, n)
+	}
+}
+
+// clear empties the recorder and drops every route reference it holds. It
+// zeroes only the index entries and slots the last pass used, so it costs
+// what that pass dropped, not the topology.
+func (p *provRecorder) clear() {
+	p.drops.clear()
+	p.pol.clear()
+}
+
+func (t *dropTable) clear() {
+	for _, i := range t.owners {
+		t.idx[i] = 0
+	}
+	clear(t.slots)
+	t.slots, t.owners = t.slots[:0], t.owners[:0]
 }
 
 // keep records r as AS i's best drop of its class if it beats the current one.
@@ -156,6 +180,7 @@ func (t *dropTable) keep(i int, r Route) {
 	k := t.idx[i]
 	if k == 0 {
 		t.slots = append(t.slots, [FromProvider + 1]dropSlot{})
+		t.owners = append(t.owners, int32(i))
 		k = int32(len(t.slots))
 		t.idx[i] = k
 	}
@@ -199,22 +224,14 @@ func (p *provRecorder) dropRoutes(i int, routes []Route) {
 	}
 }
 
-// dropMissing records every offered route that did not survive capClass.
-// Candidate sets are small, so the quadratic membership scan is cheap — and
-// it only ever runs with provenance on.
-func (p *provRecorder) dropMissing(i int, offered, kept []Route) {
+// dropMissing records every offered route capClass did not retain, in
+// offer order: those whose kept flag (see capClass) is false.
+func (p *provRecorder) dropMissing(i int, offered []Route, kept []bool) {
 	if p == nil {
 		return
 	}
-	for _, r := range offered {
-		retained := false
-		for _, k := range kept {
-			if routeEqual(r, k) {
-				retained = true
-				break
-			}
-		}
-		if !retained {
+	for j, r := range offered {
+		if !kept[j] {
 			p.drop(i, r)
 		}
 	}

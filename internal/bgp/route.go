@@ -171,6 +171,11 @@ func (r Route) Path() []topo.ASN {
 	return out
 }
 
+// SamePath reports whether r and o hold the same AS path, hop cities
+// included: the Path and Cities their forwards render are equal. It walks
+// the two chains only up to their first shared node and allocates nothing.
+func (r Route) SamePath(o Route) bool { return pathEqual(r.path, o.path) }
+
 // Cities returns the handoff cities, parallel to Path, as a fresh slice.
 func (r Route) Cities() []string {
 	out := make([]string, 0, r.plen)

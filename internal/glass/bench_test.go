@@ -4,13 +4,18 @@ import (
 	"slices"
 	"testing"
 
+	"anysim/internal/bgp"
 	"anysim/internal/topo"
 )
 
 // BenchmarkCapture measures a catchment capture of the small world's IM6
-// deployment. full walks every probe group of the engine; delta captures a
-// fork after one link fault against the base capture, as the server
-// captures each published state after an event.
+// deployment. full walks every probe group of the engine; the others
+// capture a fork after one fault against the base capture, as the server
+// captures each published state after an event: delta after a public
+// peering link fault, deployment-link after a fault on one of the
+// deployment AS's links (its origin rib changes, the last hop of every
+// served view), and site-withdraw after one site's withdrawal from the
+// first region's prefix (the prefix's site set changes).
 func BenchmarkCapture(b *testing.B) {
 	w := provWorld(b, 5)
 	dep, probes := w.Imperva.IM6, w.Platform.Retained()
@@ -26,22 +31,15 @@ func BenchmarkCapture(b *testing.B) {
 			}
 		}
 	})
-	b.Run("delta", func(b *testing.B) {
-		// Fail the first public peering link on a fork: a few ribs change
-		// and most views are reused. The topology is shared with the base
-		// engine, so the link is repaired afterwards.
-		li := slices.IndexFunc(w.Topo.Links(), func(l topo.Link) bool { return l.Type == topo.PublicPeer })
+	// delta captures fork against the base capture. The topology is shared
+	// with the base engine, so a link fault is repaired afterwards.
+	delta := func(b *testing.B, fault func(fork *bgp.Engine) error) {
 		fork := w.Engine.Fork()
-		batch := fork.NewBatch()
-		if err := batch.SetLink(li, false); err != nil {
+		if err := fault(fork); err != nil {
 			b.Fatal(err)
 		}
-		if err := fork.ApplyBatch(batch); err != nil {
-			b.Fatal(err)
-		}
-		defer w.Topo.SetLinkEnabled(li, true)
 		if len(fork.RibsChangedFrom(w.Engine, dep.Regions[0].Prefix)) == 0 {
-			b.Fatal("the link fault changed no rib")
+			b.Fatal("the fault changed no rib")
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -50,5 +48,29 @@ func BenchmarkCapture(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+	linkFault := func(li int) func(*bgp.Engine) error {
+		return func(fork *bgp.Engine) error {
+			batch := fork.NewBatch()
+			if err := batch.SetLink(li, false); err != nil {
+				return err
+			}
+			return fork.ApplyBatch(batch)
+		}
+	}
+	b.Run("delta", func(b *testing.B) {
+		li := slices.IndexFunc(w.Topo.Links(), func(l topo.Link) bool { return l.Type == topo.PublicPeer })
+		defer w.Topo.SetLinkEnabled(li, true)
+		delta(b, linkFault(li))
+	})
+	b.Run("deployment-link", func(b *testing.B) {
+		li := slices.IndexFunc(w.Topo.Links(), func(l topo.Link) bool { return l.A == dep.ASN || l.B == dep.ASN })
+		defer w.Topo.SetLinkEnabled(li, true)
+		delta(b, linkFault(li))
+	})
+	b.Run("site-withdraw", func(b *testing.B) {
+		prefix := dep.Regions[0].Prefix
+		site := w.Engine.Announcements(prefix)[0].Site
+		delta(b, func(fork *bgp.Engine) error { return fork.WithdrawSite(prefix, site) })
 	})
 }

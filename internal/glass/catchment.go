@@ -224,8 +224,9 @@ func classify(inflationMs float64, hops []hop) Pathology {
 // GroupView is one probe group's captured catchment state: the compact,
 // diffable form of a CatchmentExplanation. Its hops are records, not
 // rendered Hops: only the explain queries render a chain. A view is
-// immutable once captured, so captures share views and their hop records
-// (see CaptureFrom).
+// immutable once captured and shared between captures: a delta capture
+// points at its base's view of every group it reuses (see CaptureFrom), so
+// a retained history holds each view once, however many states show it.
 type GroupView struct {
 	Group       string       `json:"group"`
 	Prefix      netip.Prefix `json:"prefix"`
@@ -251,9 +252,11 @@ type PrefixSites struct {
 // CatchmentSet is a full captured catchment state of a deployment: every
 // <city,AS> group of the probe population, sorted by group key, plus the
 // announcement state needed to attribute later moves to site operations.
+// Groups point at immutable views that other captures may share, so a
+// holder never writes through them.
 type CatchmentSet struct {
 	Dep       string        `json:"dep"`
-	Groups    []GroupView   `json:"groups"`
+	Groups    []*GroupView  `json:"groups"`
 	Announced []PrefixSites `json:"announced"`
 }
 
@@ -269,32 +272,48 @@ func Capture(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, probes []*at
 // CaptureFrom is Capture of the groups of a probe-group table (the
 // platform's is atlas.Platform.Groups), as a delta against base, an earlier
 // capture of baseEng with the same measurer; the result is deeply equal to
-// Capture's of the table's probes. A group view is a pure function of the
-// client AS's rib (its forward and RTT), its hop ASes' ribs (their
-// provenance records), the announced site set of its prefix (nearest site,
-// inflation and class) and static data. So a base view is reused, hop
-// chain included, when its prefix announces the same sites on both engines
-// and neither its client nor any hop AS is in e.RibsChangedFrom(baseEng,
-// prefix); every other group is recomputed. The base is used only when it
-// has the table's group keys in the table's order; a nil base, or one of
-// another deployment, group set, topology or provenance mode, gives a full
-// capture.
+// Capture's of the table's probes.
+//
+// A group view is a pure function of static data and three inputs, all read
+// from the engine: the nearest announced site of the group's (prefix, city)
+// and its distance (the inflation and class); the client's forwarding
+// answer by value, that is its site, AS path, hop cities and distance (the
+// served site, RTT and hop ASes); and the decision record of every AS on
+// that path (the hop records). A base view is reused, pointer and all, when
+// these inputs read the same on baseEng and e, so the delta equals a full
+// capture by construction. e.RibsChangedFrom(baseEng, prefix) is the
+// candidate filter: only the inputs read from a changed rib are compared,
+// and a view none of whose ASes changed, on a prefix announced by the same
+// sites on both engines, is reused outright. Every other group is
+// recomputed, and the recomputed views are allocated as one block.
+//
+// The base is used only when it has the table's group keys in the table's
+// order; a nil base, or one of another deployment, group set, topology or
+// provenance mode, gives a full capture.
 func CaptureFrom(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, groups *atlas.GroupTable, base *CatchmentSet, baseEng *bgp.Engine) (CatchmentSet, error) {
 	if base != nil && (baseEng == nil || base.Dep != dep.Name ||
 		baseEng.Topology() != e.Topology() || baseEng.ProvenanceEnabled() != e.ProvenanceEnabled() ||
-		!slices.EqualFunc(base.Groups, groups.Groups, func(v GroupView, g atlas.Group) bool { return v.Group == g.Key })) {
+		!slices.EqualFunc(base.Groups, groups.Groups, func(v *GroupView, g atlas.Group) bool { return v.Group == g.Key })) {
 		base = nil
 	}
-	set := CatchmentSet{Dep: dep.Name, Groups: make([]GroupView, 0, len(groups.Groups)), Announced: announced(e)}
-	var d *captureDelta
-	if base != nil {
-		d = &captureDelta{e: e, baseEng: baseEng, base: base, cur: &set, prefixes: map[netip.Prefix]prefixDelta{}}
-	}
+	set := CatchmentSet{Dep: dep.Name, Groups: make([]*GroupView, len(groups.Groups)), Announced: announced(e)}
 	near := nearestMemo{}
 	var tabs tableMemo
+	fresh := len(groups.Groups)
+	if base != nil {
+		d := captureDelta{e: e, baseEng: baseEng, dep: dep, near: near, baseNear: nearestMemo{}, tabs: &tabs}
+		fresh = 0
+		for i, v := range base.Groups {
+			if d.reuse(v, groups.Groups[i].Rep) {
+				set.Groups[i] = v
+			} else {
+				fresh++
+			}
+		}
+	}
+	block := make([]GroupView, fresh)
 	for i := range groups.Groups {
-		if d.reuse(i) {
-			set.Groups = append(set.Groups, base.Groups[i])
+		if set.Groups[i] != nil {
 			continue
 		}
 		g := &groups.Groups[i]
@@ -302,7 +321,9 @@ func CaptureFrom(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, groups *
 		if err != nil {
 			return CatchmentSet{}, err
 		}
-		set.Groups = append(set.Groups, GroupView{
+		v := &block[0]
+		block = block[1:]
+		*v = GroupView{
 			Group:       ce.Group,
 			Prefix:      ce.Prefix,
 			Served:      ce.Served,
@@ -313,7 +334,8 @@ func CaptureFrom(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, groups *
 			Class:       ce.Class,
 			hops:        hops,
 			client:      ce.ASN,
-		})
+		}
+		set.Groups[i] = v
 	}
 	return set, nil
 }
@@ -337,44 +359,100 @@ func announced(e *bgp.Engine) []PrefixSites {
 	return out
 }
 
-// captureDelta decides which base views a capture reuses. A nil delta
-// reuses none.
+// captureDelta decides which base views a capture reuses, by comparing each
+// view's inputs on the two engines (see CaptureFrom).
 type captureDelta struct {
 	e, baseEng *bgp.Engine
-	base, cur  *CatchmentSet
-	prefixes   map[netip.Prefix]prefixDelta
+	dep        *cdn.Deployment
+	// near and tabs are the capture's memos on e, which the views it
+	// recomputes share; baseNear and baseTabs are baseEng's.
+	near, baseNear nearestMemo
+	tabs           *tableMemo
+	baseTabs       tableMemo
+	prefixes       []prefixDelta
 }
 
-// prefixDelta is one prefix's change between the base and the capture:
-// whether its announced sites differ, and else the ASes whose rib changed,
-// ascending (dense index order is ASN order).
+// prefixDelta is one prefix's change between baseEng and e: the ASes whose
+// rib changed, ascending (dense index order is ASN order), and whether
+// every city's nearest announced site is the same on both engines, which
+// holds when both announce the prefix from the same sites.
 type prefixDelta struct {
-	sitesChanged bool
-	changed      []topo.ASN
+	prefix      netip.Prefix
+	changed     []topo.ASN
+	sameNearest bool
 }
 
-// reuse reports whether the capture can keep the base's view of group i.
-func (d *captureDelta) reuse(i int) bool {
-	if d == nil {
-		return false
-	}
-	v := &d.base.Groups[i]
-	pd, ok := d.prefixes[v.Prefix]
-	if !ok {
-		pd.sitesChanged = !slices.Equal(d.base.sitesOf(v.Prefix), d.cur.sitesOf(v.Prefix))
-		if !pd.sitesChanged {
-			t := d.e.Topology()
-			for _, j := range d.e.RibsChangedFrom(d.baseEng, v.Prefix) {
-				pd.changed = append(pd.changed, t.ASAt(j))
-			}
+// prefix returns the prefix's delta, computed on first use. The pointer
+// is valid until the next call.
+func (d *captureDelta) prefix(p netip.Prefix) *prefixDelta {
+	for k := range d.prefixes {
+		if d.prefixes[k].prefix == p {
+			return &d.prefixes[k]
 		}
-		d.prefixes[v.Prefix] = pd
 	}
-	if pd.sitesChanged || pd.ribChanged(v.client) {
+	pd := prefixDelta{prefix: p, sameNearest: sameSites(d.e.Announcements(p), d.baseEng.Announcements(p))}
+	t := d.e.Topology()
+	for _, j := range d.e.RibsChangedFrom(d.baseEng, p) {
+		pd.changed = append(pd.changed, t.ASAt(j))
+	}
+	d.prefixes = append(d.prefixes, pd)
+	return &d.prefixes[len(d.prefixes)-1]
+}
+
+// reuse reports whether the capture can keep v, the base's view of the
+// group whose representative probe is p: whether the view's inputs read
+// the same on both engines.
+func (d *captureDelta) reuse(v *GroupView, p *atlas.Probe) bool {
+	pd := d.prefix(v.Prefix)
+	city, _ := geo.CityIDOf(p.City)
+	if !pd.sameNearest {
+		site, km := d.near.get(d.e, d.dep, v.Prefix, city)
+		baseSite, baseKm := d.baseNear.get(d.baseEng, d.dep, v.Prefix, city)
+		if site != baseSite || km != baseKm {
+			return false
+		}
+	}
+	clientChanged := pd.ribChanged(v.client)
+	if !clientChanged && !slices.ContainsFunc(v.hops, func(h hop) bool { return pd.ribChanged(h.asn) }) {
+		return true
+	}
+	tp := d.e.Topology()
+	ai, known := tp.ASIndex(v.client)
+	if !known {
+		return true
+	}
+	tab, baseTab := d.tabs.get(d.e, v.Prefix), d.baseTabs.get(d.baseEng, v.Prefix)
+	r, cls, km, ok := tab.Route(ai, city)
+	if clientChanged {
+		br, bcls, bkm, bok := baseTab.Route(ai, city)
+		if ok != bok || ok && ((cls == bgp.FromOrigin) != (bcls == bgp.FromOrigin) ||
+			r.SiteSymbol() != br.SiteSymbol() || km != bkm || !r.SamePath(br)) {
+			return false
+		}
+	}
+	if !ok {
+		return true
+	}
+	// The forward is the same on both engines, so the base view's hop ASes
+	// are its path on e too; only the records of changed ASes can differ.
+	servingKm := geo.KmBetween(city, r.SiteCityID())
+	for _, h := range v.hops {
+		if pd.ribChanged(h.asn) && hopOf(tp, &tab, h.asn, city, servingKm) != hopOf(tp, &baseTab, h.asn, city, servingKm) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameSites reports whether two announcement lists name the same sites.
+// A deployment's site IDs are unique, so equal lengths and containment
+// suffice.
+func sameSites(a, b []bgp.SiteAnnouncement) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for _, h := range v.hops {
-		if pd.ribChanged(h.asn) {
+	for _, x := range a {
+		if !slices.ContainsFunc(b, func(y bgp.SiteAnnouncement) bool { return y.Site == x.Site }) {
 			return false
 		}
 	}
@@ -382,7 +460,7 @@ func (d *captureDelta) reuse(i int) bool {
 }
 
 // ribChanged reports whether asn's rib for the prefix changed.
-func (pd prefixDelta) ribChanged(asn topo.ASN) bool {
+func (pd *prefixDelta) ribChanged(asn topo.ASN) bool {
 	_, found := slices.BinarySearch(pd.changed, asn)
 	return found
 }

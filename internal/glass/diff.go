@@ -87,7 +87,7 @@ func Diff(before, after CatchmentSet) (DiffReport, error) {
 	rep := DiffReport{Dep: before.Dep, Groups: len(before.Groups)}
 	counts := map[MoveCause]int{}
 	for i := range before.Groups {
-		b, a := &before.Groups[i], &after.Groups[i]
+		b, a := before.Groups[i], after.Groups[i]
 		if b.Group != a.Group {
 			return DiffReport{}, fmt.Errorf("glass: group mismatch at %d: %q vs %q", i, b.Group, a.Group)
 		}

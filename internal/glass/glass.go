@@ -80,18 +80,24 @@ func hopRecords(tp *topo.Topology, tab *bgp.Table, fwd bgp.Forward, client, serv
 	servingKm := geo.KmBetween(client, serving)
 	hops := make([]hop, len(fwd.Path))
 	for i, asn := range fwd.Path {
-		h := hop{asn: asn}
-		if p, ok := provenance(tp, tab, asn); ok {
-			h.winnerLen = uint16(p.Winner().Len())
-			h.step, h.winnerClass, h.valid = p.Step, p.WinnerClass, p.Valid
-			if p.HasRunnerUp {
-				h.hasRunnerUp = true
-				h.runnerCloser = geo.KmBetween(client, p.RunnerUp().SiteCityID()) < servingKm
-			}
-		}
-		hops[i] = h
+		hops[i] = hopOf(tp, tab, asn, client, servingKm)
 	}
 	return hops
+}
+
+// hopOf returns the hop record of asn, read from tab, on a forward from a
+// client city whose serving site lies servingKm away.
+func hopOf(tp *topo.Topology, tab *bgp.Table, asn topo.ASN, client geo.CityID, servingKm float64) hop {
+	h := hop{asn: asn}
+	if p, ok := provenance(tp, tab, asn); ok {
+		h.winnerLen = uint16(p.Winner().Len())
+		h.step, h.winnerClass, h.valid = p.Step, p.WinnerClass, p.Valid
+		if p.HasRunnerUp {
+			h.hasRunnerUp = true
+			h.runnerCloser = geo.KmBetween(client, p.RunnerUp().SiteCityID()) < servingKm
+		}
+	}
+	return h
 }
 
 // provenance reads asn's decision record out of tab.

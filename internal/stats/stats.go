@@ -166,9 +166,10 @@ func (c *CDF) At(x float64) float64 {
 	return float64(idx) / float64(len(c.sorted))
 }
 
-// Quantile returns the q-th quantile (0 <= q <= 1).
+// Quantile returns the q-th quantile (0 <= q <= 1). The CDF's values are
+// already sorted, so it neither copies nor sorts them.
 func (c *CDF) Quantile(q float64) float64 {
-	return Percentile(c.sorted, q*100)
+	return PercentileSorted(c.sorted, q*100)
 }
 
 // Points samples the CDF at n evenly spaced x positions between the min and

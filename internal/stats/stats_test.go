@@ -144,6 +144,29 @@ func TestCDFMonotone(t *testing.T) {
 	}
 }
 
+// TestCDFQuantileMatchesPercentile: Quantile reads the CDF's sorted values
+// in place, answering what Percentile answers of the raw values without
+// allocating.
+func TestCDFQuantileMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		vals := make([]float64, 1+rng.Intn(50))
+		for i := range vals {
+			vals[i] = math.Round(rng.NormFloat64()*100) / 4
+		}
+		c := NewCDF(vals)
+		for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.9, 0.99, 1, rng.Float64()} {
+			if got, want := c.Quantile(q), Percentile(vals, q*100); got != want {
+				t.Fatalf("trial %d: Quantile(%v) = %v, Percentile = %v", trial, q, got, want)
+			}
+		}
+	}
+	c := NewCDF([]float64{5, 1, 4, 2, 3})
+	if n := testing.AllocsPerRun(100, func() { c.Quantile(0.9) }); n != 0 {
+		t.Fatalf("Quantile allocates %v times per call", n)
+	}
+}
+
 func TestCDFPoints(t *testing.T) {
 	c := NewCDF([]float64{0, 10})
 	pts := c.Points(11)

@@ -23,8 +23,10 @@
 # a clock advance into the next demand bucket),
 # BenchmarkServeOpsStep (one operator step: POST an event, GET /diff, GET
 # /explain), BenchmarkAnalyzeCampaign (a campaign's grouping and
-# Table 2 analysis), BenchmarkCapture/full and .../delta (a full
-# catchment capture, and a delta capture after one link fault) and
+# Table 2 analysis), BenchmarkCapture/full, .../delta,
+# .../deployment-link and .../site-withdraw (a full catchment capture, and
+# delta captures after a link fault, a fault on a link of the deployment
+# AS and a site withdrawal) and
 # BenchmarkLookup (one string-keyed catchment query, the campaign's
 # per-probe read).
 #
@@ -120,7 +122,7 @@ for bench in BenchmarkAnnounce BenchmarkTrafficSteering BenchmarkRunCampaign; do
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
 done
 
-for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkIncrementalReconvergence/full BenchmarkEngineFork/fork-trial BenchmarkTrialApply/prepend BenchmarkTrialApply/wave BenchmarkTrialEvaluate/full BenchmarkTrialEvaluate/delta BenchmarkServeIngestEvent BenchmarkServeIngestBatch BenchmarkServeAdvance BenchmarkServeOpsStep BenchmarkAnalyzeCampaign BenchmarkCapture/full BenchmarkCapture/delta BenchmarkLookup; do
+for bench in BenchmarkSteeringRound BenchmarkIncrementalReconvergence/incremental BenchmarkIncrementalReconvergence/provenance BenchmarkIncrementalReconvergence/full BenchmarkEngineFork/fork-trial BenchmarkTrialApply/prepend BenchmarkTrialApply/wave BenchmarkTrialEvaluate/full BenchmarkTrialEvaluate/delta BenchmarkServeIngestEvent BenchmarkServeIngestBatch BenchmarkServeAdvance BenchmarkServeOpsStep BenchmarkAnalyzeCampaign BenchmarkCapture/full BenchmarkCapture/delta BenchmarkCapture/deployment-link BenchmarkCapture/site-withdraw BenchmarkLookup; do
     missing "$bench" && continue
     gate "$bench" bytes_per_op  "B/op"      "$mem_threshold"
     gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
